@@ -156,7 +156,8 @@ def _eval_entangle(p):
     gaussian = entanglement.log_negativity_gaussian(
         entanglement.ground_state_covariance(cfg))
     oracle = entanglement.negativity_fock_oracle(cfg, int(p["n_max"]))
-    return {"E_N_gaussian": gaussian, "E_N_fock": oracle.value}
+    return {"E_N_gaussian": gaussian, "E_N_fock": oracle.value,
+            "converged": 1.0 if oracle.converged else 0.0}
 
 
 def _eval_dispersive(p):

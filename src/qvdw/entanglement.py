@@ -4,8 +4,9 @@ Gaussian route: the ground state of the dipole-coupled oscillator pair is
 Gaussian, so its 4x4 covariance matrix (ordering x1, p1, x2, p2; vacuum
 variance 1/2 with hbar = 1) determines the logarithmic negativity through
 the smallest symplectic eigenvalue of the partial transpose.  A Fock-basis
-partial-transpose oracle provides an independent check.  E_N uses the
-natural logarithm in both routes.
+oracle provides an independent check: it solves the truncated Hamiltonian
+in its parity sectors and takes E_N from the ground state's Schmidt
+coefficients.  E_N uses the natural logarithm in both routes.
 
 Two-qubit route: Wootters concurrence and the maximal CHSH value (the
 Horodecki criterion), quantifying the Bell-test program for verifying
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, UncertaintyViolationError
-from .operators import pauli
-from .vdw import ConvergedValue, VdwConfig, coupled_hamiltonian_fock, normal_modes
+from .operators import pauli, truncation_probe
+from .vdw import (FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, coupled_hamiltonian_fock,
+                  fock_ground_state, normal_modes)
 
 SYMPLECTIC_TOL = 1e-10
 STATE_ATOL = 1e-12
@@ -26,6 +28,10 @@ EIGENVALUE_FLOOR = -1e-10
 
 # one-mode symplectic form [[0, 1], [-1, 0]], stacked for two modes
 SYMPLECTIC_FORM = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+# _PAULI_PRODUCTS[a, b] = sigma_a x sigma_b for a, b in x, y, z
+_PAULI_PRODUCTS = np.array([[np.kron(pauli(a).entries, pauli(b).entries) for b in "xyz"]
+                            for a in "xyz"])
 
 
 @dataclass(frozen=True)
@@ -123,30 +129,25 @@ def log_negativity_gaussian(state: GaussianTwoModeState) -> float:
 
 
 def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
-    """Log-negativity of the coupled ground state via a Fock-basis partial
-    transpose, independent of the covariance route.
+    """Log-negativity of the coupled ground state from its Fock amplitudes,
+    independent of the covariance route.
 
-    Diagonalizes the truncated two-mode Hamiltonian, partially transposes
-    the ground-state projector on mode 2 and sums the negative eigenvalues
-    N; returns ln(2N + 1) to match the Gaussian convention.  The converged
-    flag compares against the n_max - 2 truncation.
+    Solves the truncated two-mode Hamiltonian in its parity sectors and
+    reshapes the ground state into psi[n1, n2].  The state is pure, so
+    E_N = 2 ln(sum of its Schmidt coefficients), the singular values of psi;
+    this equals ln(2N + 1) with N the summed negative eigenvalues of the
+    partially transposed projector.  The converged flag compares against
+    the n_max - 2 truncation.
     """
     if n_max < 12:
         raise ValueError(f"n_max must be >= 12 for a meaningful oracle, got {n_max}")
 
     def log_neg(n):
-        _, vectors = np.linalg.eigh(coupled_hamiltonian_fock(cfg, n))
-        psi = vectors[:, 0].reshape(n, n)
-        # rho[(i,k),(j,l)] = psi[i,k] psi[j,l]; transpose mode 2 swaps k <-> l
-        rho = np.einsum("ik,jl->ikjl", psi, psi)
-        rho_pt = rho.transpose(0, 3, 2, 1).reshape(n * n, n * n)
-        ev = np.linalg.eigvalsh(rho_pt)
-        negativity = -float(np.sum(ev[ev < 0]))
-        return np.log(2.0 * negativity + 1.0)
+        _, psi = fock_ground_state(coupled_hamiltonian_fock(cfg, n), with_state=True)
+        return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
 
-    value = log_neg(n_max)
-    converged = abs(value - log_neg(n_max - 2)) <= 1e-8
-    return ConvergedValue(value=value, converged=converged)
+    return ConvergedValue(*truncation_probe(
+        log_neg(n_max), lambda: log_neg(n_max - 2), FOCK_CONVERGENCE_TOL))
 
 
 def concurrence(state: TwoQubitState) -> float:
@@ -163,12 +164,10 @@ def concurrence(state: TwoQubitState) -> float:
 
 def correlation_matrix(state: TwoQubitState) -> np.ndarray:
     """3x3 Pauli correlation matrix T_ab = Tr[rho sigma_a x sigma_b]."""
-    axes = ("x", "y", "z")
     t = np.empty((3, 3))
-    for i, a in enumerate(axes):
-        for j, b in enumerate(axes):
-            op = np.kron(pauli(a).entries, pauli(b).entries)
-            t[i, j] = float(np.trace(state.rho @ op).real)
+    for i in range(3):
+        for j in range(3):
+            t[i, j] = float(np.trace(state.rho @ _PAULI_PRODUCTS[i, j]).real)
     return t
 
 

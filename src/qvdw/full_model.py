@@ -20,7 +20,7 @@ import numpy as np
 
 from . import perturbation
 from .errors import DimensionLimitError, IdentificationError, NearResonanceError
-from .operators import HermitianOperator, ladder
+from .operators import HermitianOperator, ladder, truncation_probe
 
 DEFAULT_DIM_LIMIT = 4096
 CONVERGENCE_TOL = 1e-8
@@ -92,7 +92,7 @@ class ShiftReport:
 
     ``shift`` is dressed - bare.  The overlaps are |<bare|dressed>|^2 of the
     two identified eigenstates; ``converged`` records whether repeating the
-    diagonalization with n_max + 2 moves the shift by less than 1e-8.
+    diagonalization with n_max + 2 moves the shift by at most 1e-8.
     """
 
     bare_transition: float
@@ -120,12 +120,8 @@ def _mode_factors(cfg: FullModelConfig):
     return [np.eye(d) for d in cfg.mode_dims]
 
 
-def build_h0(cfg: FullModelConfig) -> HermitianOperator:
-    """Uncoupled Hamiltonian, diagonal in the product Fock basis.
-
-    Qubit term diag(-w/2, +w/2), plus w_n a_n^dag a_n per field mode and
-    W_m b_m^dag b_m per dipole mode.
-    """
+def _h0_diagonal(cfg: FullModelConfig) -> np.ndarray:
+    """Diagonal of H0 as a real vector; build_h0 wraps it."""
     _check_dim(cfg)
     occupations = np.arange(float(cfg.n_max))
     diags = [0.5 * cfg.qubit_freq * np.array([-1.0, 1.0])]
@@ -136,16 +132,11 @@ def build_h0(cfg: FullModelConfig) -> HermitianOperator:
         ones = [np.ones(dim) for dim in cfg.mode_dims]
         ones[slot] = d
         total += _embed(ones)
-    return HermitianOperator(np.diag(total), cfg.mode_dims)
+    return total
 
 
-def build_hint(cfg: FullModelConfig) -> HermitianOperator:
-    """Interaction Hamiltonian: qubit-field and dipole-field couplings.
-
-    s_x tensor sum_k g_k (a_k + a_k^dag) plus
-    sum_{l,k} f_lk (a_k + a_k^dag)(b_l + b_l^dag).  Every term changes an
-    excitation number, so the matrix has an exactly zero diagonal.
-    """
+def _hint_matrix(cfg: FullModelConfig) -> np.ndarray:
+    """Real dense H_int; build_hint wraps it."""
     _check_dim(cfg)
     x = ladder(cfg.n_max)
     x = x + x.T
@@ -168,7 +159,26 @@ def build_hint(cfg: FullModelConfig) -> HermitianOperator:
             factors[1 + k] = x
             factors[1 + n_fields + l] = x
             h += f * _embed(factors)
-    return HermitianOperator(h, cfg.mode_dims)
+    return h
+
+
+def build_h0(cfg: FullModelConfig) -> HermitianOperator:
+    """Uncoupled Hamiltonian, diagonal in the product Fock basis.
+
+    Qubit term diag(-w/2, +w/2), plus w_n a_n^dag a_n per field mode and
+    W_m b_m^dag b_m per dipole mode.
+    """
+    return HermitianOperator(np.diag(_h0_diagonal(cfg)), cfg.mode_dims)
+
+
+def build_hint(cfg: FullModelConfig) -> HermitianOperator:
+    """Interaction Hamiltonian: qubit-field and dipole-field couplings.
+
+    s_x tensor sum_k g_k (a_k + a_k^dag) plus
+    sum_{l,k} f_lk (a_k + a_k^dag)(b_l + b_l^dag).  Every term changes an
+    excitation number, so the matrix has an exactly zero diagonal.
+    """
+    return HermitianOperator(_hint_matrix(cfg), cfg.mode_dims)
 
 
 def _bare_indices(cfg: FullModelConfig):
@@ -205,14 +215,13 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     """
     dressed, ov_g, ov_e = _diagonalize_and_identify(cfg)
     bare = cfg.qubit_freq
-    shift = dressed - bare
+    wider = cfg.with_n_max(cfg.n_max + 2)
 
-    probe = cfg.with_n_max(cfg.n_max + 2)
-    if probe.dim > probe.dim_limit:
-        converged = False
-    else:
-        dressed_probe, _, _ = _diagonalize_and_identify(probe)
-        converged = abs((dressed_probe - bare) - shift) < CONVERGENCE_TOL
+    def probe():
+        return _diagonalize_and_identify(wider)[0] - bare
+
+    shift, converged = truncation_probe(
+        dressed - bare, probe if wider.dim <= wider.dim_limit else None, CONVERGENCE_TOL)
 
     return ShiftReport(
         bare_transition=bare,
@@ -241,10 +250,8 @@ def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float,
             f"{tol_degeneracy}; the dispersive expansion does not apply on resonance"
         )
     cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max)
-    h0 = build_h0(cfg).entries
-    h_int = build_hint(cfg)
     i_ground, i_excited = _bare_indices(cfg)
-    return perturbation.transition_shift(np.diag(h0).real, h_int,
+    return perturbation.transition_shift(_h0_diagonal(cfg), _hint_matrix(cfg),
                                          i_excited, i_ground, tol_degeneracy)
 
 

@@ -157,6 +157,21 @@ def quadratures(n_max: int, mass: float, freq: float):
     return x, p
 
 
+def truncation_probe(value: float, probe, tol: float):
+    """Check a truncated-space result against a second truncation.
+
+    ``probe`` computes the same quantity at another n_max; it is None when
+    that run cannot be made (say, it would exceed a dimension limit), which
+    counts as not converged.
+
+    Returns
+    -------
+    (value, converged) : tuple
+        ``value`` unchanged, and whether the probe lies within ``tol`` of it.
+    """
+    return value, probe is not None and bool(abs(probe() - value) <= tol)
+
+
 def eig_hermitian(op) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix.
 

@@ -14,12 +14,13 @@ attractive case lambda < 0 the symmetric mode softens, so
 omega_plus >= omega_minus.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnstableConfigurationError
-from .operators import quadratures
+from .operators import quadratures, truncation_probe
 
 FOCK_CONVERGENCE_TOL = 1e-8
 
@@ -166,7 +167,9 @@ def coupled_hamiltonian_fock(cfg: VdwConfig, n_max: int) -> np.ndarray:
     """Dense H on the two-mode truncated Fock space, built from quadratures.
 
     p^2/2m + m w0^2 x^2 / 2 for each oscillator plus lambda x1 x2.  Used by
-    the brute-force oracles; real symmetric.
+    the brute-force oracles; real symmetric.  Every term changes n1 + n2 by
+    0 or +-2, so H has no entry between the even and odd (-1)^(n1 + n2)
+    parity sectors.
     """
     x, p = quadratures(n_max, cfg.mass, cfg.freq)
     p_sq = np.real(p @ p)  # imaginary parts are exact zeros
@@ -174,6 +177,33 @@ def coupled_hamiltonian_fock(cfg: VdwConfig, n_max: int) -> np.ndarray:
     eye = np.eye(n_max)
     lam = dipole_coupling_lambda(cfg)
     return np.kron(h_single, eye) + np.kron(eye, h_single) + lam * np.kron(x, x)
+
+
+def fock_ground_state(h: np.ndarray, with_state: bool = False):
+    """Ground energy of a two-mode Fock Hamiltonian, solved per parity sector.
+
+    ``h`` is a real symmetric n_max^2 matrix that conserves (-1)^(n1 + n2),
+    such as coupled_hamiltonian_fock returns.  The lowest eigenvalue of both
+    sector blocks is computed and the smaller one kept, so the result is the
+    ground energy of the whole matrix whichever sector holds it.
+
+    Returns ``(energy, psi)``.  With ``with_state`` the winning block's
+    eigenvector is computed too and returned as the n_max x n_max amplitude
+    matrix psi[n1, n2]; otherwise psi is None.
+    """
+    n_max = math.isqrt(h.shape[0])
+    parity = np.add.outer(np.arange(n_max), np.arange(n_max)).ravel() % 2
+    blocks = [(idx, h[np.ix_(idx, idx)])
+              for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))]
+    lows = [float(np.linalg.eigvalsh(block)[0]) for _, block in blocks]
+    best = int(np.argmin(lows))
+    if not with_state:
+        return lows[best], None
+    idx, block = blocks[best]
+    _, vectors = np.linalg.eigh(block)
+    psi = np.zeros(n_max * n_max)
+    psi[idx] = vectors[:, 0]
+    return lows[best], psi.reshape(n_max, n_max)
 
 
 def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
@@ -187,8 +217,7 @@ def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
 
     def ground_shift(n):
-        return float(np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n))[0]) - cfg.freq
+        return fock_ground_state(coupled_hamiltonian_fock(cfg, n))[0] - cfg.freq
 
-    shift = ground_shift(n_max)
-    converged = abs(shift - ground_shift(n_max - 2)) <= FOCK_CONVERGENCE_TOL
-    return ConvergedValue(value=shift, converged=converged)
+    return ConvergedValue(*truncation_probe(
+        ground_shift(n_max), lambda: ground_shift(n_max - 2), FOCK_CONVERGENCE_TOL))

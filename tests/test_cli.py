@@ -76,7 +76,8 @@ class TestRunScenario:
             model="entangle", parameters={"n_max": 14},
             sweep=SweepSpec("coupling", 0.1, 0.3, 2))
         table = run_scenario(scenario)
-        assert list(table.columns) == ["coupling", "E_N_gaussian", "E_N_fock"]
+        assert list(table.columns) == ["coupling", "E_N_gaussian", "E_N_fock",
+                                      "converged"]
         assert table.metadata["max_abs_diff"] <= 1e-6
 
     def test_unknown_model(self):
@@ -268,3 +269,11 @@ class TestMainBehavior:
         assert values["bare_transition"] == 1.0
         assert values["converged"] == 1.0
         assert abs(values["shift"]) < 1e-3
+
+    def test_entangle_reports_unconverged_oracle(self, capsys):
+        code = main(["entangle", "--set", "coupling=0.9", "--set", "n_max=12"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        header, row = out.strip().splitlines()
+        values = dict(zip(header.split(","), (float(v) for v in row.split(","))))
+        assert values["converged"] == 0.0

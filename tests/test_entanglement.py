@@ -18,6 +18,7 @@ from qvdw import (
     normal_modes,
     symplectic_eigenvalues,
 )
+from qvdw.vdw import coupled_hamiltonian_fock
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -26,6 +27,17 @@ def werner(p):
     """p Phi+ + (1 - p) I/4."""
     phi = bell_state("phi+").rho
     return TwoQubitState(p * phi + (1.0 - p) * np.eye(4) / 4.0)
+
+
+def partial_transpose_log_negativity(cfg, n_max):
+    """ln(2N + 1), N the summed negative eigenvalues of the ground-state
+    projector partially transposed on mode 2 (dense n_max^2 x n_max^2)."""
+    _, vectors = np.linalg.eigh(coupled_hamiltonian_fock(cfg, n_max))
+    psi = vectors[:, 0].reshape(n_max, n_max)
+    # rho[(i,k),(j,l)] = psi[i,k] psi[j,l]; transposing mode 2 swaps k <-> l
+    rho_pt = np.einsum("ik,jl->iljk", psi, psi).reshape(n_max * n_max, n_max * n_max)
+    ev = np.linalg.eigvalsh(rho_pt)
+    return np.log(2.0 * -np.sum(ev[ev < 0]) + 1.0)
 
 
 def random_density_matrix(rng, rank=4):
@@ -151,6 +163,18 @@ class TestNegativityFockOracle:
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
             negativity_fock_oracle(VdwConfig(), n_max=8)
+
+    @pytest.mark.parametrize("n_max", [12, 16])
+    @pytest.mark.parametrize("u", [0.1, 0.5, 0.9])
+    def test_schmidt_route_equals_partial_transpose(self, u, n_max):
+        cfg = config_for_coupling(u)
+        res = negativity_fock_oracle(cfg, n_max=n_max)
+        assert res.value == pytest.approx(
+            partial_transpose_log_negativity(cfg, n_max), abs=1e-12)
+
+    def test_truncation_flag_at_strong_coupling(self):
+        # at u = 0.9 the n_max 12 and 10 truncations still differ by ~1e-4
+        assert not negativity_fock_oracle(config_for_coupling(0.9), n_max=12).converged
 
 
 class TestConcurrence:

@@ -162,6 +162,15 @@ class TestDispersiveSingleMode:
         # mode above the qubit frequency pushes the transition down
         assert dispersive_single_mode(1.0, 5.0, 0.05) < 0.0
 
+    @pytest.mark.parametrize("omega,mode,g,n_max", [
+        (1.0, 5.0, 0.01, 30), (2.7, 0.4, 0.3, 12), (0.3, 1.9, 0.05, 7)])
+    def test_real_path_equals_complex_operator_path(self, omega, mode, g, n_max):
+        cfg = single_mode_cfg(omega, mode, g, n_max)
+        h0 = np.diag(build_h0(cfg).entries).real
+        bare_ground, bare_excited = 0, n_max
+        old = transition_shift(h0, build_hint(cfg), bare_excited, bare_ground)
+        assert dispersive_single_mode(omega, mode, g, n_max) == old
+
 
 class TestRefractiveModulation:
 

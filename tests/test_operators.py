@@ -12,6 +12,7 @@ from qvdw import (
     quadratures,
     tensor,
 )
+from qvdw.operators import truncation_probe
 
 
 class TestLadder:
@@ -194,3 +195,15 @@ class TestHermitianOperator:
         m[0, 1] = 1e-13
         op = HermitianOperator(m, (2,))
         assert op.dim == 2
+
+
+class TestTruncationProbe:
+
+    def test_agreeing_probe_converges(self):
+        assert truncation_probe(1.0, lambda: 1.0 + 1e-9, 1e-8) == (1.0, True)
+
+    def test_distant_probe_does_not_converge(self):
+        assert truncation_probe(1.0, lambda: 1.0 + 1e-7, 1e-8) == (1.0, False)
+
+    def test_missing_probe_does_not_converge(self):
+        assert truncation_probe(1.0, None, 1e-8) == (1.0, False)

@@ -15,6 +15,7 @@ from qvdw import (
     polarizability,
     vdw_fock_oracle,
 )
+from qvdw.vdw import coupled_hamiltonian_fock, fock_ground_state
 
 # reduced-unit reference case: e = k = m = w0 = 1, R = 2 gives lambda = -1/4
 REF = VdwConfig(separation=2.0)
@@ -214,3 +215,36 @@ class TestFockOracle:
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
             vdw_fock_oracle(REF, n_max=6)
+
+
+def odd_parity(n_max):
+    """Mask of the basis states |n1, n2> with n1 + n2 odd, flat index n1 n_max + n2."""
+    n1, n2 = np.divmod(np.arange(n_max * n_max), n_max)
+    return (n1 + n2) % 2 == 1
+
+
+class TestParitySectors:
+
+    @pytest.mark.parametrize("n_max", [8, 12, 13])
+    def test_cross_parity_block_is_exactly_zero(self, n_max):
+        h = coupled_hamiltonian_fock(config_for_coupling(0.7), n_max)
+        odd = odd_parity(n_max)
+        assert np.count_nonzero(h[np.ix_(odd, ~odd)]) == 0
+        assert np.count_nonzero(h[np.ix_(~odd, odd)]) == 0
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
+    def test_sector_minimum_is_the_full_ground_energy(self, u):
+        h = coupled_hamiltonian_fock(config_for_coupling(u), 14)
+        energy, psi = fock_ground_state(h)
+        assert psi is None
+        assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+
+    def test_odd_sector_ground_state_is_found(self):
+        # lowering |0,1> by 5 moves the ground state into the odd sector
+        h = coupled_hamiltonian_fock(config_for_coupling(0.3), 10)
+        h[1, 1] -= 5.0
+        energy, psi = fock_ground_state(h, with_state=True)
+        assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        assert np.all(psi.ravel()[~odd_parity(10)] == 0.0)
+        residual = h @ psi.ravel() - energy * psi.ravel()
+        assert np.max(np.abs(residual)) <= 1e-12
