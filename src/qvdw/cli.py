@@ -8,12 +8,16 @@ All values are in reduced units (hbar = 1); no SI conversion is applied.
 Output is deterministic: floats are printed with 17 significant digits, CSV
 uses comma separators and LF line endings, rows follow sweep order.
 
-Exit codes: 0 success, 2 usage/config error, 3 model error (degeneracy,
-instability, identification, ...), 4 I/O error.
+Exit codes: 0 success, 2 usage/config error (including non-finite numbers
+and fractional integer parameters), 3 model error (degeneracy, instability,
+identification, arithmetic overflow or division by zero, a non-finite
+result, ...), 4 I/O error.
 """
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +33,30 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _is_finite(value) -> bool:
+    """False when ``value`` is, or holds at any depth, a NaN, an infinity or
+    an integer too large for a float; non-numbers count as finite."""
+    if isinstance(value, dict):
+        return all(_is_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(_is_finite(v) for v in value)
+    if isinstance(value, numbers.Real):
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+    return True
+
+
+def _whole(p, key) -> int:
+    """``p[key]`` as an int; booleans, fractions and non-numbers are refused."""
+    value = p[key]
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"parameter {key!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-parameter sweep: evaluate `points` values from start to stop."""
@@ -42,6 +70,9 @@ class SweepSpec:
     def values(self) -> np.ndarray:
         if self.points < 2:
             raise ValueError(f"sweep 'points' must be >= 2, got {self.points}")
+        if not _is_finite((self.start, self.stop)):
+            raise ValueError(f"sweep of {self.parameter!r} needs a finite start and stop, "
+                             f"got {self.start}:{self.stop}")
         if self.log:
             if self.start <= 0 or self.stop <= 0:
                 raise ValueError("log-spaced sweep requires positive start and stop")
@@ -155,14 +186,14 @@ def _eval_entangle(p):
     cfg = vdw.config_for_coupling(p["coupling"])
     gaussian = entanglement.log_negativity_gaussian(
         entanglement.ground_state_covariance(cfg))
-    oracle = entanglement.negativity_fock_oracle(cfg, int(p["n_max"]))
+    oracle = entanglement.negativity_fock_oracle(cfg, _whole(p, "n_max"))
     return {"E_N_gaussian": gaussian, "E_N_fock": oracle.value,
             "converged": 1.0 if oracle.converged else 0.0}
 
 
 def _eval_dispersive(p):
     shift = full_model.dispersive_single_mode(
-        p["qubit_freq"], p["mode_freq"], p["coupling"], n_max=int(p["n_max"]))
+        p["qubit_freq"], p["mode_freq"], p["coupling"], n_max=_whole(p, "n_max"))
     return {"shift": shift}
 
 
@@ -178,8 +209,8 @@ def _eval_full(p):
         dipole_freqs=p["dipole_freqs"],
         qubit_field_couplings=p["qubit_field_couplings"],
         dipole_field_couplings=p["dipole_field_couplings"],
-        n_max=int(p["n_max"]),
-        dim_limit=int(p["dim_limit"]),
+        n_max=_whole(p, "n_max"),
+        dim_limit=_whole(p, "dim_limit"),
     )
     report = full_model.dressed_transition(cfg)
     return {
@@ -258,7 +289,9 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
 
     Sweep points are independent evaluations; rows are emitted in sweep
     order.  Raises ValueError for config problems (naming the offending
-    key) and lets ModelError propagate for physics-level failures.
+    key), including non-finite parameter values, and lets ModelError
+    propagate for physics-level failures; a result column holding a NaN or
+    an infinity is one too.
     """
     if scenario.model not in MODELS:
         raise ValueError(f"unknown model {scenario.model!r}; "
@@ -268,6 +301,8 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     for key, value in scenario.parameters.items():
         if key not in spec.defaults:
             raise ValueError(f"unknown parameter {key!r} for model {scenario.model!r}")
+        if not _is_finite(value):
+            raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
         params[key] = value
 
     metadata = {
@@ -302,6 +337,10 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
             rows.append(spec.evaluate(point))
         columns = {sweep.parameter: [float(v) for v in values]}
         columns.update({name: [row[name] for row in rows] for name in rows[0]})
+    for name, column in columns.items():
+        if not _is_finite(column):
+            raise ModelError(f"column {name!r} holds a non-finite value; "
+                             f"the parameters leave the model's numeric range")
 
     table = ResultTable(columns=columns, metadata=metadata)
     if spec.finalize is not None:
@@ -365,6 +404,8 @@ def build_scenario(args) -> ScenarioConfig:
         out_format = out.get("format", out_format)
         out_path = out.get("path", out_path)
         si_scale_factors = doc.get("si_scale_factors", None)
+        if not _is_finite(si_scale_factors):
+            raise ValueError("si_scale_factors must not hold NaN or infinite numbers")
 
     for raw in args.set or []:
         key, value = _parse_set(raw)
@@ -409,7 +450,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = build_scenario(args)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"qvdw: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -421,7 +462,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"qvdw: config error: {exc}", file=sys.stderr)
         return 2
-    except ModelError as exc:
+    except (ModelError, ArithmeticError) as exc:
         print(f"qvdw: model error: {exc}", file=sys.stderr)
         return 3
 

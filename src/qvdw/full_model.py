@@ -20,7 +20,7 @@ import numpy as np
 
 from . import perturbation
 from .errors import DimensionLimitError, IdentificationError, NearResonanceError
-from .operators import HermitianOperator, ladder, truncation_probe
+from .operators import HermitianOperator, check_hermitian, ladder, tensor, truncation_probe
 
 DEFAULT_DIM_LIMIT = 4096
 CONVERGENCE_TOL = 1e-8
@@ -111,28 +111,13 @@ def _check_dim(cfg: FullModelConfig):
         )
 
 
-def _embed(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
-
-
-def _mode_factors(cfg: FullModelConfig):
-    """Identity factors for every tensor slot; callers overwrite one or two."""
-    return [np.eye(d) for d in cfg.mode_dims]
-
-
 def _h0_diagonal(cfg: FullModelConfig) -> np.ndarray:
     """Diagonal of H0 as a real vector; build_h0 wraps it."""
     _check_dim(cfg)
     occupations = np.arange(float(cfg.n_max))
     diags = [0.5 * cfg.qubit_freq * np.array([-1.0, 1.0])]
-    diags += [w * occupations for w in cfg.field_freqs]
-    diags += [w * occupations for w in cfg.dipole_freqs]
-    total = np.zeros(cfg.dim)
-    for slot, d in enumerate(diags):
-        ones = [np.ones(dim) for dim in cfg.mode_dims]
-        ones[slot] = d
-        total += _embed(ones)
-    return total
+    diags += [w * occupations for w in cfg.field_freqs + cfg.dipole_freqs]
+    return reduce(np.add.outer, diags).ravel()
 
 
 def _hint_matrix(cfg: FullModelConfig) -> np.ndarray:
@@ -142,23 +127,20 @@ def _hint_matrix(cfg: FullModelConfig) -> np.ndarray:
     x = x + x.T
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     n_fields = len(cfg.field_freqs)
+
+    def term(factors):
+        # factors maps tensor slot -> operator; every other slot is the identity
+        return tensor(factors.get(slot, np.eye(d)) for slot, d in enumerate(cfg.mode_dims))
+
     h = np.zeros((cfg.dim, cfg.dim))
     for k, g in enumerate(cfg.qubit_field_couplings):
-        if g == 0.0:
-            continue
-        factors = _mode_factors(cfg)
-        factors[0] = sx
-        factors[1 + k] = x
-        h += g * _embed(factors)
+        if g != 0.0:
+            h += g * term({0: sx, 1 + k: x})
     for l in range(len(cfg.dipole_freqs)):
         for k in range(n_fields):
             f = cfg.dipole_field_couplings[l, k]
-            if f == 0.0:
-                continue
-            factors = _mode_factors(cfg)
-            factors[1 + k] = x
-            factors[1 + n_fields + l] = x
-            h += f * _embed(factors)
+            if f != 0.0:
+                h += f * term({1 + k: x, 1 + n_fields + l: x})
     return h
 
 
@@ -187,12 +169,15 @@ def _bare_indices(cfg: FullModelConfig):
 
 
 def _diagonalize_and_identify(cfg: FullModelConfig):
-    h = build_h0(cfg).entries + build_hint(cfg).entries
+    # H is real symmetric: H_int with H0 added onto its (zero) diagonal
+    h = _hint_matrix(cfg)
+    h[np.diag_indices_from(h)] += _h0_diagonal(cfg)
+    check_hermitian(h)
     values, vectors = np.linalg.eigh(h)
     i_ground_bare, i_excited_bare = _bare_indices(cfg)
     reports = []
     for bare in (i_ground_bare, i_excited_bare):
-        overlaps = np.abs(vectors[bare, :]) ** 2
+        overlaps = vectors[bare] ** 2
         best = int(np.argmax(overlaps))
         if overlaps[best] < OVERLAP_THRESHOLD:
             raise IdentificationError(

@@ -46,9 +46,7 @@ class HermitianOperator:
             raise ValueError(
                 f"product of subsystem_dims {dims} != matrix dimension {entries.shape[0]}"
             )
-        dev = np.max(np.abs(entries - entries.conj().T)) if entries.size else 0.0
-        if dev > HERMITICITY_ATOL:
-            raise HermiticityError(f"max|O - O^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL}")
+        check_hermitian(entries)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "subsystem_dims", dims)
@@ -68,6 +66,13 @@ class Spectrum:
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def check_hermitian(mat: np.ndarray) -> None:
+    """Raise HermiticityError when max|O - O^dag| exceeds HERMITICITY_ATOL."""
+    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+    if dev > HERMITICITY_ATOL:
+        raise HermiticityError(f"max|O - O^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL}")
 
 
 def as_matrix(op) -> np.ndarray:
@@ -187,8 +192,6 @@ def eig_hermitian(op) -> Spectrum:
     """
     mat = as_matrix(op)
     if not isinstance(op, HermitianOperator):
-        dev = np.max(np.abs(mat - np.conj(mat).T))
-        if dev > HERMITICITY_ATOL:
-            raise HermiticityError(f"max|O - O^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL}")
+        check_hermitian(mat)
     values, vectors = np.linalg.eigh(mat)
     return Spectrum(values=values, vectors=vectors)

@@ -277,3 +277,99 @@ class TestMainBehavior:
         header, row = out.strip().splitlines()
         values = dict(zip(header.split(","), (float(v) for v in row.split(","))))
         assert values["converged"] == 0.0
+
+
+class TestBoundaryRejections:
+
+    def test_arithmetic_failure_is_model_error(self, capsys):
+        # separation**3 underflows to 0 and the coupling divides by it
+        code = main(["vdw", "--set", "separation=1e-200"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qvdw: model error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999",
+                                       "[1.0, NaN]"])
+    def test_non_finite_set_value_is_config_error(self, value, capsys):
+        code = main(["vdw", "--set", f"separation={value}", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "separation" in err
+
+    def test_non_finite_config_file_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"parameters": {"field_freqs": [5.0, NaN]}}')
+        code = main(["full", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "field_freqs" in err
+
+    def test_non_finite_si_scale_factor_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"si_scale_factors": {"freq": NaN}, "output": {"format": "json"}}')
+        code = main(["refractive", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "si_scale_factors" in err
+
+    @pytest.mark.parametrize("spec", ["separation=nan:50:4", "separation=5:inf:4:log"])
+    def test_non_finite_sweep_bound_is_config_error(self, spec, capsys):
+        code = main(["vdw", "--sweep", spec])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "separation" in err
+
+    def test_non_finite_config_file_sweep_bound_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"sweep": {"parameter": "separation", "start": 5, '
+                       '"stop": -Infinity, "points": 4}}')
+        code = main(["vdw", "--config", str(cfg)])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert "separation" in err
+
+    def test_infinite_config_file_sweep_points_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"sweep": {"parameter": "separation", "start": 5, '
+                       '"stop": 50, "points": Infinity}}')
+        code = main(["vdw", "--config", str(cfg)])
+        out, _ = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+
+    def test_non_finite_result_column_is_model_error(self, capsys):
+        # lambda = -1e200 stays stable against m w0^2 = 1e202, but lambda^2
+        # overflows, so the second-order shift is -inf
+        code = main(["vdw", "--set", "freq=1e101", "--set", "coulomb_k=5e199",
+                     "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "pert_shift" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dispersive", "--set", "n_max=8.9"],
+        ["entangle", "--set", "n_max=12.5"],
+        ["entangle", "--set", "n_max=true"],
+        ["entangle", "--set", 'n_max="24"'],
+        ["full", "--set", "dim_limit=4096.5"],
+    ])
+    def test_non_whole_integer_parameter_is_config_error(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert argv[-1].split("=")[0] in err
+
+    def test_integral_values_keep_working(self, capsys):
+        outputs = []
+        for n_max in ("24", "24.0"):
+            assert main(["dispersive", "--set", f"n_max={n_max}"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

@@ -13,10 +13,19 @@ from qvdw import (
     refractive_modulation,
     transition_shift,
 )
+from qvdw.full_model import _h0_diagonal
 
 
 def single_mode_cfg(omega=1.0, mode=5.0, g=0.05, n_max=30):
     return FullModelConfig(omega, (mode,), (), (g,), (), n_max)
+
+
+# one, two and three oscillator modes beside the qubit, at small n_max
+MODE_CONFIGS = [
+    FullModelConfig(1.0, (1.3,), (), (0.2,), (), 10),
+    FullModelConfig(1.0, (5.0,), (3.0,), (0.05,), ((0.3,),), 8),
+    FullModelConfig(2.0, (5.0, 2.6), (3.0,), (0.1, 0.07), ((0.2, 0.1),), 5),
+]
 
 
 class TestConfig:
@@ -67,6 +76,20 @@ class TestBuildH0:
             build_h0(cfg)
 
 
+class TestH0Diagonal:
+
+    @pytest.mark.parametrize("cfg", MODE_CONFIGS, ids=["1-mode", "2-mode", "3-mode"])
+    def test_equals_per_basis_state_loop(self, cfg):
+        freqs = cfg.field_freqs + cfg.dipole_freqs
+        expected = []
+        for qubit, *occupations in np.ndindex(*cfg.mode_dims):
+            energy = (-0.5, 0.5)[qubit] * cfg.qubit_freq
+            for n, w in zip(occupations, freqs):
+                energy += n * w
+            expected.append(energy)
+        assert np.array_equal(_h0_diagonal(cfg), expected)
+
+
 class TestBuildHint:
 
     def test_zero_couplings_give_zero_matrix(self):
@@ -100,6 +123,20 @@ class TestDressedTransition:
         assert report.overlap_excited == pytest.approx(1.0, abs=1e-12)
         assert report.converged
         assert report.shift == report.dressed_transition - report.bare_transition
+
+    @pytest.mark.parametrize("cfg", MODE_CONFIGS, ids=["1-mode", "2-mode", "3-mode"])
+    def test_equals_complex_operator_reference(self, cfg):
+        values, vectors = np.linalg.eigh(build_h0(cfg).entries + build_hint(cfg).entries)
+        picked = []
+        for bare in (0, cfg.n_max ** cfg.n_modes):
+            overlaps = np.abs(vectors[bare]) ** 2
+            best = np.argmax(overlaps)
+            picked.append((values[best], overlaps[best]))
+        (e_ground, ov_ground), (e_excited, ov_excited) = picked
+        report = dressed_transition(cfg)
+        assert report.shift == pytest.approx(e_excited - e_ground - cfg.qubit_freq, abs=1e-12)
+        assert report.overlap_ground == pytest.approx(ov_ground, abs=1e-12)
+        assert report.overlap_excited == pytest.approx(ov_excited, abs=1e-12)
 
     def test_matches_perturbation_engine(self):
         cfg = single_mode_cfg(omega=1.0, mode=5.0, g=0.05, n_max=30)

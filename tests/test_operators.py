@@ -12,7 +12,7 @@ from qvdw import (
     quadratures,
     tensor,
 )
-from qvdw.operators import truncation_probe
+from qvdw.operators import check_hermitian, truncation_probe
 
 
 class TestLadder:
@@ -173,6 +173,16 @@ class TestEigHermitian:
 
     def test_returns_spectrum_type(self):
         assert isinstance(eig_hermitian(np.eye(3)), Spectrum)
+
+
+class TestCheckHermitian:
+
+    def test_rejects_non_symmetric_real_matrix(self):
+        with pytest.raises(HermiticityError):
+            check_hermitian(np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]))
+
+    def test_accepts_symmetric_real_matrix(self):
+        check_hermitian(np.array([[1.0, 2.0], [2.0, -1.0]]))
 
 
 class TestHermitianOperator:
