@@ -53,8 +53,16 @@ def _whole(p, key) -> int:
     value = p[key]
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not float(value).is_integer()):
-        raise ValueError(f"parameter {key!r} must be a whole number, got {value!r}")
+        raise ValueError(f"{key!r} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _object(doc, key) -> dict:
+    """``doc[key]`` as a dict, {} when absent; any other JSON value is refused."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -394,13 +402,13 @@ def build_scenario(args) -> ScenarioConfig:
                               "si_scale_factors"}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        parameters.update(doc.get("parameters", {}))
-        if "sweep" in doc and doc["sweep"] is not None:
-            s = doc["sweep"]
+        parameters.update(_object(doc, "parameters"))
+        if doc.get("sweep") is not None:
+            s = _object(doc, "sweep")
             sweep = SweepSpec(parameter=s["parameter"], start=float(s["start"]),
-                              stop=float(s["stop"]), points=int(s["points"]),
+                              stop=float(s["stop"]), points=_whole(s, "points"),
                               log=bool(s.get("log", False)))
-        out = doc.get("output", {})
+        out = _object(doc, "output")
         out_format = out.get("format", out_format)
         out_path = out.get("path", out_path)
         si_scale_factors = doc.get("si_scale_factors", None)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import perturbation
 from .errors import DimensionLimitError, IdentificationError, NearResonanceError
-from .operators import HermitianOperator, check_hermitian, ladder, tensor, truncation_probe
+from .operators import (DEFAULT_DIM_LIMIT, HermitianOperator, check_hermitian, ladder, tensor,
+                        truncation_probe)
 
-DEFAULT_DIM_LIMIT = 4096
 CONVERGENCE_TOL = 1e-8
 OVERLAP_THRESHOLD = 0.5
 

@@ -15,6 +15,8 @@ from .errors import HermiticityError, TruncationError
 
 # max|O - O^dag| allowed after arithmetic; exact-real-symmetric builds give 0
 HERMITICITY_ATOL = 1e-12
+# largest dimension of a product space that is held as one dense matrix
+DEFAULT_DIM_LIMIT = 4096
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

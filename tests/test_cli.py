@@ -373,3 +373,52 @@ class TestBoundaryRejections:
             assert main(["dispersive", "--set", f"n_max={n_max}"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_fock_space_above_the_limit_is_model_error(self, capsys):
+        code = main(["entangle", "--set", "n_max=300"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qvdw: model error:")
+        assert "90000" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("doc, key", [
+        ('{"output": []}', "output"),
+        ('{"parameters": [["separation", 3.0]]}', "parameters"),
+        ('{"parameters": 5}', "parameters"),
+        ('{"sweep": [1]}', "sweep"),
+    ])
+    def test_non_object_config_file_section_is_config_error(self, doc, key, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(doc)
+        code = main(["vdw", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("points", ["2.9", "true", '"3"'])
+    def test_non_whole_config_file_sweep_points_is_config_error(self, points, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"sweep": {"parameter": "separation", "start": 5, '
+                       f'"stop": 50, "points": {points}}}}}')
+        code = main(["vdw", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "'points'" in err
+
+    def test_whole_config_file_sweep_points_keep_working(self, tmp_path, capsys):
+        outputs = []
+        for points in ("3", "3.0"):
+            cfg = tmp_path / "scenario.json"
+            cfg.write_text('{"sweep": {"parameter": "separation", "start": 5, '
+                           f'"stop": 50, "points": {points}}}}}')
+            assert main(["vdw", "--config", str(cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 4

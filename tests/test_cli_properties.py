@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import numbers
 
 import pytest
 
@@ -27,13 +28,26 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-# vdw and refractive only: neither takes an n_max, so no draw can ask for a
-# huge Fock space
+def _solvable_above_16(value):
+    """Whether ``value`` is an n_max the Fock oracle accepts and that costs
+    more than a moment to solve (17 <= n_max <= 64)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 16 < value <= 64 and float(value).is_integer())
+
+
+# any n_max, but of the n_max the Fock oracle solves only 12..16, so that the
+# test stays quick; larger ones are refused by the dimension limit
+N_MAX_VALUES = st.integers(12, 16) | PARAMETER_VALUES.filter(
+    lambda value: not _solvable_above_16(value))
+
+
 @st.composite
 def scenarios(draw):
-    model = draw(st.sampled_from(["vdw", "refractive"]))
+    model = draw(st.sampled_from(["vdw", "refractive", "entangle"]))
     names = sorted(MODELS[model].defaults)
     params = draw(st.dictionaries(st.sampled_from(names), PARAMETER_VALUES, max_size=3))
+    if model == "entangle" and "n_max" in params:
+        params["n_max"] = draw(N_MAX_VALUES)
     return model, params
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qvdw import (
+    DimensionLimitError,
     UnstableConfigurationError,
     VdwConfig,
     config_for_coupling,
@@ -10,11 +11,13 @@ from qvdw import (
     exact_ground_shift,
     excited_state_shift,
     matrix_element_x1x2,
+    negativity_fock_oracle,
     normal_modes,
     perturbative_ground_shift,
     polarizability,
     vdw_fock_oracle,
 )
+from qvdw import full_model, vdw
 from qvdw.vdw import coupled_hamiltonian_fock, fock_ground_state
 
 # reduced-unit reference case: e = k = m = w0 = 1, R = 2 gives lambda = -1/4
@@ -234,17 +237,84 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
     def test_sector_minimum_is_the_full_ground_energy(self, u):
-        h = coupled_hamiltonian_fock(config_for_coupling(u), 14)
-        energy, psi = fock_ground_state(h)
+        cfg = config_for_coupling(u)
+        h = coupled_hamiltonian_fock(cfg, 14)
+        energy, psi = fock_ground_state(cfg, 14)
         assert psi is None
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
 
-    def test_odd_sector_ground_state_is_found(self):
-        # lowering |0,1> by 5 moves the ground state into the odd sector
-        h = coupled_hamiltonian_fock(config_for_coupling(0.3), 10)
-        h[1, 1] -= 5.0
-        energy, psi = fock_ground_state(h, with_state=True)
+    def test_odd_sector_ground_state_is_found(self, monkeypatch):
+        # lowering the odd antisymmetric state (|0,1> - |1,0>)/sqrt2 by 5 moves
+        # the ground state into the last block: it fails the certificate and
+        # is solved, and its state is returned
+        cfg, n_max = config_for_coupling(0.3), 10
+        blocks, eigh = vdw._sector_blocks, np.linalg.eigh
+        sizes = [len(block) for _, _, block in blocks(cfg, n_max)]
+
+        def lowered(cfg, n_max):
+            for index, coef, block in blocks(cfg, n_max):
+                if coef[n_max] < 0:  # the sign of |1,0> in (|0,1> - |1,0>)/sqrt2
+                    assert index[1] == index[n_max] == 0
+                    block[0, 0] -= 5.0
+                yield index, coef, block
+
+        solved = []
+
+        def counting_eigh(block):
+            solved.append(len(block))
+            return eigh(block)
+
+        monkeypatch.setattr(vdw, "_sector_blocks", lowered)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        energy, psi = fock_ground_state(cfg, n_max, with_state=True)
+        monkeypatch.undo()
+
+        assert solved == [sizes[0], sizes[3]]
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        state = np.zeros(n_max * n_max)
+        state[1], state[n_max] = np.sqrt(0.5), -np.sqrt(0.5)
+        h -= 5.0 * np.outer(state, state)
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
-        assert np.all(psi.ravel()[~odd_parity(10)] == 0.0)
+        assert np.all(psi.ravel()[~odd_parity(n_max)] == 0.0)
+        assert np.array_equal(psi, -psi.T)
         residual = h @ psi.ravel() - energy * psi.ravel()
         assert np.max(np.abs(residual)) <= 1e-12
+
+    @pytest.mark.parametrize("n_max", [8, 12, 13])
+    @pytest.mark.parametrize("cfg", [
+        config_for_coupling(0.0), config_for_coupling(0.3), config_for_coupling(0.9),
+        VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
+    ], ids=["u0", "u0.3", "u0.9", "mass1.7-freq0.6"])
+    def test_sector_spectra_make_up_the_dense_spectrum(self, cfg, n_max):
+        sectors = [np.linalg.eigvalsh(block) for _, _, block in vdw._sector_blocks(cfg, n_max)]
+        dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))
+        assert np.max(np.abs(np.sort(np.concatenate(sectors)) - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_ground_state_equals_the_dense_ground_state(self, u):
+        cfg = config_for_coupling(u)
+        _, psi = fock_ground_state(cfg, 12, with_state=True)
+        _, vectors = np.linalg.eigh(coupled_hamiltonian_fock(cfg, 12))
+        assert abs(vectors[:, 0] @ psi.ravel()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_oracles_build_no_product_space_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense product-space build on the oracle path")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", refuse)
+        vdw_fock_oracle(REF, n_max=12)
+        negativity_fock_oracle(REF, n_max=12)
+
+
+class TestFockDimensionLimit:
+
+    def test_limit_is_the_full_model_limit(self):
+        assert vdw.DEFAULT_DIM_LIMIT is full_model.DEFAULT_DIM_LIMIT
+
+    @pytest.mark.parametrize("oracle", [vdw_fock_oracle, negativity_fock_oracle])
+    @pytest.mark.parametrize("n_max", [65, 300])
+    def test_oracles_refuse_fock_spaces_above_the_limit(self, oracle, n_max):
+        # 64^2 = 4096 is the largest allowed
+        with pytest.raises(DimensionLimitError, match=str(n_max * n_max)):
+            oracle(REF, n_max=n_max)
