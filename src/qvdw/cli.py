@@ -8,10 +8,11 @@ All values are in reduced units (hbar = 1); no SI conversion is applied.
 Output is deterministic: floats are printed with 17 significant digits, CSV
 uses comma separators and LF line endings, rows follow sweep order.
 
-Exit codes: 0 success, 2 usage/config error (including non-finite numbers
-and fractional integer parameters), 3 model error (degeneracy, instability,
-identification, arithmetic overflow or division by zero, a non-finite
-result, ...), 4 I/O error.
+Exit codes: 0 success, 2 usage/config error (including non-finite numbers,
+fractional integer parameters and config values of the wrong JSON type), 3
+model error (degeneracy, instability, identification, arithmetic overflow or
+division by zero, a non-finite result, running out of memory, ...), 4 I/O
+error.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from . import __version__, entanglement, full_model, vdw
 from .errors import FitError, ModelError
 
 UNITS_NOTE = "reduced units (hbar = 1); no SI conversion applied"
+MAX_SWEEP_POINTS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -48,21 +50,27 @@ def _is_finite(value) -> bool:
     return True
 
 
+def _real(p, key) -> float:
+    """``p[key]`` as a float; booleans and non-numbers are refused."""
+    value = p[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(p, key) -> int:
     """``p[key]`` as an int; booleans, fractions and non-numbers are refused."""
-    value = p[key]
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ValueError(f"{key!r} must be a whole number, got {value!r}")
-    return int(value)
+    if not _real(p, key).is_integer():
+        raise ValueError(f"{key!r} must be a whole number, got {p[key]!r}")
+    return int(p[key])
 
 
 def _object(doc, key) -> dict:
-    """``doc[key]`` as a dict, {} when absent; any other JSON value is refused."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
+    """``doc[key]`` as a dict, {} when absent or null; other values are refused."""
+    value = doc.get(key)
+    if not isinstance(value, (dict, type(None))):
         raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
+    return value or {}
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,9 @@ class SweepSpec:
     log: bool = False
 
     def values(self) -> np.ndarray:
-        if self.points < 2:
-            raise ValueError(f"sweep 'points' must be >= 2, got {self.points}")
+        if not 2 <= self.points <= MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep 'points' must be between 2 and {MAX_SWEEP_POINTS}, "
+                             f"got {self.points}")
         if not _is_finite((self.start, self.stop)):
             raise ValueError(f"sweep of {self.parameter!r} needs a finite start and stop, "
                              f"got {self.start}:{self.stop}")
@@ -342,7 +351,10 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
         for value in values:
             point = dict(params)
             point[sweep.parameter] = float(value)
-            rows.append(spec.evaluate(point))
+            try:
+                rows.append(spec.evaluate(point))
+            except (ModelError, ArithmeticError) as exc:
+                raise type(exc)(f"{sweep.parameter}={_fmt(value)}: {exc}") from exc
         columns = {sweep.parameter: [float(v) for v in values]}
         columns.update({name: [row[name] for row in rows] for name in rows[0]})
     for name, column in columns.items():
@@ -369,7 +381,7 @@ def _parse_set(raw: str):
     return key, value
 
 
-def _parse_sweep(raw: str) -> SweepSpec:
+def _parse_sweep(raw: str) -> dict:
     if "=" not in raw:
         raise ValueError(f"--sweep expects key=start:stop:points[:log], got {raw!r}")
     key, text = raw.split("=", 1)
@@ -382,17 +394,13 @@ def _parse_sweep(raw: str) -> SweepSpec:
         parts = parts[:3]
     if len(parts) != 3:
         raise ValueError(f"--sweep expects key=start:stop:points[:log], got {raw!r}")
-    return SweepSpec(parameter=key, start=float(parts[0]), stop=float(parts[1]),
-                     points=int(parts[2]), log=log)
+    return {"parameter": key, "start": float(parts[0]), "stop": float(parts[1]),
+            "points": int(parts[2]), "log": log}
 
 
 def build_scenario(args) -> ScenarioConfig:
-    """Merge config file and command-line flags; flags win on conflict."""
-    parameters = {}
-    sweep = None
-    out_format, out_path = "csv", None
-    si_scale_factors = None
-
+    """The config file overlaid with the flags; every value is checked, none coerced."""
+    doc = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -402,34 +410,31 @@ def build_scenario(args) -> ScenarioConfig:
                               "si_scale_factors"}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        parameters.update(_object(doc, "parameters"))
-        if doc.get("sweep") is not None:
-            s = _object(doc, "sweep")
-            sweep = SweepSpec(parameter=s["parameter"], start=float(s["start"]),
-                              stop=float(s["stop"]), points=_whole(s, "points"),
-                              log=bool(s.get("log", False)))
-        out = _object(doc, "output")
-        out_format = out.get("format", out_format)
-        out_path = out.get("path", out_path)
-        si_scale_factors = doc.get("si_scale_factors", None)
-        if not _is_finite(si_scale_factors):
-            raise ValueError("si_scale_factors must not hold NaN or infinite numbers")
-
-    for raw in args.set or []:
-        key, value = _parse_set(raw)
-        parameters[key] = value
-    if args.sweep is not None:
-        sweep = _parse_sweep(args.sweep)
-    if args.format is not None:
-        out_format = args.format
-    if args.out is not None:
-        out_path = args.out
-
+    # the flags, written in the config file's shape
+    flags = {"parameters": dict(_parse_set(raw) for raw in args.set or []),
+             "sweep": {} if args.sweep is None else _parse_sweep(args.sweep),
+             "output": {k: v for k, v in {"format": args.format, "path": args.out}.items()
+                        if v is not None}}
+    parameters, s, out = ({**_object(doc, key), **value} for key, value in flags.items())
+    sweep = None
+    if s:
+        parameter, log = s["parameter"], s.get("log", False)
+        if not isinstance(parameter, str):
+            raise ValueError(f"sweep 'parameter' must be a string, got {parameter!r}")
+        if not isinstance(log, bool):
+            raise ValueError(f"sweep 'log' must be true or false, got {log!r}")
+        sweep = SweepSpec(parameter, _real(s, "start"), _real(s, "stop"),
+                          _whole(s, "points"), log)
+    out_format, out_path = out.get("format", "csv"), out.get("path")
     if out_format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {out_format!r}")
-    return ScenarioConfig(model=args.model, parameters=parameters, sweep=sweep,
-                          out_format=out_format, out_path=out_path,
-                          si_scale_factors=si_scale_factors)
+    if not isinstance(out_path, (str, type(None))):
+        raise ValueError(f"output 'path' must be a string, got {out_path!r}")
+    si_scale_factors = doc.get("si_scale_factors")
+    if not _is_finite(si_scale_factors):
+        raise ValueError("si_scale_factors must not hold NaN or infinite numbers")
+    return ScenarioConfig(args.model, parameters, sweep, out_format, out_path,
+                          si_scale_factors)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -450,9 +455,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
 
@@ -470,8 +478,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"qvdw: config error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, ArithmeticError) as exc:
-        print(f"qvdw: model error: {exc}", file=sys.stderr)
+    except (ModelError, ArithmeticError, MemoryError) as exc:
+        print(f"qvdw: model error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
     text = table.to_csv() if scenario.out_format == "csv" else table.to_json()

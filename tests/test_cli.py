@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qvdw import FitError
+import qvdw
+from qvdw import FitError, UnstableConfigurationError, full_model
 from qvdw.cli import (
+    MAX_SWEEP_POINTS,
     ResultTable,
     ScenarioConfig,
     SweepSpec,
@@ -422,3 +427,132 @@ class TestBoundaryRejections:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 4
+
+
+def _run_config(tmp_path, doc, *flags, model="vdw"):
+    """``main`` on a config file holding the JSON document ``doc``."""
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    return main([model, "--config", str(cfg), *flags])
+
+
+class TestScenarioReader:
+
+    SWEEP = {"parameter": "separation", "start": 5, "stop": 50, "points": 4}
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sweep", "log", "no"),
+        ("sweep", "log", 1),
+        ("sweep", "start", True),
+        ("sweep", "stop", "50"),
+        ("sweep", "parameter", ["separation"]),
+        ("output", "path", ["a"]),
+        ("output", "path", {"a": 1}),
+    ])
+    def test_mistyped_config_file_value_is_config_error(self, section, key, value,
+                                                        tmp_path, capsys):
+        # both models run cleanly without the mistyped value
+        doc = {"sweep": dict(self.SWEEP)} if section == "sweep" else {"output": {}}
+        doc[section][key] = value
+        code = _run_config(tmp_path, doc, model="vdw" if section == "sweep" else "refractive")
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qvdw: config error:")
+        assert repr(key) in err
+        assert len(err.splitlines()) == 1
+
+    def test_integer_config_file_path_is_config_error(self, tmp_path):
+        # in a separate process, so that a reader which took the number for a
+        # file descriptor could not write to or close one of the test runner's
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"output": {"path": 7}}')
+        src = os.path.dirname(os.path.dirname(qvdw.__file__))
+        run = subprocess.run([sys.executable, "-m", "qvdw.cli", "refractive", "--config",
+                              str(cfg)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith("qvdw: config error:")
+        assert "'path'" in run.stderr
+        assert len(run.stderr.splitlines()) == 1
+
+    def test_config_file_sweep_prints_the_flag_sweep_bytes(self, tmp_path, capsys):
+        assert main(["vdw", "--sweep", "separation=5:50:4:log", "--format", "json"]) == 0
+        from_flags = capsys.readouterr().out
+        doc = {"sweep": {**self.SWEEP, "log": True}, "output": {"format": "json"}}
+        assert _run_config(tmp_path, doc) == 0
+        assert capsys.readouterr().out == from_flags
+        assert json.loads(from_flags)["metadata"]["sweep"]["log"] is True
+
+    def test_config_file_path_gets_the_flag_bytes(self, tmp_path, capsys):
+        assert main(["vdw", "--sweep", "separation=5:50:4"]) == 0
+        from_flags = capsys.readouterr().out
+        path = tmp_path / "out.csv"
+        assert _run_config(tmp_path, {"sweep": self.SWEEP, "output": {"path": str(path)}}) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == from_flags
+
+    def test_flags_win_over_every_config_file_section(self, tmp_path, capsys):
+        doc = {"parameters": {"separation": 9.0, "mass": 2.0},
+               "sweep": {**self.SWEEP, "log": "no"}, "output": {"format": 7}}
+        assert _run_config(tmp_path, doc, "--set", "separation=5",
+                           "--sweep", "mass=1:2:3", "--format", "csv") == 0
+        out, _ = capsys.readouterr()
+        assert out.splitlines()[0] == "mass,lambda,exact_shift,pert_shift"
+        assert len(out.splitlines()) == 4
+
+    def test_null_sections_count_as_absent(self, tmp_path, capsys):
+        assert main(["refractive"]) == 0
+        plain = capsys.readouterr().out
+        doc = {"parameters": None, "sweep": None, "output": {"path": None}}
+        assert _run_config(tmp_path, doc, model="refractive") == 0
+        assert capsys.readouterr().out == plain
+
+
+class TestSweepBounds:
+
+    def test_points_bound_is_accepted(self):
+        spec = SweepSpec("separation", 5.0, 50.0, MAX_SWEEP_POINTS)
+        assert len(spec.values()) == MAX_SWEEP_POINTS
+
+    def test_points_above_the_bound_from_a_flag(self, capsys):
+        code = main(["vdw", "--sweep", f"separation=5:50:{MAX_SWEEP_POINTS + 1}"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "'points'" in err and str(MAX_SWEEP_POINTS) in err
+
+    def test_points_above_the_bound_from_a_file(self, tmp_path, capsys):
+        doc = {"sweep": {"parameter": "separation", "start": 5, "stop": 50,
+                         "points": 10**12}}
+        code = _run_config(tmp_path, doc)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "'points'" in err and str(MAX_SWEEP_POINTS) in err
+
+    def test_model_error_names_the_failing_sweep_value(self, capsys):
+        # lambda = -2 / R^3 first exceeds m w0^2 = 1 at R = 1.25
+        code = main(["vdw", "--sweep", "separation=2:0.5:3"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qvdw: model error: separation=1.25: ")
+        assert len(err.splitlines()) == 1
+
+    def test_sweep_point_error_keeps_its_class(self):
+        scenario = ScenarioConfig("vdw", {}, SweepSpec("separation", 2.0, 0.5, 3))
+        with pytest.raises(UnstableConfigurationError, match=r"^separation=1\.25: "):
+            run_scenario(scenario)
+
+    def test_out_of_memory_is_model_error(self, monkeypatch, capsys):
+        def no_memory(cfg):
+            raise MemoryError()
+        monkeypatch.setattr(full_model, "_hint_matrix", no_memory)
+        code = main(["full", "--set", "field_freqs=[5.0]",
+                     "--set", "qubit_field_couplings=[0.01]"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "qvdw: model error: out of memory\n"

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import math
 import numbers
+import os
+import tempfile
 
 import pytest
 
@@ -66,3 +69,183 @@ def test_any_parameter_values_keep_the_exit_code_contract(scenario):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == ""
+
+
+# --- every model, config documents and the physics invariants ---------------
+
+def _sizes(low, high):
+    """Whole numbers low..high, or any value but a whole number above high,
+    which the models would solve at that size."""
+    def not_above(value):
+        return not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and value > high
+                    and (isinstance(value, int) or float(value).is_integer()))
+    return st.integers(low, high) | PARAMETER_VALUES.filter(not_above)
+
+
+# values each model solves; vdw's separation starts below the instability at
+# 2^(1/3) (unit mass, frequency and charge), so some draws end in exit 3
+SOLVABLE = {
+    "vdw": {"mass": st.floats(0.5, 2.0), "freq": st.floats(0.5, 2.0),
+            "charge": st.floats(0.0, 1.0), "coulomb_k": st.floats(0.1, 1.0),
+            "separation": st.floats(1.0, 100.0)},
+    "refractive": {"freq": st.floats(0.1, 10.0), "index": st.floats(1.0, 4.0)},
+    "entangle": {"coupling": st.floats(0.0, 0.9), "n_max": st.integers(12, 16)},
+    "dispersive": {"qubit_freq": st.floats(0.1, 10.0), "mode_freq": st.floats(0.1, 10.0),
+                   "coupling": st.floats(-0.5, 0.5), "n_max": st.integers(2, 64)},
+    "full": {"qubit_freq": st.floats(0.1, 10.0), "n_max": st.integers(2, 6),
+             "dim_limit": st.integers(2, 4096)},
+}
+# full builds one mode per item of a mode list, so every list, string and
+# dict drawn for one holds at most one item: at most one field and one dipole
+# mode, which with n_max <= 6 keeps the n_max + 2 probe at dimension 128
+ONE_ITEM = (st.lists(PARAMETER_VALUES, max_size=1) | st.text(max_size=1)
+            | st.dictionaries(st.text(max_size=1), JSON_VALUES, max_size=1)
+            | st.none() | st.booleans() | st.integers() | st.floats())
+# any value, but never an n_max or a dim_limit that would be solved at size
+ANY = {
+    "entangle": {"n_max": N_MAX_VALUES},
+    "dispersive": {"n_max": _sizes(2, 64)},
+    "full": {"n_max": _sizes(2, 6), "dim_limit": _sizes(0, 4096),
+             **dict.fromkeys(("field_freqs", "dipole_freqs", "qubit_field_couplings",
+                              "dipole_field_couplings"), ONE_ITEM)},
+}
+
+
+@st.composite
+def full_modes(draw):
+    """Mode lists that fit together: at most one field and one dipole mode."""
+    n_field, n_dipole = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    freqs, couplings = st.floats(0.1, 10.0), st.floats(-0.5, 0.5)
+    return {"field_freqs": draw(st.lists(freqs, min_size=n_field, max_size=n_field)),
+            "dipole_freqs": draw(st.lists(freqs, min_size=n_dipole, max_size=n_dipole)),
+            "qubit_field_couplings": draw(st.lists(couplings, min_size=n_field,
+                                                   max_size=n_field)),
+            "dipole_field_couplings": [[draw(couplings)] * n_field] * n_dipole}
+
+
+@st.composite
+def parameters(draw, model):
+    """Some of the model's parameters: about half the draws take every value
+    from its solvable range, the others may take any value for any of them."""
+    names = sorted(MODELS[model].defaults)
+    keys = draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    if draw(st.booleans()):
+        params = {key: draw(SOLVABLE[model][key]) for key in keys
+                  if key in SOLVABLE[model]}
+        return {**params, **draw(full_modes())} if model == "full" else params
+    return {key: draw(SOLVABLE[model].get(key, st.nothing())
+                      | ANY.get(model, {}).get(key, PARAMETER_VALUES))
+            for key in keys}
+
+
+class InTmp(str):
+    """A file name that the test places inside its temporary directory."""
+
+
+# never an int or a bool (a file descriptor) and never a relative path
+PATHS = (st.floats() | st.lists(JSON_VALUES, max_size=2) | st.none()
+         | st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2)
+         | st.sampled_from(["out.txt", "missing/out.txt"]).map(InTmp))
+
+
+@st.composite
+def sweeps(draw, model):
+    """About half the draws sweep a sweepable parameter across its solvable
+    range; the others hold any value, with at most 4 points when whole."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(MODELS[model].sweepable)))
+        sweep = {"parameter": name, "start": draw(SOLVABLE[model][name]),
+                 "stop": draw(SOLVABLE[model][name]), "points": draw(st.integers(2, 4))}
+        return {**sweep, **draw(st.fixed_dictionaries({}, optional={"log": st.booleans()}))}
+    return draw(JSON_VALUES | st.fixed_dictionaries(
+        {"parameter": st.sampled_from(sorted(MODELS[model].sweepable)) | JSON_VALUES,
+         "start": PARAMETER_VALUES, "stop": PARAMETER_VALUES, "points": _sizes(2, 4)},
+        optional={"log": st.booleans() | JSON_VALUES}))
+
+
+OUTPUTS = (JSON_VALUES.filter(lambda value: not (isinstance(value, dict) and "path" in value))
+           | st.fixed_dictionaries({}, optional={
+               "format": st.sampled_from(["csv", "json"]) | JSON_VALUES, "path": PATHS}))
+
+
+@st.composite
+def documents(draw):
+    model = draw(st.sampled_from(sorted(MODELS)))
+    doc = draw(st.fixed_dictionaries({}, optional={
+        "parameters": parameters(model) | JSON_VALUES, "sweep": sweeps(model),
+        "output": OUTPUTS, "si_scale_factors": JSON_VALUES}))
+    return model, doc
+
+
+def _columns(text, out_format):
+    if out_format == "json":
+        return json.loads(text, parse_constant=_reject_constant)["columns"]
+    header, *rows = text.splitlines()
+    values = [[float(v) for v in row.split(",")] for row in rows]
+    assert all(len(row) == len(header.split(",")) for row in values)
+    return {name: [row[i] for row in values] for i, name in enumerate(header.split(","))}
+
+
+def _check_invariants(model, columns):
+    for column in columns.values():
+        assert all(math.isfinite(v) for v in column)
+    if model == "vdw":
+        assert max(columns["exact_shift"]) <= 0.0
+        assert max(columns["pert_shift"]) <= 0.0
+    if model == "entangle":
+        assert min(columns["E_N_gaussian"]) >= 0.0
+        assert min(columns["E_N_fock"]) >= -1e-12
+    if model == "full":
+        assert min(columns["overlap_ground"] + columns["overlap_excited"]) > 0.5
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+    return code, out.getvalue()
+
+
+@st.composite
+def flag_scenarios(draw):
+    model = draw(st.sampled_from(sorted(MODELS)))
+    return model, draw(parameters(model)), draw(st.sampled_from(["csv", "json"]))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(flag_scenarios())
+def test_every_model_keeps_the_contract_and_its_invariants(scenario):
+    model, params, out_format = scenario
+    argv = [model, "--format", out_format]
+    for key, value in params.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    code, out = _main(argv)
+    if code == 0:
+        _check_invariants(model, _columns(out, out_format))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(documents())
+def test_any_config_document_keeps_the_contract_and_its_invariants(drawn):
+    model, doc = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        output = doc.get("output")
+        path = output.get("path") if isinstance(output, dict) else None
+        if isinstance(path, InTmp):
+            doc = {**doc, "output": {**output, "path": os.path.join(tmp, path)}}
+        config = os.path.join(tmp, "scenario.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out = _main([model, "--config", config])
+        if code == 0:
+            if isinstance(path, InTmp):
+                assert out == ""
+                with open(doc["output"]["path"], encoding="utf-8") as fh:
+                    out = fh.read()
+            _check_invariants(model, _columns(out, output.get("format", "csv")
+                                              if isinstance(output, dict) else "csv"))
