@@ -50,12 +50,20 @@ def _is_finite(value) -> bool:
     return True
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _real(p, key) -> float:
-    """``p[key]`` as a float; booleans and non-numbers are refused."""
+    """``p[key]`` as a float; booleans, non-numbers and integers too large
+    for a float are refused."""
     value = p[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_number(value):
         raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} is an integer too large for a float") from None
 
 
 def _whole(p, key) -> int:
@@ -63,6 +71,15 @@ def _whole(p, key) -> int:
     if not _real(p, key).is_integer():
         raise ValueError(f"{key!r} must be a whole number, got {p[key]!r}")
     return int(p[key])
+
+
+def _nested_numbers(value, depth: int) -> bool:
+    """Whether ``value`` is a number (not a boolean) for depth 0, and a list
+    of values nested ``depth - 1`` deep for a larger depth."""
+    if depth == 0:
+        return _is_number(value)
+    return isinstance(value, (list, tuple)) and all(_nested_numbers(v, depth - 1)
+                                                    for v in value)
 
 
 def _object(doc, key) -> dict:
@@ -265,6 +282,10 @@ class ModelSpec:
     evaluate: callable
     sweepable: frozenset
     finalize: callable = None
+    matrices: frozenset = frozenset()  # parameters that are lists of lists
+
+
+_SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
 
 
 MODELS = {
@@ -297,6 +318,7 @@ MODELS = {
                   "n_max": 8, "dim_limit": full_model.DEFAULT_DIM_LIMIT},
         evaluate=_eval_full,
         sweepable=frozenset({"qubit_freq"}),
+        matrices=frozenset({"dipole_field_couplings"}),
     ),
 }
 
@@ -306,7 +328,10 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
 
     Sweep points are independent evaluations; rows are emitted in sweep
     order.  Raises ValueError for config problems (naming the offending
-    key), including non-finite parameter values, and lets ModelError
+    key), including non-finite parameter values and values not shaped like
+    the default (a number, not a boolean or a string, where the default is
+    a number; a list of numbers where it is a list; a list of lists of
+    numbers for the model's matrices), and lets ModelError
     propagate for physics-level failures; a result column holding a NaN or
     an infinity is one too.
     """
@@ -318,6 +343,9 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     for key, value in scenario.parameters.items():
         if key not in spec.defaults:
             raise ValueError(f"unknown parameter {key!r} for model {scenario.model!r}")
+        depth = 2 if key in spec.matrices else 1 if isinstance(spec.defaults[key], list) else 0
+        if not _nested_numbers(value, depth):
+            raise ValueError(f"parameter {key!r} must be {_SHAPES[depth]}, got {value!r}")
         if not _is_finite(value):
             raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
         params[key] = value

@@ -145,7 +145,7 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
         raise ValueError(f"n_max must be >= 12 for a meaningful oracle, got {n_max}")
 
     def log_neg(n):
-        _, psi = fock_ground_state(cfg, n, with_state=True)
+        _, psi = fock_ground_state(cfg, n)
         return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
 
     return ConvergedValue(*truncation_probe(

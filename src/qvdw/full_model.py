@@ -123,6 +123,8 @@ def _h0_diagonal(cfg: FullModelConfig) -> np.ndarray:
 def _hint_matrix(cfg: FullModelConfig) -> np.ndarray:
     """Real dense H_int; build_hint wraps it."""
     _check_dim(cfg)
+    if cfg.n_modes == 0:
+        return np.zeros((cfg.dim, cfg.dim))  # the bare qubit: no terms, no ladder
     x = ladder(cfg.n_max)
     x = x + x.T
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])

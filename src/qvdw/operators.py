@@ -1,10 +1,11 @@
 """Finite-dimensional operator building blocks.
 
 Ladder operators, Pauli matrices, Kronecker products, position/momentum
-quadratures and dense Hermitian eigendecomposition.  Everything works in
-reduced units (hbar = 1) on truncated Fock spaces represented as dense
-numpy arrays; composite operators carry their subsystem dimensions so
-basis indices keep their row-major product meaning.
+quadratures, dense Hermitian eigendecomposition and a Lanczos kernel for the
+lowest eigenpair.  Everything works in reduced units (hbar = 1) on truncated
+Fock spaces represented as dense numpy arrays; composite operators carry
+their subsystem dimensions so basis indices keep their row-major product
+meaning.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,10 @@ from .errors import HermiticityError, TruncationError
 HERMITICITY_ATOL = 1e-12
 # largest dimension of a product space that is held as one dense matrix
 DEFAULT_DIM_LIMIT = 4096
+# a Lanczos run stops once its residual estimate is this fraction of ||T||,
+# and it takes a Ritz pair every LANCZOS_CHECK_EVERY steps
+LANCZOS_RTOL = 1e-14
+LANCZOS_CHECK_EVERY = 4
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -177,6 +182,76 @@ def truncation_probe(value: float, probe, tol: float):
         ``value`` unchanged, and whether the probe lies within ``tol`` of it.
     """
     return value, probe is not None and bool(abs(probe() - value) <= tol)
+
+
+def _lowest_of_tridiagonal(alpha, beta):
+    """Unit eigenvector of the lowest eigenvalue of the symmetric tridiagonal
+    matrix T with diagonal ``alpha`` and off-diagonal ``beta`` >= 0.
+
+    numpy has no tridiagonal eigensolver, and np.linalg.eigh is kept for the
+    dense solves that a failed certificate asks for.  So the vector comes from
+    the SVD of T - shift, shift a Gershgorin lower bound of T: the shifted
+    matrix is positive semidefinite, its singular pairs are its eigenpairs,
+    and the smallest singular value belongs to the lowest eigenvalue.
+    """
+    off = np.diag(beta, 1) + np.diag(beta, -1)
+    shift = np.min(alpha - off.sum(axis=1))
+    _, s, vh = np.linalg.svd(np.diag(alpha - shift) + off)
+    return vh[-1]
+
+
+def lanczos_lowest(matvec, start):
+    """Lowest Ritz pair of a real symmetric operator in the Krylov space of
+    ``start``.
+
+    Lanczos with full reorthogonalization: each new direction is
+    orthogonalized twice against every earlier one.  The run stops when the
+    residual estimate beta_k |s_k| of the lowest Ritz pair of the
+    tridiagonal T falls to LANCZOS_RTOL times a Gershgorin bound on ||T||.
+    That covers breakdown (beta_k ~ 0: the Krylov space is invariant, as
+    when ``start`` is itself an eigenvector), and it happens at the latest
+    after len(start) steps, when the Krylov space is the whole space and the
+    Ritz pair is exact.  Only the Krylov space of ``start`` is searched: an
+    eigenvector orthogonal to it is never found, so a caller that needs the
+    lowest eigenvalue of the whole operator must certify it.
+
+    Parameters
+    ----------
+    matvec : callable
+        v -> H v for a real symmetric H of dimension len(start).
+    start : ndarray
+        Nonzero real start vector.
+
+    Returns
+    -------
+    (theta, y, residual) : tuple
+        The unit Ritz vector y, its Rayleigh quotient theta = y.Hy (so theta
+        never lies below the lowest eigenvalue of H) and ||H y - theta y||.
+    """
+    dim = len(start)
+    basis = np.empty((dim, dim))  # row k is the k-th Lanczos vector
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta, scale = [], [], 0.0
+    for k in range(dim):
+        w = matvec(basis[k])
+        alpha.append(basis[k] @ w)
+        for _ in range(2):
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        beta.append(np.linalg.norm(w))
+        scale = max(scale, abs(alpha[-1]) + sum(beta[-2:]))
+        tol = LANCZOS_RTOL * scale
+        # a Ritz pair costs more than a step, so it is taken every few steps,
+        # at a breakdown and at the last step
+        if k % LANCZOS_CHECK_EVERY == 0 or beta[-1] <= tol or k == dim - 1:
+            s = _lowest_of_tridiagonal(alpha, beta[:-1])
+            if beta[-1] * abs(s[-1]) <= tol or k == dim - 1:
+                break
+        basis[k + 1] = w / beta[-1]
+    y = s @ basis[:k + 1]
+    y /= np.linalg.norm(y)
+    hy = matvec(y)
+    theta = float(y @ hy)
+    return theta, y, float(np.linalg.norm(hy - theta * y))
 
 
 def eig_hermitian(op) -> Spectrum:

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionLimitError, UnstableConfigurationError
-from .operators import DEFAULT_DIM_LIMIT, quadratures, truncation_probe
+from .operators import DEFAULT_DIM_LIMIT, lanczos_lowest, quadratures, truncation_probe
 
 FOCK_CONVERGENCE_TOL = 1e-8
+# the Lanczos energy of the vacuum's block is certified to lie within its
+# residual plus this fraction of max(1, |energy|) above the block's minimum
+FOCK_CERTIFICATE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -207,17 +210,25 @@ def _sector_blocks(cfg: VdwConfig, n_max: int):
     n1 <-> n2 as well as with (-1)^(n1 + n2).  Basis state i of a sector is
     N_i (|a_i, b_i> + sign |b_i, a_i>) with a_i <= b_i, N_i = 1/sqrt2 for
     a_i < b_i and 1/2 for a_i == b_i (the state |a_i, a_i>, symmetric
-    sectors only).  Yields ``(index, coef, block)`` per sector: for every
-    product state s = |n1, n2>, flat index n1 n_max + n2, index[s] is the
-    basis state it belongs to (-1 outside the sector) and coef[s] =
-    <S_index[s]|s> (0 outside).  The even symmetric sector, which holds
-    the vacuum |0, 0>, comes first.  Each block is scattered from the
-    nonzero entries of H; no n_max^2 matrix is built.
+    sectors only).  The states are ordered by shell a_i + b_i, then by a_i.
+    Every term changes n1 + n2 by 0 or +-2 and a sector holds every other
+    shell, so each block is block-tridiagonal over its shells.
+
+    Yields ``(index, coef, block, bounds)`` per sector: for every product
+    state s = |n1, n2>, flat index n1 n_max + n2, index[s] is the basis
+    state it belongs to (-1 outside the sector) and coef[s] =
+    <S_index[s]|s> (0 outside); shell j holds the basis states
+    bounds[j] to bounds[j + 1] - 1.  The even symmetric sector, which holds
+    the vacuum |0, 0> as its first basis state, comes first.  Each block is
+    scattered from the nonzero entries of H; no n_max^2 matrix is built.
     """
     h_single, x = _single_oscillator(cfg, n_max)
     rows, cols, vals = _product_nonzeros(h_single, x, dipole_coupling_lambda(cfg))
     a_all, b_all = np.triu_indices(n_max)
-    even = (a_all + b_all) % 2 == 0
+    order = np.lexsort((a_all, a_all + b_all))
+    a_all, b_all = a_all[order], b_all[order]
+    shell = a_all + b_all
+    even = shell % 2 == 0
     pair = a_all < b_all
     for mask, sign in ((even, 1.0), (even & pair, -1.0), (~even, 1.0), (~even, -1.0)):
         a, b = a_all[mask], b_all[mask]
@@ -232,53 +243,76 @@ def _sector_blocks(cfg: VdwConfig, n_max: int):
         r, c = rows[inside], cols[inside]
         block = np.bincount(index[r] * dim + index[c], weights=coef[r] * vals[inside] * coef[c],
                             minlength=dim * dim)
-        yield index, coef, block.reshape(dim, dim)
+        bounds = np.append(np.flatnonzero(np.diff(shell[mask], prepend=-1)), dim)
+        yield index, coef, block.reshape(dim, dim), bounds
 
 
-def _lies_above(block: np.ndarray, energy: float) -> bool:
+def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
     """Whether every eigenvalue of ``block`` exceeds ``energy``: block - energy
-    is then positive definite, which its Cholesky factor certifies."""
-    try:
-        np.linalg.cholesky(block - energy * np.eye(len(block)))
-    except np.linalg.LinAlgError:
-        return False
+    is then positive definite, which its Cholesky factor certifies.
+
+    The block is block-tridiagonal over the shells that ``bounds`` delimits
+    (see _sector_blocks), so the factor has no fill outside them and is
+    built one shell at a time.  Shell j's pivot is its diagonal block minus
+    energy minus W^T W, where W = L^-1 C, L the previous shell's Cholesky
+    factor and C the block coupling the previous shell to shell j.
+    """
+    update = 0.0
+    for j in range(len(bounds) - 1):
+        lo, hi = bounds[j], bounds[j + 1]
+        try:
+            factor = np.linalg.cholesky(block[lo:hi, lo:hi] - energy * np.eye(hi - lo) - update)
+        except np.linalg.LinAlgError:
+            return False
+        if j + 2 < len(bounds):
+            w = np.linalg.solve(factor, block[lo:hi, hi:bounds[j + 2]])
+            update = w.T @ w
     return True
 
 
-def fock_ground_state(cfg: VdwConfig, n_max: int, with_state: bool = False):
-    """Ground energy of the two-mode Fock Hamiltonian, solved per sector.
+def fock_ground_state(cfg: VdwConfig, n_max: int):
+    """Ground energy and state of the two-mode Fock Hamiltonian, per sector.
 
-    The vacuum's block (even parity, exchange symmetric) is diagonalized;
-    each other parity x exchange block is certified to lie above that
-    energy by a Cholesky factorization, and a block that fails the
-    certificate is diagonalized too, the lowest energy winning.  So the
+    The vacuum's block (even parity, exchange symmetric) is solved by
+    Lanczos from the vacuum (operators.lanczos_lowest), which gives the
+    Ritz value theta and its residual r.  Every block is then certified by
+    a shell-by-shell Cholesky factorization (_lies_above): the vacuum's
+    block to have no eigenvalue below theta - margin, margin = r +
+    FOCK_CERTIFICATE_RTOL max(1, |theta|), so that theta is the block's
+    minimum to within margin and Lanczos missed no lower state; each other
+    block to lie above the energy found so far.  A block that fails its
+    certificate is diagonalized by eigh, and the lowest energy wins.  So the
     result is the ground energy of coupled_hamiltonian_fock(cfg, n_max)
-    whichever sector holds it.  Raises DimensionLimitError when n_max^2
-    exceeds the dense-matrix limit.
+    whichever sector holds it, and a dense eigensolve runs only when a
+    certificate fails.  Raises DimensionLimitError when n_max^2 exceeds the
+    dense-matrix limit.
 
-    Returns ``(energy, psi)``.  With ``with_state`` the winning block's
-    eigenvector is computed too and returned as the n_max x n_max amplitude
-    matrix psi[n1, n2]; otherwise psi is None.
+    Returns ``(energy, psi)``, psi the ground state as the n_max x n_max
+    amplitude matrix psi[n1, n2].
     """
     if n_max * n_max > DEFAULT_DIM_LIMIT:
         raise DimensionLimitError(
             f"Fock dimension n_max^2 = {n_max * n_max} exceeds limit "
             f"{DEFAULT_DIM_LIMIT}; reduce n_max")
     energy, ground = None, None
-    for index, coef, block in _sector_blocks(cfg, n_max):
-        if energy is not None and _lies_above(block, energy):
+    for index, coef, block, bounds in _sector_blocks(cfg, n_max):
+        if energy is None:
+            # the vacuum's block comes first, with |0, 0> as its first state
+            start = np.zeros(len(block))
+            start[0] = 1.0
+            theta, vector, residual = lanczos_lowest(block.__matmul__, start)
+            margin = residual + FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
+            if _lies_above(block, bounds, theta - margin):
+                energy, ground = theta, (index, coef, vector)
+                continue
+        elif _lies_above(block, bounds, energy):
             continue
-        if with_state:
-            values, vectors = np.linalg.eigh(block)
-        else:
-            values, vectors = np.linalg.eigvalsh(block), None
+        values, vectors = np.linalg.eigh(block)
         if energy is None or values[0] < energy:
-            energy, ground = float(values[0]), (index, coef, vectors)
-    if not with_state:
-        return energy, None
-    index, coef, vectors = ground
+            energy, ground = float(values[0]), (index, coef, vectors[:, 0])
+    index, coef, vector = ground
     # coef is 0 outside the winning sector, where index is -1
-    return energy, (coef * vectors[index, 0]).reshape(n_max, n_max)
+    return energy, (coef * vector[index]).reshape(n_max, n_max)
 
 
 def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:

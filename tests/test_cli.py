@@ -556,3 +556,63 @@ class TestSweepBounds:
         assert code == 3
         assert out == ""
         assert err == "qvdw: model error: out of memory\n"
+
+
+class TestParameterTypes:
+
+    @pytest.mark.parametrize("model, settings, key", [
+        ("full", ['field_freqs="55"', 'qubit_field_couplings="11"'], "field_freqs"),
+        ("refractive", ["freq=true"], "freq"),
+        ("full", ['dipole_field_couplings=["nan"]'], "dipole_field_couplings"),
+        ("vdw", ['separation="2"'], "separation"),
+        ("entangle", ["coupling=null"], "coupling"),
+        ("dispersive", ["mode_freq=[5.0]"], "mode_freq"),
+        ("full", ["field_freqs=[true]", "qubit_field_couplings=[0.01]"], "field_freqs"),
+        ("full", ["dipole_freqs=3.0"], "dipole_freqs"),
+        ("full", ["field_freqs=[5.0]", "dipole_freqs=[3.0]", "qubit_field_couplings=[0.01]",
+                  "dipole_field_couplings=[0.01]"], "dipole_field_couplings"),
+    ])
+    def test_mistyped_parameter_is_config_error(self, model, settings, key, capsys):
+        code = main([model, *(arg for setting in settings for arg in ("--set", setting))])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"qvdw: config error: parameter {key!r} must be ")
+        assert len(err.splitlines()) == 1
+
+    def test_mistyped_config_file_parameter_is_config_error(self, tmp_path, capsys):
+        doc = {"parameters": {"field_freqs": "55", "qubit_field_couplings": "11"}}
+        code = _run_config(tmp_path, doc, model="full")
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "'field_freqs'" in err
+
+    def test_numbers_of_the_declared_shapes_keep_working(self, capsys):
+        code = main(["full", "--set", "field_freqs=[5]", "--set", "dipole_freqs=[3.0]",
+                     "--set", "qubit_field_couplings=[0.01]",
+                     "--set", "dipole_field_couplings=[[0.01]]", "--set", "n_max=6"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("key", ["start", "stop", "points"])
+    def test_integer_too_large_for_a_float_names_its_key(self, key, tmp_path, capsys):
+        sweep = {"parameter": "separation", "start": 5, "stop": 50, "points": 4, key: 10**400}
+        code = _run_config(tmp_path, {"sweep": sweep})
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"qvdw: config error: {key!r} is an integer too large for a float\n"
+
+    def test_full_without_modes_builds_no_ladder(self, monkeypatch, capsys):
+        # the bare qubit has dimension 2 whatever n_max is; a ladder would
+        # be an n_max x n_max matrix, here 80 GB, so it must never be built
+        def refuse(n_max):
+            raise AssertionError(f"ladder({n_max}) built for a model without modes")
+
+        monkeypatch.setattr(full_model, "ladder", refuse)
+        code = main(["full", "--set", f"n_max={10**5}"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert out.splitlines()[1] == "1,1,0,1,1,1"

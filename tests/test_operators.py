@@ -12,7 +12,8 @@ from qvdw import (
     quadratures,
     tensor,
 )
-from qvdw.operators import check_hermitian, truncation_probe
+from qvdw import operators
+from qvdw.operators import check_hermitian, lanczos_lowest, truncation_probe
 
 
 class TestLadder:
@@ -217,3 +218,60 @@ class TestTruncationProbe:
 
     def test_missing_probe_does_not_converge(self):
         assert truncation_probe(1.0, None, 1e-8) == (1.0, False)
+
+
+class TestLanczosLowest:
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 40, 120])
+    def test_equals_dense_eigh_on_random_symmetric_matrices(self, dim):
+        rng = np.random.default_rng(dim)
+        mat = rng.normal(size=(dim, dim))
+        mat += mat.T
+        theta, y, residual = lanczos_lowest(mat.__matmul__, rng.normal(size=dim))
+        values, vectors = np.linalg.eigh(mat)
+        assert theta == pytest.approx(values[0], abs=1e-12)
+        ground = vectors[:, 0] * np.sign(vectors[:, 0] @ y)
+        assert np.max(np.abs(y - ground)) <= 1e-12
+        assert residual == pytest.approx(np.linalg.norm(mat @ y - theta * y), abs=1e-15)
+        assert residual <= 1e-12
+
+    def test_steps_are_capped_at_the_dimension(self, monkeypatch):
+        # with no tolerance left the run never stops early: the Krylov space
+        # grows to the whole space, where the Ritz pair is exact
+        monkeypatch.setattr(operators, "LANCZOS_RTOL", 0.0)
+        rng = np.random.default_rng(3)
+        mat = np.diag(np.arange(6.0)) + 1e-3 * np.ones((6, 6))
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        theta, _, residual = lanczos_lowest(matvec, rng.normal(size=6))
+        assert len(products) == 6 + 1  # the steps, then the residual
+        assert theta == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-14)
+        assert residual <= 1e-14
+
+    def test_breakdown_in_an_invariant_subspace(self):
+        # the start lies in the span of the two lowest eigenvectors, so the
+        # Krylov space stops growing after two steps
+        mat = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        theta, y, residual = lanczos_lowest(matvec, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
+        assert len(products) <= 3
+        assert theta == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(np.abs(y) - [1.0, 0.0, 0.0, 0.0, 0.0])) <= 1e-15
+        assert residual <= 1e-15
+
+    def test_never_leaves_the_krylov_space_of_its_start(self):
+        # the lowest eigenvector is orthogonal to the start: Lanczos finds the
+        # lowest state it can reach, which is why callers certify the result
+        mat = np.diag([0.0, 1.0, 2.0, 3.0])
+        theta, y, _ = lanczos_lowest(mat.__matmul__, np.array([0.0, 1.0, 1.0, 1.0]))
+        assert theta == pytest.approx(1.0, abs=1e-14)
+        assert y[0] == 0.0

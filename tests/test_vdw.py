@@ -18,6 +18,7 @@ from qvdw import (
     vdw_fock_oracle,
 )
 from qvdw import full_model, vdw
+from qvdw.operators import lanczos_lowest
 from qvdw.vdw import coupled_hamiltonian_fock, fock_ground_state
 
 # reduced-unit reference case: e = k = m = w0 = 1, R = 2 gives lambda = -1/4
@@ -240,36 +241,44 @@ class TestParitySectors:
         cfg = config_for_coupling(u)
         h = coupled_hamiltonian_fock(cfg, 14)
         energy, psi = fock_ground_state(cfg, 14)
-        assert psi is None
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        residual = h @ psi.ravel() - energy * psi.ravel()
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(residual)) <= 1e-12
 
     def test_odd_sector_ground_state_is_found(self, monkeypatch):
         # lowering the odd antisymmetric state (|0,1> - |1,0>)/sqrt2 by 5 moves
         # the ground state into the last block: it fails the certificate and
         # is solved, and its state is returned
         cfg, n_max = config_for_coupling(0.3), 10
-        blocks, eigh = vdw._sector_blocks, np.linalg.eigh
-        sizes = [len(block) for _, _, block in blocks(cfg, n_max)]
+        blocks, eigh, lanczos = vdw._sector_blocks, np.linalg.eigh, vdw.lanczos_lowest
+        sizes = [len(block) for _, _, block, _ in blocks(cfg, n_max)]
 
         def lowered(cfg, n_max):
-            for index, coef, block in blocks(cfg, n_max):
+            for index, coef, block, bounds in blocks(cfg, n_max):
                 if coef[n_max] < 0:  # the sign of |1,0> in (|0,1> - |1,0>)/sqrt2
                     assert index[1] == index[n_max] == 0
                     block[0, 0] -= 5.0
-                yield index, coef, block
+                yield index, coef, block, bounds
 
-        solved = []
+        solved, krylov = [], []
 
         def counting_eigh(block):
             solved.append(len(block))
             return eigh(block)
 
+        def counting_lanczos(matvec, start):
+            krylov.append(len(start))
+            return lanczos(matvec, start)
+
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        energy, psi = fock_ground_state(cfg, n_max, with_state=True)
+        monkeypatch.setattr(vdw, "lanczos_lowest", counting_lanczos)
+        energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
-        assert solved == [sizes[0], sizes[3]]
+        assert krylov == [sizes[0]]
+        assert solved == [sizes[3]]
         h = coupled_hamiltonian_fock(cfg, n_max)
         state = np.zeros(n_max * n_max)
         state[1], state[n_max] = np.sqrt(0.5), -np.sqrt(0.5)
@@ -286,14 +295,15 @@ class TestParitySectors:
         VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
     ], ids=["u0", "u0.3", "u0.9", "mass1.7-freq0.6"])
     def test_sector_spectra_make_up_the_dense_spectrum(self, cfg, n_max):
-        sectors = [np.linalg.eigvalsh(block) for _, _, block in vdw._sector_blocks(cfg, n_max)]
+        sectors = [np.linalg.eigvalsh(block)
+                   for _, _, block, _ in vdw._sector_blocks(cfg, n_max)]
         dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))
         assert np.max(np.abs(np.sort(np.concatenate(sectors)) - dense)) <= 1e-12
 
     @pytest.mark.parametrize("u", [0.0, 0.5])
     def test_ground_state_equals_the_dense_ground_state(self, u):
         cfg = config_for_coupling(u)
-        _, psi = fock_ground_state(cfg, 12, with_state=True)
+        _, psi = fock_ground_state(cfg, 12)
         _, vectors = np.linalg.eigh(coupled_hamiltonian_fock(cfg, 12))
         assert abs(vectors[:, 0] @ psi.ravel()) == pytest.approx(1.0, abs=1e-12)
 
@@ -305,6 +315,116 @@ class TestParitySectors:
         monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", refuse)
         vdw_fock_oracle(REF, n_max=12)
         negativity_fock_oracle(REF, n_max=12)
+
+
+def dense_cholesky_passes(block, energy):
+    """The certificate as one dense Cholesky factorization of block - energy."""
+    try:
+        np.linalg.cholesky(block - energy * np.eye(len(block)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def vacuum_start(dim):
+    start = np.zeros(dim)
+    start[0] = 1.0  # |0, 0> is the first basis state of the vacuum's block
+    return start
+
+
+class TestSectorSolve:
+
+    @pytest.mark.parametrize("n_max", [8, 12, 13])
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
+    def test_blocks_are_ordered_by_shell_and_block_tridiagonal(self, u, n_max):
+        n1, n2 = np.divmod(np.arange(n_max * n_max), n_max)
+        for index, _, block, bounds in vdw._sector_blocks(config_for_coupling(u), n_max):
+            inside = index >= 0
+            shell = np.zeros(len(block), dtype=int)
+            shell[index[inside]] = (n1 + n2)[inside]
+            starts = bounds[:-1]
+            assert np.array_equal(np.repeat(shell[starts], np.diff(bounds)), shell)
+            assert np.all(np.diff(shell[starts]) == 2)
+            for lo, hi, beyond in zip(bounds, bounds[1:], bounds[2:]):
+                assert np.count_nonzero(block[lo:hi, beyond:]) == 0
+                assert np.count_nonzero(block[beyond:, lo:hi]) == 0
+
+    @pytest.mark.parametrize("n_max", [8, 12, 13])
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
+    def test_lanczos_equals_eigh_on_the_sector_blocks(self, u, n_max):
+        rng = np.random.default_rng(n_max)
+        blocks = vdw._sector_blocks(config_for_coupling(u), n_max)
+        for number, (_, _, block, _) in enumerate(blocks):
+            # the vacuum's block from the vacuum, as fock_ground_state runs it
+            start = rng.normal(size=len(block)) if number else vacuum_start(len(block))
+            theta, y, residual = lanczos_lowest(block.__matmul__, start)
+            values, vectors = np.linalg.eigh(block)
+            assert theta == pytest.approx(values[0], abs=1e-12)
+            ground = vectors[:, 0] * np.sign(vectors[:, 0] @ y)
+            assert np.max(np.abs(y - ground)) <= 1e-12
+            assert residual <= 1e-12
+
+    def test_breakdown_at_zero_coupling_returns_the_vacuum(self):
+        _, _, block, _ = next(vdw._sector_blocks(config_for_coupling(0.0), 12))
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return block @ v
+
+        start = vacuum_start(len(block))
+        theta, y, residual = lanczos_lowest(matvec, start)
+        assert len(products) == 2  # one Lanczos step, then the residual
+        assert theta == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(np.abs(y) - start)) <= 1e-15
+        assert residual <= 1e-15
+
+    @pytest.mark.parametrize("n_max", [8, 13, 40])
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
+    def test_shell_certificate_agrees_with_dense_cholesky(self, u, n_max):
+        for _, _, block, bounds in vdw._sector_blocks(config_for_coupling(u), n_max):
+            lowest = np.linalg.eigvalsh(block)[0]
+            for energy, above in ((lowest - 1e-6, True), (lowest + 1e-6, False)):
+                assert vdw._lies_above(block, bounds, energy) is above
+                assert dense_cholesky_passes(block, energy) is above
+
+    def test_vacuum_certificate_finds_a_state_hidden_from_lanczos(self, monkeypatch):
+        # |1,1> is cut off from the rest of the vacuum's block and put below
+        # the ground energy: the vacuum's Krylov space never reaches it, so
+        # only the vacuum block's own certificate can find it
+        cfg, n_max, low = config_for_coupling(0.3), 10, 0.5
+        blocks = vdw._sector_blocks
+
+        def hidden(cfg, n_max):
+            for number, (index, coef, block, bounds) in enumerate(blocks(cfg, n_max)):
+                if number == 0:
+                    i = index[n_max + 1]
+                    assert coef[n_max + 1] == 1.0  # the basis state is |1,1> itself
+                    block[i, :] = block[:, i] = 0.0
+                    block[i, i] = low
+                yield index, coef, block, bounds
+
+        monkeypatch.setattr(vdw, "_sector_blocks", hidden)
+        energy, psi = fock_ground_state(cfg, n_max)
+        monkeypatch.undo()
+
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        h[n_max + 1, :] = h[:, n_max + 1] = 0.0
+        h[n_max + 1, n_max + 1] = low
+        assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        assert energy == pytest.approx(low, abs=1e-12)
+        assert abs(psi[1, 1]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
+    def test_oracles_run_no_dense_eigensolve_when_certificates_pass(self, monkeypatch, u):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve although every certificate passes")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cfg = config_for_coupling(u)
+        vdw_fock_oracle(cfg, n_max=16)
+        negativity_fock_oracle(cfg, n_max=16)
 
 
 class TestFockDimensionLimit:
