@@ -41,6 +41,13 @@ def _is_finite(value) -> bool:
     if isinstance(value, dict):
         return all(_is_finite(v) for v in value.values())
     if isinstance(value, (list, tuple, np.ndarray)):
+        # fast path for the common flat list of finite numbers; a True here
+        # is what the element-wise check below would return too
+        try:
+            if all(map(math.isfinite, value)):
+                return True
+        except (TypeError, ValueError, OverflowError):
+            pass
         return all(_is_finite(v) for v in value)
     if isinstance(value, numbers.Real):
         try:
@@ -144,9 +151,9 @@ class ResultTable:
 
     def to_csv(self) -> str:
         names = list(self.columns)
-        lines = [",".join(names)]
-        for row in zip(*self.columns.values()):
-            lines.append(",".join(_fmt(v) for v in row))
+        # one % operation per row: the same bytes as joining _fmt of each value
+        row = ",".join(["%.17g"] * len(names))
+        lines = [",".join(names)] + [row % values for values in zip(*self.columns.values())]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -165,6 +172,9 @@ def _json_dumps(obj, indent: int = 0) -> str:
                  for k, v in obj.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
+        # a flat list of floats (np.float64 included) in one % operation
+        if all(isinstance(v, float) for v in obj):
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
         return "[" + ", ".join(_json_dumps(v, indent) for v in obj) + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
@@ -192,11 +202,11 @@ def fit_power_law(xs, ys):
         raise FitError("xs and ys must have the same length")
     if xs.size < 2:
         raise FitError("power-law fit needs at least 2 points")
-    if np.any(xs <= 0):
+    if (xs <= 0).any():
         raise FitError("power-law fit needs positive abscissas")
-    if np.any(ys == 0):
+    if (ys == 0).any():
         raise FitError("power-law fit needs nonzero values")
-    if np.all(xs == xs[0]):
+    if (xs == xs[0]).all():
         raise FitError("power-law fit needs distinct abscissas (all xs equal)")
     lx, ly = np.log(xs), np.log(np.abs(ys))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -371,19 +381,19 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
                 f"real-valued field of model {scenario.model!r}; "
                 f"choose from {sorted(spec.sweepable)}"
             )
-        values = sweep.values()
+        values = sweep.values().tolist()
         metadata["sweep"] = {"parameter": sweep.parameter, "start": sweep.start,
                              "stop": sweep.stop, "points": sweep.points,
                              "log": sweep.log}
         rows = []
         for value in values:
             point = dict(params)
-            point[sweep.parameter] = float(value)
+            point[sweep.parameter] = value
             try:
                 rows.append(spec.evaluate(point))
             except (ModelError, ArithmeticError) as exc:
                 raise type(exc)(f"{sweep.parameter}={_fmt(value)}: {exc}") from exc
-        columns = {sweep.parameter: [float(v) for v in values]}
+        columns = {sweep.parameter: values}
         columns.update({name: [row[name] for row in rows] for name in rows[0]})
     for name, column in columns.items():
         if not _is_finite(column):

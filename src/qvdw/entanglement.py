@@ -155,7 +155,7 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
 def concurrence(state: TwoQubitState) -> float:
     """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
     rho = state.rho
-    sy2 = np.kron(pauli("y").entries, pauli("y").entries)
+    sy2 = _PAULI_PRODUCTS[1, 1]
     rho_tilde = sy2 @ rho.conj() @ sy2
     ev = np.linalg.eigvals(rho @ rho_tilde)
     # eigenvalues are real and nonnegative up to roundoff
@@ -166,11 +166,8 @@ def concurrence(state: TwoQubitState) -> float:
 
 def correlation_matrix(state: TwoQubitState) -> np.ndarray:
     """3x3 Pauli correlation matrix T_ab = Tr[rho sigma_a x sigma_b]."""
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = float(np.trace(state.rho @ _PAULI_PRODUCTS[i, j]).real)
-    return t
+    # Tr[rho P] = sum_kl rho_kl P_lk, for all nine products at once
+    return np.einsum("kl,ablk->ab", state.rho, _PAULI_PRODUCTS).real
 
 
 def chsh_max(state: TwoQubitState) -> float:

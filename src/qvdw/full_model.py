@@ -11,20 +11,55 @@ rotating-wave approximation is made anywhere.
 The observable of interest is the dressed transition: the energy difference
 between the interacting eigenstates that maximally overlap the bare excited
 and ground product states, compared against the bare splitting w.
+
+Solver.  H is real symmetric and never assembled on the main path: apply_h
+multiplies a state by the H0 diagonal and adds each coupling term as
+shifted slices of the state times a coefficient band, O(dim) per term.
+Lanczos (operators.lanczos) runs once from the bare ground state and once
+from the bare excited state and keeps, in each run, the Ritz pair whose
+vector overlaps the start most.  A pair is certified when its residual
+r = ||H y - theta y|| is at most CERTIFICATE_RTOL max(1, |theta|), when
+2 r / gap is at most OVERLAP_ATOL, gap the distance to the nearest other
+Ritz value (r / gap bounds the angle between y and the eigenvector, so
+2 r / gap bounds the error of its squared overlap, as far as the Ritz
+values show the spectrum), and when its squared overlap with the bare
+state exceeds 1/2.  Eigenvectors are orthonormal, so at most one
+eigenvector overlaps a bare state that much, and the certified pair is the
+one the dense maximum-overlap rule picks, interior eigenvalues included (a
+qubit above a mode frequency).  If either pair fails its certificate, H is
+assembled from the same diagonal and bands and solved by dense eigh, which
+also raises IdentificationError when no eigenvector overlaps a bare state
+by 1/2.  That happens near a resonance, where the gap closes, and at strong
+coupling: a run stops as soon as the Christoffel function of its Lanczos
+polynomials shows no eigenvector overlapping the start by more than 1/2,
+and after LANCZOS_MAX_STEPS steps at the latest.  dim_limit bounds the
+product dimension on both paths; the Lanczos basis takes about
+m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of steps at weak
+coupling), the dense fallback dim^2 * 8 bytes.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import perturbation
 from .errors import DimensionLimitError, IdentificationError, NearResonanceError
-from .operators import (DEFAULT_DIM_LIMIT, HermitianOperator, check_hermitian, ladder, tensor,
+from .operators import (DEFAULT_DIM_LIMIT, HermitianOperator, check_hermitian, lanczos,
                         truncation_probe)
 
 CONVERGENCE_TOL = 1e-8
 OVERLAP_THRESHOLD = 0.5
+# a Lanczos Ritz pair is accepted when ||H y - theta y|| <= this * max(1, |theta|)
+CERTIFICATE_RTOL = 1e-10
+# ... and when its squared overlap with the bare state is known to within
+# this: 2 ||H y - theta y|| / gap, gap the distance to the nearest other Ritz
+# value, bounds how far it can lie from the eigenvector's
+OVERLAP_ATOL = 1e-11
+# a Lanczos run that has not converged after this many steps hands over to
+# the dense path: weakly coupled dressed states take 20 to 120 steps, and a
+# run towards the whole space would cost more than eigh
+LANCZOS_MAX_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -120,29 +155,82 @@ def _h0_diagonal(cfg: FullModelConfig) -> np.ndarray:
     return reduce(np.add.outer, diags).ravel()
 
 
-def _hint_matrix(cfg: FullModelConfig) -> np.ndarray:
-    """Real dense H_int; build_hint wraps it."""
+def _ladder_amplitudes(level: np.ndarray, step: int, n_max: int) -> np.ndarray:
+    """Amplitudes of a + a^dag taking Fock level ``level`` one ``step`` (+1
+    or -1) along: sqrt(n + 1) up, sqrt(n) down, 0 where the step would leave
+    the levels 0 ... n_max - 1."""
+    if step > 0:
+        return np.where(level < n_max - 1, np.sqrt(level + 1.0), 0.0)
+    return np.sqrt(level.astype(float))
+
+
+def _hint_bands(cfg: FullModelConfig) -> list:
+    """The interaction as bands above the diagonal of the flat product
+    basis: (offset, coefficients) pairs with
+    H_int[i, i + offset] = H_int[i + offset, i] = coefficients[i].
+
+    A term c A_j B_l acting on tensor slots j < l (A = s_x on the qubit, slot
+    0, or a + a^dag on a mode) moves the flat index by +-stride_j +-
+    stride_l.  Slot j steps up in the upper bands, so they are the
+    offsets stride_j + stride_l and stride_j - stride_l, and each
+    coefficient is c times the two one-slot amplitudes.  Coefficients are
+    cut after their last nonzero entry; the bare qubit has no bands.
+    """
     _check_dim(cfg)
-    if cfg.n_modes == 0:
-        return np.zeros((cfg.dim, cfg.dim))  # the bare qubit: no terms, no ladder
-    x = ladder(cfg.n_max)
-    x = x + x.T
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    n_fields = len(cfg.field_freqs)
+    n_fields, dims = len(cfg.field_freqs), cfg.mode_dims
+    strides = [int(np.prod(dims[j + 1:])) for j in range(len(dims))]
+    index = np.arange(cfg.dim)
+    terms = [(g, 0, 1 + k) for k, g in enumerate(cfg.qubit_field_couplings)]
+    terms += [(f, 1 + k, 1 + n_fields + l)
+              for (l, k), f in np.ndenumerate(cfg.dipole_field_couplings)]
+    bands = []
+    for c, j, l in terms:
+        if c == 0.0:
+            continue
+        level_j, level_l = (index // strides[slot] % dims[slot] for slot in (j, l))
+        # s_x takes the lower qubit level up with amplitude 1
+        up = (level_j == 0) * 1.0 if j == 0 else _ladder_amplitudes(level_j, 1, cfg.n_max)
+        for step in (1, -1):
+            amplitude = up * _ladder_amplitudes(level_l, step, cfg.n_max)
+            nonzero = np.flatnonzero(amplitude)
+            if len(nonzero):
+                bands.append((strides[j] + step * strides[l],
+                              float(c) * amplitude[:nonzero[-1] + 1]))
+    return bands
 
-    def term(factors):
-        # factors maps tensor slot -> operator; every other slot is the identity
-        return tensor(factors.get(slot, np.eye(d)) for slot, d in enumerate(cfg.mode_dims))
 
-    h = np.zeros((cfg.dim, cfg.dim))
-    for k, g in enumerate(cfg.qubit_field_couplings):
-        if g != 0.0:
-            h += g * term({0: sx, 1 + k: x})
-    for l in range(len(cfg.dipole_freqs)):
-        for k in range(n_fields):
-            f = cfg.dipole_field_couplings[l, k]
-            if f != 0.0:
-                h += f * term({1 + k: x, 1 + n_fields + l: x})
+def _add_bands(bands: list, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out += H_int psi along the last axis, from the bands of _hint_bands."""
+    for offset, coefficients in bands:
+        n = len(coefficients)
+        out[..., :n] += coefficients * psi[..., offset:offset + n]
+        out[..., offset:offset + n] += coefficients * psi[..., :n]
+    return out
+
+
+def apply_h(cfg: FullModelConfig, psi: np.ndarray) -> np.ndarray:
+    """(H0 + H_int) psi without building a matrix.
+
+    ``psi`` is a state of length cfg.dim or a (k, dim) block of states as
+    rows.  H0 multiplies it by its diagonal.  Each g_k s_x x_k and
+    f_lk x_k x_l term moves one level along two tensor slots, which in the
+    flat row-major basis is a shift by fixed offsets: it adds shifted
+    slices of psi times coefficient bands (_hint_bands), so a product costs
+    O(dim) per term and no matrix is built.  Raises DimensionLimitError
+    above cfg.dim_limit.
+    """
+    psi = np.asarray(psi, dtype=float)
+    return _add_bands(_hint_bands(cfg), psi, _h0_diagonal(cfg) * psi)
+
+
+def _assemble(diagonal: np.ndarray, bands: list) -> np.ndarray:
+    """The dense matrix with this diagonal and these bands (_hint_bands).
+    Both triangles get the same coefficients, so it is exactly symmetric."""
+    h = np.diag(diagonal)
+    for offset, coefficients in bands:
+        rows = np.arange(len(coefficients))
+        h[rows, rows + offset] += coefficients
+        h[rows + offset, rows] += coefficients
     return h
 
 
@@ -160,9 +248,10 @@ def build_hint(cfg: FullModelConfig) -> HermitianOperator:
 
     s_x tensor sum_k g_k (a_k + a_k^dag) plus
     sum_{l,k} f_lk (a_k + a_k^dag)(b_l + b_l^dag).  Every term changes an
-    excitation number, so the matrix has an exactly zero diagonal.
+    excitation number, so the matrix has an exactly zero diagonal.  The
+    dense reference of the terms apply_h applies.
     """
-    return HermitianOperator(_hint_matrix(cfg), cfg.mode_dims)
+    return HermitianOperator(_assemble(np.zeros(cfg.dim), _hint_bands(cfg)), cfg.mode_dims)
 
 
 def _bare_indices(cfg: FullModelConfig):
@@ -170,15 +259,13 @@ def _bare_indices(cfg: FullModelConfig):
     return 0, cfg.n_max ** cfg.n_modes
 
 
-def _diagonalize_and_identify(cfg: FullModelConfig):
-    # H is real symmetric: H_int with H0 added onto its (zero) diagonal
-    h = _hint_matrix(cfg)
-    h[np.diag_indices_from(h)] += _h0_diagonal(cfg)
+def _identify(cfg: FullModelConfig, h: np.ndarray):
+    """Dense route: solve the assembled H by eigh and take, for each bare
+    state, the eigenvector that overlaps it most."""
     check_hermitian(h)
     values, vectors = np.linalg.eigh(h)
-    i_ground_bare, i_excited_bare = _bare_indices(cfg)
     reports = []
-    for bare in (i_ground_bare, i_excited_bare):
+    for bare in _bare_indices(cfg):
         overlaps = vectors[bare] ** 2
         best = int(np.argmax(overlaps))
         if overlaps[best] < OVERLAP_THRESHOLD:
@@ -187,6 +274,34 @@ def _diagonalize_and_identify(cfg: FullModelConfig):
                 f"{OVERLAP_THRESHOLD}; coupling too strong for dressed-state labeling"
             )
         reports.append((values[best], float(overlaps[best])))
+    return reports
+
+
+def _diagonalize_and_identify(cfg: FullModelConfig):
+    """(dressed transition, overlap_ground, overlap_excited).
+
+    Lanczos from each bare state, for at most LANCZOS_MAX_STEPS steps and
+    stopped early when no eigenvector can overlap it by 1/2, keeps the Ritz
+    pair that overlaps it most.  The pair is certified when its residual r
+    is at most CERTIFICATE_RTOL max(1, |theta|), 2 r / gap at most
+    OVERLAP_ATOL and its squared overlap above 1/2: eigenvectors are
+    orthonormal, so at most one overlaps the bare state that much, and it is
+    the one the dense max-overlap rule picks.  If either pair fails, the
+    dense route (_identify) decides.
+    """
+    diagonal, bands = _h0_diagonal(cfg), _hint_bands(cfg)
+    reports = []
+    for bare in _bare_indices(cfg):
+        start = np.zeros(cfg.dim)
+        start[bare] = 1.0
+        theta, y, residual, gap = lanczos(lambda v: _add_bands(bands, v, diagonal * v), start,
+                                          "start", LANCZOS_MAX_STEPS, OVERLAP_THRESHOLD)
+        overlap = float(y[bare] ** 2)
+        if (residual > CERTIFICATE_RTOL * max(1.0, abs(theta))
+                or 2.0 * residual > OVERLAP_ATOL * gap or overlap <= OVERLAP_THRESHOLD):
+            reports = _identify(cfg, _assemble(diagonal, bands))
+            break
+        reports.append((theta, overlap))
     (e_ground, ov_ground), (e_excited, ov_excited) = reports
     return e_excited - e_ground, ov_ground, ov_excited
 
@@ -196,9 +311,10 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
 
     The dressed ground/excited states are the eigenvectors with maximum
     squared overlap against the bare |0>|vac...> and |1>|vac...> product
-    states; an overlap below 1/2 raises IdentificationError.  The converged
-    flag compares against a run at n_max + 2 (False if that run would
-    exceed the dimension limit).
+    states; an overlap below 1/2 raises IdentificationError.  They come
+    from certified Lanczos runs, or from dense eigh when a certificate
+    fails (see the module docstring).  The converged flag compares against
+    a run at n_max + 2 (False if that run would exceed the dimension limit).
     """
     dressed, ov_g, ov_e = _diagonalize_and_identify(cfg)
     bare = cfg.qubit_freq
@@ -237,9 +353,28 @@ def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float,
             f"{tol_degeneracy}; the dispersive expansion does not apply on resonance"
         )
     cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max)
+    h0 = _h0_diagonal(cfg)
     i_ground, i_excited = _bare_indices(cfg)
-    return perturbation.transition_shift(_h0_diagonal(cfg), _hint_matrix(cfg),
-                                         i_excited, i_ground, tol_degeneracy)
+    # the sums read only the columns H_int|i> of the two bare states
+    h_excited, h_ground = _bare_columns(n_max, coupling)
+    upper = perturbation.second_order_shift(h0, h_excited, i_excited, tol_degeneracy)
+    lower = perturbation.second_order_shift(h0, h_ground, i_ground, tol_degeneracy)
+    return upper.second_order - lower.second_order
+
+
+@lru_cache(maxsize=2)
+def _bare_columns(n_max: int, coupling: float) -> np.ndarray:
+    """H_int|1,vac> and H_int|0,vac> of the qubit + one-mode model, as
+    read-only rows: its bands applied to the two bare states.  They depend on
+    n_max and the coupling only, so a sweep over either frequency reads them
+    from the cache; building them takes ~0.1 ms, more than the ~0.07 ms the
+    rest of a dispersive point takes."""
+    cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max)
+    units = np.zeros((2, cfg.dim))
+    units[[0, 1], _bare_indices(cfg)[::-1]] = 1.0
+    columns = _add_bands(_hint_bands(cfg), units, np.zeros_like(units))
+    columns.setflags(write=False)
+    return columns
 
 
 def refractive_modulation(qubit_freq: float, index: float) -> float:

@@ -1,14 +1,16 @@
 """Finite-dimensional operator building blocks.
 
 Ladder operators, Pauli matrices, Kronecker products, position/momentum
-quadratures, dense Hermitian eigendecomposition and a Lanczos kernel for the
-lowest eigenpair.  Everything works in reduced units (hbar = 1) on truncated
+quadratures, dense Hermitian eigendecomposition and a Lanczos kernel for one
+eigenpair.  Everything works in reduced units (hbar = 1) on truncated
 Fock spaces represented as dense numpy arrays; composite operators carry
 their subsystem dimensions so basis indices keep their row-major product
 meaning.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .errors import HermiticityError, TruncationError
 
 # max|O - O^dag| allowed after arithmetic; exact-real-symmetric builds give 0
 HERMITICITY_ATOL = 1e-12
-# largest dimension of a product space that is held as one dense matrix
+# largest product-space dimension a model solves unless told otherwise
 DEFAULT_DIM_LIMIT = 4096
 # a Lanczos run stops once its residual estimate is this fraction of ||T||,
 # and it takes a Ritz pair every LANCZOS_CHECK_EVERY steps
@@ -184,36 +186,93 @@ def truncation_probe(value: float, probe, tol: float):
     return value, probe is not None and bool(abs(probe() - value) <= tol)
 
 
-def _lowest_of_tridiagonal(alpha, beta):
-    """Unit eigenvector of the lowest eigenvalue of the symmetric tridiagonal
-    matrix T with diagonal ``alpha`` and off-diagonal ``beta`` >= 0.
+def _tridiagonal_eigenpairs(alpha, beta):
+    """Eigenvalues, ascending, and unit eigenvectors, as rows in the same
+    order, of the symmetric tridiagonal matrix T with diagonal ``alpha`` and
+    off-diagonal ``beta`` >= 0.
 
     numpy has no tridiagonal eigensolver, and np.linalg.eigh is kept for the
-    dense solves that a failed certificate asks for.  So the vector comes from
+    dense solves that a failed certificate asks for.  So the pairs come from
     the SVD of T - shift, shift a Gershgorin lower bound of T: the shifted
-    matrix is positive semidefinite, its singular pairs are its eigenpairs,
-    and the smallest singular value belongs to the lowest eigenvalue.
+    matrix is positive semidefinite, so its singular pairs are its
+    eigenpairs, and the singular values descend.
     """
     off = np.diag(beta, 1) + np.diag(beta, -1)
     shift = np.min(alpha - off.sum(axis=1))
     _, s, vh = np.linalg.svd(np.diag(alpha - shift) + off)
-    return vh[-1]
+    return s[::-1] + shift, vh[::-1]
 
 
-def lanczos_lowest(matvec, start):
-    """Lowest Ritz pair of a real symmetric operator in the Krylov space of
-    ``start``.
+# where the Christoffel function is sampled between neighbouring Ritz values
+_MASS_SAMPLES = np.linspace(0.0, 1.0, 17)[1:-1]
+
+
+def _largest_point_mass(alpha, beta, values):
+    """The largest mass the start's spectral measure can put on one point,
+    estimated from a Lanczos run with coefficients ``alpha``, ``beta`` and
+    Ritz values ``values`` (ascending).
+
+    The mass at x is at most the Christoffel function
+    1 / sum_m p_m(x)^2, p_m the orthonormal polynomials of the run, for
+    every x; below the lowest and above the highest Ritz value it is at most
+    the end Ritz weights, which are the function's values there.  It is
+    sampled at the Ritz values and at 15 points between each neighbouring
+    pair, so a narrow peak can be missed: on random spectra with one mass
+    between 0.5 and 0.6, 1 run in 40 stops at 1/2 although that mass is
+    above it.  A polynomial that overflows in a spectral gap gives nan,
+    which compares as no bound.
+    """
+    x = np.append(values, values[:-1, None] + np.diff(values)[:, None] * _MASS_SAMPLES)
+    p_before, p, total = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(len(values) - 1):
+            p_before, p = p, ((x - alpha[m]) * p - (beta[m - 1] if m else 0.0) * p_before) / beta[m]
+            total += p * p
+        return np.max(1.0 / total)
+
+
+class RitzPair(NamedTuple):
+    """A Ritz pair of lanczos: the Rayleigh quotient ``value`` of the unit
+    vector ``vector``, its residual ||H y - value y||, and ``gap``, the
+    distance from its Ritz value to the nearest other Ritz value of the run
+    (inf when the run took one step)."""
+
+    value: float
+    vector: np.ndarray
+    residual: float
+    gap: float
+
+
+def lanczos(matvec, start, pick, max_steps=None, weight=None) -> RitzPair:
+    """One Ritz pair of a real symmetric operator in the Krylov space of
+    ``start``: the lowest one (``pick="lowest"``), or the one whose vector
+    overlaps ``start`` most (``pick="start"``).
 
     Lanczos with full reorthogonalization: each new direction is
     orthogonalized twice against every earlier one.  The run stops when the
-    residual estimate beta_k |s_k| of the lowest Ritz pair of the
+    residual estimate beta_k |s_k| of the picked Ritz pair of the
     tridiagonal T falls to LANCZOS_RTOL times a Gershgorin bound on ||T||.
     That covers breakdown (beta_k ~ 0: the Krylov space is invariant, as
     when ``start`` is itself an eigenvector), and it happens at the latest
     after len(start) steps, when the Krylov space is the whole space and the
-    Ritz pair is exact.  Only the Krylov space of ``start`` is searched: an
-    eigenvector orthogonal to it is never found, so a caller that needs the
-    lowest eigenvalue of the whole operator must certify it.
+    Ritz pairs are exact; ``max_steps`` stops it earlier, unconverged, with
+    the picked pair of that step.  Only the Krylov space of ``start`` is
+    searched: an eigenvector orthogonal to it is never found, so a caller
+    that needs more than the Ritz pair must certify it.
+
+    ``weight`` stops the run, unconverged, as soon as no eigenvector seems
+    to overlap the unit start by more than ``weight`` squared: the squared
+    overlaps are the point masses of the start's spectral measure, and
+    _largest_point_mass estimates the largest from the Christoffel function
+    of the run, sampled between the Ritz values.  It is checked only once
+    every Ritz weight (the squared first components of the Ritz vectors,
+    the function's values at the Ritz values) is at most ``weight``.  A
+    caller that stops this way gets an unconverged pair and must decide
+    without it.
+
+    The basis is one (min(len(start), max_steps), len(start)) array, and
+    only the rows a run writes take memory: m steps hold about
+    m * len(start) * 8 bytes.
 
     Parameters
     ----------
@@ -221,18 +280,28 @@ def lanczos_lowest(matvec, start):
         v -> H v for a real symmetric H of dimension len(start).
     start : ndarray
         Nonzero real start vector.
+    pick : str
+        "lowest" or "start".
+    max_steps : int, optional
+        Most steps to take; len(start) when None.
+    weight : float, optional
+        Stop once no eigenvector seems to overlap the start by more than this.
 
     Returns
     -------
-    (theta, y, residual) : tuple
-        The unit Ritz vector y, its Rayleigh quotient theta = y.Hy (so theta
-        never lies below the lowest eigenvalue of H) and ||H y - theta y||.
+    RitzPair
+        The unit Ritz vector y, its Rayleigh quotient theta = y.Hy (for
+        "lowest", theta never lies below the lowest eigenvalue of H),
+        ||H y - theta y|| and the gap to the nearest other Ritz value.
     """
+    if pick not in ("lowest", "start"):
+        raise ValueError(f"pick must be 'lowest' or 'start', got {pick!r}")
     dim = len(start)
-    basis = np.empty((dim, dim))  # row k is the k-th Lanczos vector
+    steps = dim if max_steps is None else min(dim, max_steps)
+    basis = np.empty((steps, dim))
     basis[0] = start / np.linalg.norm(start)
     alpha, beta, scale = [], [], 0.0
-    for k in range(dim):
+    for k in range(steps):
         w = matvec(basis[k])
         alpha.append(basis[k] @ w)
         for _ in range(2):
@@ -240,18 +309,28 @@ def lanczos_lowest(matvec, start):
         beta.append(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]) + sum(beta[-2:]))
         tol = LANCZOS_RTOL * scale
+        last = k == steps - 1
         # a Ritz pair costs more than a step, so it is taken every few steps,
         # at a breakdown and at the last step
-        if k % LANCZOS_CHECK_EVERY == 0 or beta[-1] <= tol or k == dim - 1:
-            s = _lowest_of_tridiagonal(alpha, beta[:-1])
-            if beta[-1] * abs(s[-1]) <= tol or k == dim - 1:
+        if k % LANCZOS_CHECK_EVERY == 0 or beta[-1] <= tol or last:
+            values, vectors = _tridiagonal_eigenpairs(alpha, beta[:-1])
+            # column 0 holds each Ritz vector's overlap with the start
+            weights = vectors[:, 0] ** 2
+            j = 0 if pick == "lowest" else int(np.argmax(weights))
+            if beta[-1] * abs(vectors[j, -1]) <= tol or last:
+                break
+            # a Ritz weight w_j is the Christoffel function at theta_j
+            if (weight is not None and np.max(weights) <= weight
+                    and _largest_point_mass(alpha, beta, values) <= weight):
                 break
         basis[k + 1] = w / beta[-1]
-    y = s @ basis[:k + 1]
+    y = vectors[j] @ basis[:k + 1]
     y /= np.linalg.norm(y)
     hy = matvec(y)
     theta = float(y @ hy)
-    return theta, y, float(np.linalg.norm(hy - theta * y))
+    others = np.delete(values, j)
+    gap = float(np.min(np.abs(others - values[j]))) if len(others) else math.inf
+    return RitzPair(theta, y, float(np.linalg.norm(hy - theta * y)), gap)
 
 
 def eig_hermitian(op) -> Spectrum:

@@ -32,7 +32,8 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
 
     second_order = sum over n != i of |<n|H_int|i>|^2 / (E_i - E_n),
     first_order = <i|H_int|i>, where E are the entries of ``h0_diag``
-    (the diagonal of H0 in its eigenbasis).
+    (the diagonal of H0 in its eigenbasis).  ``h_int`` is the interaction
+    matrix, or only its column H_int|i> as a vector: nothing else is read.
 
     Terms with an exactly zero numerator are skipped before the degeneracy
     check, so accidental degeneracies between uncoupled sectors do not
@@ -46,33 +47,34 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
     energies = np.asarray(h0_diag, dtype=float)
     mat = as_matrix(h_int)
     dim = energies.shape[0]
-    if mat.shape != (dim, dim):
+    if mat.shape not in ((dim, dim), (dim,)):
         raise ValueError(f"h_int shape {mat.shape} does not match h0_diag length {dim}")
     if not 0 <= i < dim:
         raise ValueError(f"state index {i} out of range for dimension {dim}")
     if tol_degeneracy <= 0:
         raise ValueError("tol_degeneracy must be positive")
 
-    amplitudes = mat[:, i]
-    coupled = np.abs(amplitudes) > 0
+    column = mat[:, i] if mat.ndim == 2 else mat
+    coupled = np.abs(column) > 0
     coupled[i] = False
+    amplitudes = column[coupled]
+    terms = len(amplitudes)
     denominators = energies[i] - energies[coupled]
+    gaps = np.abs(denominators)
+    min_den = float(np.minimum.reduce(gaps)) if terms else np.inf
 
-    too_close = np.abs(denominators) < tol_degeneracy
-    if np.any(too_close):
-        n_bad = np.nonzero(coupled)[0][too_close][0]
+    if min_den < tol_degeneracy:
+        n_bad = np.flatnonzero(coupled)[gaps < tol_degeneracy][0]
         raise DegeneracyError(
             f"states {i} and {n_bad} are coupled but near-degenerate "
             f"(|E_i - E_n| = {abs(energies[i] - energies[n_bad]):.3e} < {tol_degeneracy})"
         )
 
     # index order is preserved by the boolean mask, keeping the sum deterministic
-    second = float(np.sum(np.abs(amplitudes[coupled]) ** 2 / denominators))
-    terms = int(np.count_nonzero(coupled))
-    min_den = float(np.min(np.abs(denominators))) if terms else np.inf
+    second = float(np.add.reduce(np.abs(amplitudes) ** 2 / denominators))
     return PerturbationResult(
         state_index=i,
-        first_order=float(mat[i, i].real),
+        first_order=float(column[i].real),
         second_order=second,
         terms_used=terms,
         min_denominator=min_den,

@@ -14,12 +14,13 @@ attractive case lambda < 0 the symmetric mode softens, so
 omega_plus >= omega_minus.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionLimitError, UnstableConfigurationError
-from .operators import DEFAULT_DIM_LIMIT, lanczos_lowest, quadratures, truncation_probe
+from .operators import DEFAULT_DIM_LIMIT, lanczos, quadratures, truncation_probe
 
 FOCK_CONVERGENCE_TOL = 1e-8
 # the Lanczos energy of the vacuum's block is certified to lie within its
@@ -105,8 +106,8 @@ def coupling_ratio(cfg: VdwConfig) -> float:
     return dipole_coupling_lambda(cfg) / (cfg.mass * cfg.freq**2)
 
 
-def normal_modes(cfg: VdwConfig) -> NormalModes:
-    """Exact normal-mode frequencies w0 sqrt(1 -+ u), u = lambda/(m w0^2)."""
+def _mode_frequencies(cfg: VdwConfig) -> tuple:
+    """(omega_plus, omega_minus); see normal_modes."""
     u = coupling_ratio(cfg)
     rad_plus, rad_minus = 1.0 - u, 1.0 + u
     if rad_plus <= 0 or rad_minus <= 0:
@@ -114,14 +115,18 @@ def normal_modes(cfg: VdwConfig) -> NormalModes:
             f"|lambda| = {abs(dipole_coupling_lambda(cfg)):.6g} >= m w0^2 = "
             f"{cfg.mass * cfg.freq**2:.6g}; a normal mode frequency is imaginary"
         )
-    return NormalModes(omega_plus=cfg.freq * np.sqrt(rad_plus),
-                       omega_minus=cfg.freq * np.sqrt(rad_minus))
+    return cfg.freq * math.sqrt(rad_plus), cfg.freq * math.sqrt(rad_minus)
+
+
+def normal_modes(cfg: VdwConfig) -> NormalModes:
+    """Exact normal-mode frequencies w0 sqrt(1 -+ u), u = lambda/(m w0^2)."""
+    return NormalModes(*_mode_frequencies(cfg))
 
 
 def exact_ground_shift(cfg: VdwConfig) -> float:
     """Ground energy shift (w+ + w-)/2 - w0; strictly negative for lambda != 0."""
-    modes = normal_modes(cfg)
-    return 0.5 * (modes.omega_plus + modes.omega_minus) - cfg.freq
+    omega_plus, omega_minus = _mode_frequencies(cfg)
+    return 0.5 * (omega_plus + omega_minus) - cfg.freq
 
 
 def perturbative_ground_shift(cfg: VdwConfig) -> float:
@@ -274,7 +279,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     """Ground energy and state of the two-mode Fock Hamiltonian, per sector.
 
     The vacuum's block (even parity, exchange symmetric) is solved by
-    Lanczos from the vacuum (operators.lanczos_lowest), which gives the
+    Lanczos from the vacuum (operators.lanczos, lowest pair), which gives the
     Ritz value theta and its residual r.  Every block is then certified by
     a shell-by-shell Cholesky factorization (_lies_above): the vacuum's
     block to have no eigenvalue below theta - margin, margin = r +
@@ -285,11 +290,14 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     result is the ground energy of coupled_hamiltonian_fock(cfg, n_max)
     whichever sector holds it, and a dense eigensolve runs only when a
     certificate fails.  Raises DimensionLimitError when n_max^2 exceeds the
-    dense-matrix limit.
+    dense-matrix limit, and UnstableConfigurationError, as normal_modes does,
+    when |lambda| >= m w0^2: the pair then has no ground state, and the
+    lowest level of its truncated Hamiltonian means nothing.
 
     Returns ``(energy, psi)``, psi the ground state as the n_max x n_max
     amplitude matrix psi[n1, n2].
     """
+    _mode_frequencies(cfg)  # raises for an unstable pair
     if n_max * n_max > DEFAULT_DIM_LIMIT:
         raise DimensionLimitError(
             f"Fock dimension n_max^2 = {n_max * n_max} exceeds limit "
@@ -300,7 +308,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
             # the vacuum's block comes first, with |0, 0> as its first state
             start = np.zeros(len(block))
             start[0] = 1.0
-            theta, vector, residual = lanczos_lowest(block.__matmul__, start)
+            theta, vector, residual, _ = lanczos(block.__matmul__, start, "lowest")
             margin = residual + FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
             if _lies_above(block, bounds, theta - margin):
                 energy, ground = theta, (index, coef, vector)

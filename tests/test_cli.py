@@ -549,7 +549,7 @@ class TestSweepBounds:
     def test_out_of_memory_is_model_error(self, monkeypatch, capsys):
         def no_memory(cfg):
             raise MemoryError()
-        monkeypatch.setattr(full_model, "_hint_matrix", no_memory)
+        monkeypatch.setattr(full_model, "_hint_bands", no_memory)
         code = main(["full", "--set", "field_freqs=[5.0]",
                      "--set", "qubit_field_couplings=[0.01]"])
         out, err = capsys.readouterr()
@@ -606,12 +606,12 @@ class TestParameterTypes:
         assert err == f"qvdw: config error: {key!r} is an integer too large for a float\n"
 
     def test_full_without_modes_builds_no_ladder(self, monkeypatch, capsys):
-        # the bare qubit has dimension 2 whatever n_max is; a ladder would
-        # be an n_max x n_max matrix, here 80 GB, so it must never be built
-        def refuse(n_max):
-            raise AssertionError(f"ladder({n_max}) built for a model without modes")
+        # the bare qubit has dimension 2 whatever n_max is; no mode operator
+        # may be applied, or any n_max-sized table built for one
+        def refuse(level, step, n_max):
+            raise AssertionError(f"ladder amplitudes at n_max {n_max} without modes")
 
-        monkeypatch.setattr(full_model, "ladder", refuse)
+        monkeypatch.setattr(full_model, "_ladder_amplitudes", refuse)
         code = main(["full", "--set", f"n_max={10**5}"])
         out, _ = capsys.readouterr()
         assert code == 0

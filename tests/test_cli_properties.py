@@ -1,6 +1,8 @@
-"""Property test of the CLI contract: any parameter value gives a clean exit."""
+"""Property tests of the CLI: any parameter value gives a clean exit, and the
+serialization and argument fast paths equal their element-wise references."""
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -8,8 +10,10 @@ import numbers
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
+from qvdw import cli
 from qvdw.cli import MODELS, main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -249,3 +253,82 @@ def test_any_config_document_keeps_the_contract_and_its_invariants(drawn):
                     out = fh.read()
             _check_invariants(model, _columns(out, output.get("format", "csv")
                                               if isinstance(output, dict) else "csv"))
+
+
+# --- fast paths against their element-wise definitions ----------------------
+
+def _is_finite_reference(value):
+    """cli._is_finite without its flat-list fast path."""
+    if isinstance(value, dict):
+        return all(_is_finite_reference(v) for v in value.values())
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(_is_finite_reference(v) for v in value)
+    if isinstance(value, numbers.Real):
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+    return True
+
+
+def _json_dumps_reference(obj, indent=0):
+    """cli._json_dumps without its flat float-list fast path."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{inner}{json.dumps(str(k))}: {_json_dumps_reference(v, indent + 1)}"
+                 for k, v in obj.items())
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_json_dumps_reference(v, indent) for v in obj) + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return "%.17g" % float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# floats (NaN and the infinities included), np.float64, ints (some too large
+# for a float), bools, and a few non-numbers
+NUMBERS = (st.floats() | st.floats().map(np.float64) | st.integers()
+           | st.sampled_from([10**400, -10**400]) | st.booleans() | st.booleans().map(np.bool_))
+LEAVES = NUMBERS | st.none() | st.text(max_size=4)
+NESTED = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=12)
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(st.lists(NUMBERS, max_size=12) | st.lists(st.floats(), max_size=60)
+                  | st.lists(st.floats().map(np.float64), max_size=60) | NESTED)
+def test_finite_check_and_json_equal_their_reference(value):
+    assert cli._is_finite(value) == _is_finite_reference(value)
+    # numbers that convert to float but are not numbers.Real count as finite
+    with_odd = (value if isinstance(value, list) else []) + [
+        decimal.Decimal("NaN"), decimal.Decimal("sNaN"), decimal.Decimal("Infinity")]
+    assert cli._is_finite(with_odd) == _is_finite_reference(with_odd)
+    assert cli._json_dumps(value) == _json_dumps_reference(value)
+    if isinstance(value, list) and all(isinstance(v, float) for v in value):
+        array = np.array(value)
+        assert cli._is_finite(array) == _is_finite_reference(array)
+        assert cli._json_dumps(array) == _json_dumps_reference(array)
+
+
+# ints too large for a float are left out: the CSV writer has no finiteness check
+CSV_VALUES = NUMBERS.filter(lambda v: not isinstance(v, int) or abs(v) < 10**300)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.lists(st.tuples(CSV_VALUES, CSV_VALUES, CSV_VALUES), max_size=6))
+def test_csv_rows_equal_their_reference(rows):
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    table = cli.ResultTable({f"c{i}": column for i, column in enumerate(columns)}, {})
+    want = [",".join(table.columns)]
+    want += [",".join("%.17g" % float(v) for v in row) for row in rows]
+    assert table.to_csv() == "\n".join(want) + "\n"

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from qvdw import (
     refractive_modulation,
     transition_shift,
 )
-from qvdw.full_model import _h0_diagonal
+from qvdw import full_model
+from qvdw.full_model import _h0_diagonal, apply_h
+from qvdw.operators import ladder
 
 
 def single_mode_cfg(omega=1.0, mode=5.0, g=0.05, n_max=30):
@@ -26,6 +30,53 @@ MODE_CONFIGS = [
     FullModelConfig(1.0, (5.0,), (3.0,), (0.05,), ((0.3,),), 8),
     FullModelConfig(2.0, (5.0, 2.6), (3.0,), (0.1, 0.07), ((0.2, 0.1),), 5),
 ]
+
+
+def kron_hamiltonian(cfg):
+    """H0 + H_int assembled from Kronecker products of the one-slot
+    operators, independent of the bands that apply_h uses."""
+    x = ladder(cfg.n_max)
+    x = x + x.T
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    n_fields = len(cfg.field_freqs)
+
+    def term(factors):
+        return reduce(np.kron, [factors.get(slot, np.eye(d))
+                                for slot, d in enumerate(cfg.mode_dims)])
+
+    h = np.diag(_h0_diagonal(cfg))
+    for k, g in enumerate(cfg.qubit_field_couplings):
+        h += g * term({0: sx, 1 + k: x})
+    for l in range(len(cfg.dipole_freqs)):
+        for k in range(n_fields):
+            h += cfg.dipole_field_couplings[l, k] * term({1 + k: x, 1 + n_fields + l: x})
+    return h
+
+
+def dense_reference(cfg):
+    """(shift, overlap_ground, overlap_excited) by eigh of kron_hamiltonian
+    and the max-overlap rule."""
+    values, vectors = np.linalg.eigh(kron_hamiltonian(cfg))
+    picked = []
+    for bare in (0, cfg.n_max ** cfg.n_modes):
+        overlaps = vectors[bare] ** 2
+        best = np.argmax(overlaps)
+        picked.append((values[best], overlaps[best]))
+    (e_ground, ov_ground), (e_excited, ov_excited) = picked
+    return e_excited - e_ground - cfg.qubit_freq, ov_ground, ov_excited
+
+
+# configurations the Lanczos route is checked on against dense eigh
+SOLVER_CONFIGS = {
+    "below-dipole": FullModelConfig(1.0, (5.0,), (3.0,), (0.01,), ((0.01,),), 10),
+    "above-dipole": FullModelConfig(4.0, (5.0,), (3.0,), (0.01,), ((0.01,),), 10),
+    "above-field": FullModelConfig(5.6, (5.0,), (3.0,), (0.05,), ((0.02,),), 9),
+    "two-dipoles": FullModelConfig(2.0, (5.0,), (3.0, 3.3), (0.02,), ((0.01,), (0.02,)), 7),
+    "two-fields": FullModelConfig(2.0, (5.0, 2.6), (3.0,), (0.1, 0.07), ((0.2, 0.1),), 5),
+    "strong-single": FullModelConfig(1.0, (1.3,), (), (0.2,), (), 12),
+    "zero-coupling": FullModelConfig(1.0, (5.0,), (3.0,), (0.0,), ((0.0,),), 8),
+    "no-modes": FullModelConfig(1.5, (), (), (), (), 8),
+}
 
 
 class TestConfig:
@@ -111,6 +162,156 @@ class TestBuildHint:
         cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.3,),), 5)
         h = build_h0(cfg).entries + build_hint(cfg).entries
         assert np.array_equal(h, h.conj().T)
+
+
+class TestApplyH:
+
+    @pytest.mark.parametrize("cfg", MODE_CONFIGS, ids=["1-mode", "2-mode", "3-mode"])
+    def test_equals_dense_product(self, cfg):
+        rng = np.random.default_rng(cfg.dim)
+        h = kron_hamiltonian(cfg)
+        psi = rng.normal(size=cfg.dim)
+        assert np.max(np.abs(apply_h(cfg, psi) - h @ psi)) <= 1e-12
+        block = rng.normal(size=(3, cfg.dim))
+        assert np.max(np.abs(apply_h(cfg, block) - block @ h)) <= 1e-12
+
+    @pytest.mark.parametrize("cfg", MODE_CONFIGS, ids=["1-mode", "2-mode", "3-mode"])
+    def test_dense_assembly_equals_kronecker_products(self, cfg):
+        # the bands set every entry exactly
+        h = build_h0(cfg).entries.real + build_hint(cfg).entries.real
+        assert np.array_equal(h, kron_hamiltonian(cfg))
+
+    def test_bare_qubit_is_its_diagonal(self):
+        cfg = FullModelConfig(2.0, (), (), (), (), 5)
+        assert np.array_equal(apply_h(cfg, np.array([1.0, 2.0])), [-1.0, 2.0])
+
+    def test_dimension_guard(self):
+        cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.2,),), 70)
+        with pytest.raises(DimensionLimitError):
+            apply_h(cfg, np.zeros(cfg.dim))
+
+
+class TestLanczosRoute:
+
+    @pytest.mark.parametrize("cfg", SOLVER_CONFIGS.values(), ids=SOLVER_CONFIGS.keys())
+    def test_equals_dense_reference(self, cfg, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh ran although every certificate should pass")
+
+        shift, ov_ground, ov_excited = dense_reference(cfg)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        assert got_ground == pytest.approx(ov_ground, abs=1e-12)
+        assert got_excited == pytest.approx(ov_excited, abs=1e-12)
+
+    @pytest.mark.parametrize("cfg", [SOLVER_CONFIGS["above-dipole"],
+                                     SOLVER_CONFIGS["two-dipoles"]],
+                             ids=["above-dipole", "two-dipoles"])
+    def test_failed_certificate_takes_the_dense_path(self, cfg, monkeypatch):
+        solved = []
+
+        def counting_eigh(mat):
+            solved.append(len(mat))
+            return eigh(mat)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(full_model, "CERTIFICATE_RTOL", -1.0)  # no residual passes
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        monkeypatch.undo()
+        assert solved == [cfg.dim]
+        shift, ov_ground, ov_excited = dense_reference(cfg)
+        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        assert got_ground == pytest.approx(ov_ground, abs=1e-12)
+        assert got_excited == pytest.approx(ov_excited, abs=1e-12)
+
+    def test_unconverged_run_takes_the_dense_path(self, monkeypatch):
+        # a run stopped after two steps has a large residual, so its pair is
+        # refused and eigh decides
+        cfg = SOLVER_CONFIGS["below-dipole"]
+        solved = []
+
+        def counting_eigh(mat):
+            solved.append(len(mat))
+            return eigh(mat)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(full_model, "LANCZOS_MAX_STEPS", 2)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        monkeypatch.undo()
+        assert solved == [cfg.dim]
+        shift, ov_ground, ov_excited = dense_reference(cfg)
+        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        assert got_excited == pytest.approx(ov_excited, abs=1e-12)
+
+    def test_low_overlap_takes_the_dense_path(self, monkeypatch):
+        # a Ritz pair below the overlap threshold is never accepted; the dense
+        # route then raises as before
+        cfg = FullModelConfig(1.0, (1.0,), (), (2.0,), (), 12)
+        solved = []
+
+        def counting_eigh(mat):
+            solved.append(len(mat))
+            return eigh(mat)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        with pytest.raises(IdentificationError):
+            full_model._diagonalize_and_identify(cfg)
+        assert solved == [cfg.dim]
+
+    def test_resonance_fails_the_gap_certificate(self, monkeypatch):
+        # at qubit_freq = dipole frequency the dressed excited state lies
+        # ~1e-4 from its neighbour, so 2 r / gap bounds its overlap only to
+        # ~3e-9: the pair is refused and eigh decides
+        cfg = FullModelConfig(3.0, (5.0,), (3.0,), (0.01,), ((0.01,),), 8)
+        solved = []
+
+        def counting_eigh(mat):
+            solved.append(len(mat))
+            return eigh(mat)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        monkeypatch.undo()
+        assert solved == [cfg.dim]
+        monkeypatch.setattr(full_model, "OVERLAP_ATOL", np.inf)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        full_model._diagonalize_and_identify(cfg)
+        assert solved == [cfg.dim]  # the residual alone would have passed
+        shift, ov_ground, ov_excited = dense_reference(cfg)
+        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        assert got_excited == pytest.approx(ov_excited, abs=1e-12)
+
+    def test_strong_coupling_stops_lanczos_early(self, monkeypatch):
+        # the bare ground state spreads over many eigenvectors, none with a
+        # squared overlap of 1/2: the run stops long before LANCZOS_MAX_STEPS
+        # and the dense route raises
+        cfg = FullModelConfig(1.05, (1.0,), (1.1,), (1.5,), ((1.5,),), 20)
+        products = []
+        add_bands = full_model._add_bands
+
+        def counting(bands, psi, out):
+            products.append(psi)
+            return add_bands(bands, psi, out)
+
+        monkeypatch.setattr(full_model, "_add_bands", counting)
+        with pytest.raises(IdentificationError):
+            full_model._diagonalize_and_identify(cfg)
+        assert len(products) <= 100 < full_model.LANCZOS_MAX_STEPS
+
+    def test_reaches_dimensions_above_the_default_limit(self):
+        # one field and two dipoles at n_max 14: dim 5488, as the CI step runs it
+        cfg = FullModelConfig(1.0, (5.0,), (3.0, 3.0), (0.01,), ((0.01,), (0.01,)), 14,
+                              dim_limit=10_000)
+        report = dressed_transition(cfg)
+        assert report.converged
+        assert report.overlap_ground > 0.99 and report.overlap_excited > 0.99
+        assert report.shift == pytest.approx(
+            0.01**2 * (1.0 / (1.0 - 5.0) + 1.0 / (1.0 + 5.0)), rel=1e-2)
 
 
 class TestDressedTransition:

@@ -13,7 +13,7 @@ from qvdw import (
     tensor,
 )
 from qvdw import operators
-from qvdw.operators import check_hermitian, lanczos_lowest, truncation_probe
+from qvdw.operators import check_hermitian, lanczos, truncation_probe
 
 
 class TestLadder:
@@ -227,7 +227,7 @@ class TestLanczosLowest:
         rng = np.random.default_rng(dim)
         mat = rng.normal(size=(dim, dim))
         mat += mat.T
-        theta, y, residual = lanczos_lowest(mat.__matmul__, rng.normal(size=dim))
+        theta, y, residual, _ = lanczos(mat.__matmul__, rng.normal(size=dim), "lowest")
         values, vectors = np.linalg.eigh(mat)
         assert theta == pytest.approx(values[0], abs=1e-12)
         ground = vectors[:, 0] * np.sign(vectors[:, 0] @ y)
@@ -247,7 +247,7 @@ class TestLanczosLowest:
             products.append(v)
             return mat @ v
 
-        theta, _, residual = lanczos_lowest(matvec, rng.normal(size=6))
+        theta, _, residual, _ = lanczos(matvec, rng.normal(size=6), "lowest")
         assert len(products) == 6 + 1  # the steps, then the residual
         assert theta == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-14)
         assert residual <= 1e-14
@@ -262,7 +262,7 @@ class TestLanczosLowest:
             products.append(v)
             return mat @ v
 
-        theta, y, residual = lanczos_lowest(matvec, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
+        theta, y, residual, _ = lanczos(matvec, np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "lowest")
         assert len(products) <= 3
         assert theta == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(np.abs(y) - [1.0, 0.0, 0.0, 0.0, 0.0])) <= 1e-15
@@ -272,6 +272,87 @@ class TestLanczosLowest:
         # the lowest eigenvector is orthogonal to the start: Lanczos finds the
         # lowest state it can reach, which is why callers certify the result
         mat = np.diag([0.0, 1.0, 2.0, 3.0])
-        theta, y, _ = lanczos_lowest(mat.__matmul__, np.array([0.0, 1.0, 1.0, 1.0]))
+        theta, y, _, _ = lanczos(mat.__matmul__, np.array([0.0, 1.0, 1.0, 1.0]), "lowest")
         assert theta == pytest.approx(1.0, abs=1e-14)
         assert y[0] == 0.0
+
+    def test_max_steps_stops_the_run_early(self):
+        rng = np.random.default_rng(5)
+        mat = rng.normal(size=(30, 30))
+        mat += mat.T
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        theta, y, residual, _ = lanczos(matvec, rng.normal(size=30), "lowest", max_steps=3)
+        assert len(products) == 3 + 1  # the steps, then the residual
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-14)
+        assert residual == pytest.approx(np.linalg.norm(mat @ y - theta * y), abs=1e-14)
+        assert residual > 1e-3
+
+
+class TestLanczosStartOverlap:
+
+    @pytest.mark.parametrize("dim", [2, 9, 50, 200])
+    def test_finds_the_eigenvector_that_overlaps_the_start_most(self, dim):
+        # an interior eigenvector, tilted: the start overlaps it with weight
+        # about 0.9, and no other eigenvector comes close
+        rng = np.random.default_rng(dim)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        values = np.sort(rng.uniform(-5.0, 5.0, size=dim))
+        mat = (q * values) @ q.T
+        target = dim // 2
+        start = q[:, target] + 0.33 * rng.normal(size=dim) / np.sqrt(dim)
+        theta, y, residual, _ = lanczos(mat.__matmul__, start, "start")
+        overlaps = (q.T @ start) ** 2
+        best = int(np.argmax(overlaps))
+        assert theta == pytest.approx(values[best], abs=1e-12)
+        assert np.max(np.abs(y - q[:, best] * np.sign(q[:, best] @ y))) <= 1e-11
+        assert residual <= 1e-12
+
+    def test_gap_is_the_distance_to_the_nearest_other_ritz_value(self):
+        # a run over the whole space: the Ritz values are the eigenvalues
+        mat = np.diag([0.0, 1.0, 1.25, 3.0])
+        pair = lanczos(mat.__matmul__, np.array([0.1, 0.9, 0.3, 0.2]), "start")
+        assert pair.value == pytest.approx(1.0, abs=1e-14)
+        assert pair.gap == pytest.approx(0.25, abs=1e-14)
+        assert lanczos(mat.__matmul__, np.ones(4), "lowest").gap == pytest.approx(1.0, abs=1e-14)
+
+    def test_gap_of_a_one_step_run_is_infinite(self):
+        pair = lanczos(np.diag([1.0, 2.0]).__matmul__, np.array([1.0, 0.0]), "start")
+        assert pair.residual == 0.0
+        assert pair.gap == np.inf
+
+    def test_weight_stops_a_run_where_no_eigenvector_overlaps_enough(self):
+        # the start spreads evenly over 200 eigenvectors, so none overlaps it
+        # by more than 1/200, and the Gauss weights show that long before the
+        # run converges
+        dim = 200
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return np.linspace(0.0, 1.0, dim) * v
+
+        pair = lanczos(matvec, np.ones(dim), "start", weight=0.5)
+        assert len(products) <= 20
+        assert (pair.vector @ np.ones(dim)) ** 2 / dim <= 0.5
+
+    @pytest.mark.parametrize("dim", [9, 50, 200])
+    def test_weight_leaves_a_dominant_eigenvector_to_converge(self, dim):
+        # the same tilted interior eigenvector as above, squared overlap ~0.9:
+        # the weight exit must not stop the run
+        rng = np.random.default_rng(dim)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        values = np.sort(rng.uniform(-5.0, 5.0, size=dim))
+        mat = (q * values) @ q.T
+        start = q[:, dim // 2] + 0.33 * rng.normal(size=dim) / np.sqrt(dim)
+        theta, y, residual, _ = lanczos(mat.__matmul__, start, "start", weight=0.5)
+        assert theta == pytest.approx(values[dim // 2], abs=1e-12)
+        assert residual <= 1e-12
+
+    def test_unknown_pick_is_refused(self):
+        with pytest.raises(ValueError):
+            lanczos(np.eye(3).__matmul__, np.ones(3), "highest")

@@ -18,7 +18,7 @@ from qvdw import (
     vdw_fock_oracle,
 )
 from qvdw import full_model, vdw
-from qvdw.operators import lanczos_lowest
+from qvdw.operators import lanczos
 from qvdw.vdw import coupled_hamiltonian_fock, fock_ground_state
 
 # reduced-unit reference case: e = k = m = w0 = 1, R = 2 gives lambda = -1/4
@@ -220,6 +220,21 @@ class TestFockOracle:
         with pytest.raises(ValueError):
             vdw_fock_oracle(REF, n_max=6)
 
+    @pytest.mark.parametrize("cfg", [VdwConfig(charge=1.0, separation=1.0),
+                                     config_for_coupling(1.0)],
+                             ids=["ratio-2", "ratio-1"])
+    def test_unstable_pair_is_refused(self, cfg):
+        # lambda = -2 m w0^2 (or exactly -m w0^2): no normal mode is real, and
+        # the truncated Hamiltonian has no physical ground state
+        with pytest.raises(UnstableConfigurationError):
+            exact_ground_shift(cfg)
+        with pytest.raises(UnstableConfigurationError):
+            vdw_fock_oracle(cfg, n_max=20)
+        with pytest.raises(UnstableConfigurationError):
+            negativity_fock_oracle(cfg, n_max=20)
+        with pytest.raises(UnstableConfigurationError):
+            fock_ground_state(cfg, 12)
+
 
 def odd_parity(n_max):
     """Mask of the basis states |n1, n2> with n1 + n2 odd, flat index n1 n_max + n2."""
@@ -251,7 +266,7 @@ class TestParitySectors:
         # the ground state into the last block: it fails the certificate and
         # is solved, and its state is returned
         cfg, n_max = config_for_coupling(0.3), 10
-        blocks, eigh, lanczos = vdw._sector_blocks, np.linalg.eigh, vdw.lanczos_lowest
+        blocks, eigh, lanczos = vdw._sector_blocks, np.linalg.eigh, vdw.lanczos
         sizes = [len(block) for _, _, block, _ in blocks(cfg, n_max)]
 
         def lowered(cfg, n_max):
@@ -267,13 +282,13 @@ class TestParitySectors:
             solved.append(len(block))
             return eigh(block)
 
-        def counting_lanczos(matvec, start):
+        def counting_lanczos(matvec, start, pick):
             krylov.append(len(start))
-            return lanczos(matvec, start)
+            return lanczos(matvec, start, pick)
 
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(vdw, "lanczos_lowest", counting_lanczos)
+        monkeypatch.setattr(vdw, "lanczos", counting_lanczos)
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
@@ -357,7 +372,7 @@ class TestSectorSolve:
         for number, (_, _, block, _) in enumerate(blocks):
             # the vacuum's block from the vacuum, as fock_ground_state runs it
             start = rng.normal(size=len(block)) if number else vacuum_start(len(block))
-            theta, y, residual = lanczos_lowest(block.__matmul__, start)
+            theta, y, residual, _ = lanczos(block.__matmul__, start, "lowest")
             values, vectors = np.linalg.eigh(block)
             assert theta == pytest.approx(values[0], abs=1e-12)
             ground = vectors[:, 0] * np.sign(vectors[:, 0] @ y)
@@ -373,7 +388,7 @@ class TestSectorSolve:
             return block @ v
 
         start = vacuum_start(len(block))
-        theta, y, residual = lanczos_lowest(matvec, start)
+        theta, y, residual, _ = lanczos(matvec, start, "lowest")
         assert len(products) == 2  # one Lanczos step, then the residual
         assert theta == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(np.abs(y) - start)) <= 1e-15
