@@ -139,17 +139,21 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     E_N = 2 ln(sum of its Schmidt coefficients), the singular values of psi;
     this equals ln(2N + 1) with N the summed negative eigenvalues of the
     partially transposed projector.  The converged flag compares against
-    the n_max - 2 truncation.
+    the n_max - 2 truncation, solved from psi cut to n_max - 2 levels per
+    oscillator, with the same certificates.
     """
     if n_max < 12:
         raise ValueError(f"n_max must be >= 12 for a meaningful oracle, got {n_max}")
 
-    def log_neg(n):
-        _, psi = fock_ground_state(cfg, n)
+    def log_neg(psi):
         return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
 
-    return ConvergedValue(*truncation_probe(
-        log_neg(n_max), lambda: log_neg(n_max - 2), FOCK_CONVERGENCE_TOL))
+    _, psi = fock_ground_state(cfg, n_max)
+
+    def probe():
+        return log_neg(fock_ground_state(cfg, n_max - 2, psi[:-2, :-2])[1])
+
+    return ConvergedValue(*truncation_probe(log_neg(psi), probe, FOCK_CONVERGENCE_TOL))
 
 
 def concurrence(state: TwoQubitState) -> float:

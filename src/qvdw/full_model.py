@@ -32,10 +32,14 @@ also raises IdentificationError when no eigenvector overlaps a bare state
 by 1/2.  That happens near a resonance, where the gap closes, and at strong
 coupling: a run stops as soon as the Christoffel function of its Lanczos
 polynomials shows no eigenvector overlapping the start by more than 1/2,
-and after LANCZOS_MAX_STEPS steps at the latest.  dim_limit bounds the
-product dimension on both paths; the Lanczos basis takes about
-m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of steps at weak
-coupling), the dense fallback dim^2 * 8 bytes.
+and after LANCZOS_MAX_STEPS steps at the latest.  The truncation check
+at n_max + 2 runs the same Lanczos with the same certificates and the same
+dense fallback, but starts from the two n_max vectors padded with two
+empty levels per mode: at a converged truncation they are eigenvectors of
+the wider H to within its tolerance, and the runs stop after a few steps.
+dim_limit bounds the product dimension on both paths; the Lanczos basis
+takes about m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of
+steps at weak coupling), the dense fallback dim^2 * 8 bytes.
 """
 
 from dataclasses import dataclass
@@ -261,7 +265,8 @@ def _bare_indices(cfg: FullModelConfig):
 
 def _identify(cfg: FullModelConfig, h: np.ndarray):
     """Dense route: solve the assembled H by eigh and take, for each bare
-    state, the eigenvector that overlaps it most."""
+    state, the eigenvector that overlaps it most, as (energy, overlap,
+    eigenvector)."""
     check_hermitian(h)
     values, vectors = np.linalg.eigh(h)
     reports = []
@@ -273,27 +278,32 @@ def _identify(cfg: FullModelConfig, h: np.ndarray):
                 f"largest overlap with bare state {bare} is {overlaps[best]:.3f} < "
                 f"{OVERLAP_THRESHOLD}; coupling too strong for dressed-state labeling"
             )
-        reports.append((values[best], float(overlaps[best])))
+        reports.append((values[best], float(overlaps[best]), vectors[:, best]))
     return reports
 
 
-def _diagonalize_and_identify(cfg: FullModelConfig):
-    """(dressed transition, overlap_ground, overlap_excited).
+def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
+    """(dressed transition, overlap_ground, overlap_excited, vectors).
 
-    Lanczos from each bare state, for at most LANCZOS_MAX_STEPS steps and
-    stopped early when no eigenvector can overlap it by 1/2, keeps the Ritz
-    pair that overlaps it most.  The pair is certified when its residual r
-    is at most CERTIFICATE_RTOL max(1, |theta|), 2 r / gap at most
-    OVERLAP_ATOL and its squared overlap above 1/2: eigenvectors are
+    Lanczos from each bare state, or from the matching row of ``starts``,
+    for at most LANCZOS_MAX_STEPS steps and stopped early when no
+    eigenvector can overlap the start by 1/2, keeps the Ritz pair that
+    overlaps the start most.  The pair is certified when its residual r is
+    at most CERTIFICATE_RTOL max(1, |theta|), 2 r / gap at most OVERLAP_ATOL
+    and its squared overlap with the bare state above 1/2: eigenvectors are
     orthonormal, so at most one overlaps the bare state that much, and it is
-    the one the dense max-overlap rule picks.  If either pair fails, the
-    dense route (_identify) decides.
+    the one the dense max-overlap rule picks, whatever the run started from.
+    If either pair fails, the dense route (_identify) decides.  ``vectors``
+    holds the two certified Ritz vectors, or the two picked eigenvectors,
+    as rows, ground first.
     """
     diagonal, bands = _h0_diagonal(cfg), _hint_bands(cfg)
+    bares = _bare_indices(cfg)
+    if starts is None:
+        starts = np.zeros((2, cfg.dim))
+        starts[[0, 1], bares] = 1.0
     reports = []
-    for bare in _bare_indices(cfg):
-        start = np.zeros(cfg.dim)
-        start[bare] = 1.0
+    for bare, start in zip(bares, starts):
         theta, y, residual, gap = lanczos(lambda v: _add_bands(bands, v, diagonal * v), start,
                                           "start", LANCZOS_MAX_STEPS, OVERLAP_THRESHOLD)
         overlap = float(y[bare] ** 2)
@@ -301,9 +311,17 @@ def _diagonalize_and_identify(cfg: FullModelConfig):
                 or 2.0 * residual > OVERLAP_ATOL * gap or overlap <= OVERLAP_THRESHOLD):
             reports = _identify(cfg, _assemble(diagonal, bands))
             break
-        reports.append((theta, overlap))
-    (e_ground, ov_ground), (e_excited, ov_excited) = reports
-    return e_excited - e_ground, ov_ground, ov_excited
+        reports.append((theta, overlap, y))
+    (e_ground, ov_ground, y_ground), (e_excited, ov_excited, y_excited) = reports
+    return e_excited - e_ground, ov_ground, ov_excited, np.array([y_ground, y_excited])
+
+
+def _pad(cfg: FullModelConfig, vectors: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows of ``vectors`` on the basis of cfg, zero-padded to n_max levels
+    per mode: the same states on the basis of cfg.with_n_max(n_max)."""
+    shaped = vectors.reshape((len(vectors),) + cfg.mode_dims)
+    widths = [(0, 0), (0, 0)] + [(0, n_max - cfg.n_max)] * cfg.n_modes
+    return np.pad(shaped, widths).reshape(len(vectors), -1)
 
 
 def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
@@ -315,13 +333,18 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     from certified Lanczos runs, or from dense eigh when a certificate
     fails (see the module docstring).  The converged flag compares against
     a run at n_max + 2 (False if that run would exceed the dimension limit).
+    That run starts from the two n_max vectors, padded with two empty levels
+    per mode, and keeps every certificate: a converged truncation hands it
+    nearly exact eigenvectors, so it takes a few Lanczos steps where a run
+    from the bare states takes tens.  Only the flag reads it; the reported
+    numbers come from the n_max solve.
     """
-    dressed, ov_g, ov_e = _diagonalize_and_identify(cfg)
+    dressed, ov_g, ov_e, vectors = _diagonalize_and_identify(cfg)
     bare = cfg.qubit_freq
     wider = cfg.with_n_max(cfg.n_max + 2)
 
     def probe():
-        return _diagonalize_and_identify(wider)[0] - bare
+        return _diagonalize_and_identify(wider, _pad(cfg, vectors, wider.n_max))[0] - bare
 
     shift, converged = truncation_probe(
         dressed - bare, probe if wider.dim <= wider.dim_limit else None, CONVERGENCE_TOL)
@@ -343,7 +366,10 @@ def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float,
 
     Delegates to the perturbation engine on the 2 x n_max product model
     with interaction g s_x (a + a^dag); no hand-derived dispersive formula
-    is used.
+    is used.  It reads vectors of length 2 n_max and builds no matrix, so
+    the product dimension is bounded by the entries a dense matrix at the
+    default limit holds, DEFAULT_DIM_LIMIT ** 2; above that it raises
+    DimensionLimitError before allocating anything.
     """
     if qubit_freq <= 0 or mode_freq <= 0:
         raise ValueError("qubit_freq and mode_freq must be positive")
@@ -352,7 +378,8 @@ def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float,
             f"|qubit_freq - mode_freq| = {abs(qubit_freq - mode_freq):.3e} is below "
             f"{tol_degeneracy}; the dispersive expansion does not apply on resonance"
         )
-    cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max)
+    cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max,
+                          DEFAULT_DIM_LIMIT ** 2)
     h0 = _h0_diagonal(cfg)
     i_ground, i_excited = _bare_indices(cfg)
     # the sums read only the columns H_int|i> of the two bare states
@@ -369,7 +396,7 @@ def _bare_columns(n_max: int, coupling: float) -> np.ndarray:
     n_max and the coupling only, so a sweep over either frequency reads them
     from the cache; building them takes ~0.1 ms, more than the ~0.07 ms the
     rest of a dispersive point takes."""
-    cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max)
+    cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max, DEFAULT_DIM_LIMIT ** 2)
     units = np.zeros((2, cfg.dim))
     units[[0, 1], _bare_indices(cfg)[::-1]] = 1.0
     columns = _add_bands(_hint_bands(cfg), units, np.zeros_like(units))

@@ -275,12 +275,15 @@ def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
     return True
 
 
-def fock_ground_state(cfg: VdwConfig, n_max: int):
+def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     """Ground energy and state of the two-mode Fock Hamiltonian, per sector.
 
     The vacuum's block (even parity, exchange symmetric) is solved by
-    Lanczos from the vacuum (operators.lanczos, lowest pair), which gives the
-    Ritz value theta and its residual r.  Every block is then certified by
+    Lanczos (operators.lanczos, lowest pair) from the vacuum, or from
+    ``start``, an n_max x n_max amplitude matrix such as the ground state of
+    a wider truncation cut to n_max levels, projected onto the block (the
+    vacuum again if the projection vanishes).  The run gives the Ritz value
+    theta and its residual r.  Every block is then certified by
     a shell-by-shell Cholesky factorization (_lies_above): the vacuum's
     block to have no eigenvalue below theta - margin, margin = r +
     FOCK_CERTIFICATE_RTOL max(1, |theta|), so that theta is the block's
@@ -289,7 +292,8 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     certificate is diagonalized by eigh, and the lowest energy wins.  So the
     result is the ground energy of coupled_hamiltonian_fock(cfg, n_max)
     whichever sector holds it, and a dense eigensolve runs only when a
-    certificate fails.  Raises DimensionLimitError when n_max^2 exceeds the
+    certificate fails; the start changes only how many Lanczos steps that
+    takes.  Raises DimensionLimitError when n_max^2 exceeds the
     dense-matrix limit, and UnstableConfigurationError, as normal_modes does,
     when |lambda| >= m w0^2: the pair then has no ground state, and the
     lowest level of its truncated Hamiltonian means nothing.
@@ -306,9 +310,15 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     for index, coef, block, bounds in _sector_blocks(cfg, n_max):
         if energy is None:
             # the vacuum's block comes first, with |0, 0> as its first state
-            start = np.zeros(len(block))
-            start[0] = 1.0
-            theta, vector, residual, _ = lanczos(block.__matmul__, start, "lowest")
+            seed = np.zeros(len(block))
+            if start is not None:
+                # <S_i|start> sums coef over the product states of basis state i
+                inside = index >= 0
+                seed = np.bincount(index[inside], (coef * np.ravel(start))[inside],
+                                   minlength=len(block))
+            if not seed.any():
+                seed[0] = 1.0
+            theta, vector, residual, _ = lanczos(block.__matmul__, seed, "lowest")
             margin = residual + FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
             if _lies_above(block, bounds, theta - margin):
                 energy, ground = theta, (index, coef, vector)
@@ -329,13 +339,14 @@ def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
     Independent check of exact_ground_shift: solve the truncated two-mode
     Hamiltonian sector by sector (fock_ground_state) and subtract the
     uncoupled ground energy w0.  The converged flag compares against the
-    n_max - 2 truncation.
+    n_max - 2 truncation, solved from the n_max ground state cut to
+    n_max - 2 levels per oscillator, with the same certificates.
     """
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
+    energy, psi = fock_ground_state(cfg, n_max)
 
-    def ground_shift(n):
-        return fock_ground_state(cfg, n)[0] - cfg.freq
+    def probe():
+        return fock_ground_state(cfg, n_max - 2, psi[:-2, :-2])[0] - cfg.freq
 
-    return ConvergedValue(*truncation_probe(
-        ground_shift(n_max), lambda: ground_shift(n_max - 2), FOCK_CONVERGENCE_TOL))
+    return ConvergedValue(*truncation_probe(energy - cfg.freq, probe, FOCK_CONVERGENCE_TOL))

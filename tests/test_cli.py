@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -616,3 +617,58 @@ class TestParameterTypes:
         out, _ = capsys.readouterr()
         assert code == 0
         assert out.splitlines()[1] == "1,1,0,1,1,1"
+
+
+class TestDispersiveSize:
+    """dispersive reads vectors of length 2 n_max, so it is bounded by the
+    entries a dense matrix at the default limit holds, not by that limit."""
+
+    def test_large_n_max_runs(self, capsys):
+        assert main(["dispersive", "--set", "n_max=3000"]) == 0
+        out, _ = capsys.readouterr()
+        q, w, g = 1.0, 5.0, 0.01  # the model's defaults
+        assert float(out.splitlines()[1]) == pytest.approx(
+            g**2 * (1.0 / (q - w) + 1.0 / (q + w)), rel=1e-9)
+
+    def test_huge_n_max_is_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["dispersive", "--set", f"n_max={10**8}"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qvdw: model error:")
+        assert str(2 * 10**8) in err
+        assert peak < 10**7  # the vectors would take 1.6 GB
+
+
+# one small scenario per model
+DETERMINISM_ARGV = {
+    "vdw": ["vdw", "--sweep", "separation=5:50:6:log", "--format", "json"],
+    "entangle": ["entangle", "--sweep", "coupling=0.1:0.5:3", "--set", "n_max=16"],
+    "dispersive": ["dispersive", "--sweep", "qubit_freq=0.5:3:4"],
+    "refractive": ["refractive", "--sweep", "index=1:2:4"],
+    "full": ["full", "--set", "field_freqs=[5.0]", "--set", "dipole_freqs=[3.0]",
+             "--set", "qubit_field_couplings=[0.01]",
+             "--set", "dipole_field_couplings=[[0.01]]", "--set", "n_max=10",
+             "--sweep", "qubit_freq=1:4.6:4", "--format", "json"],
+}
+
+
+class TestDeterminism:
+
+    @pytest.mark.parametrize("argv", DETERMINISM_ARGV.values(), ids=DETERMINISM_ARGV.keys())
+    def test_identical_configs_print_identical_bytes(self, argv, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        src = os.path.dirname(os.path.dirname(qvdw.__file__))
+        fresh = subprocess.run([sys.executable, "-m", "qvdw.cli", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src})
+        assert fresh.returncode == 0
+        assert outputs[0] != ""
+        assert outputs[0] == outputs[1] == fresh.stdout

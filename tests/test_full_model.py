@@ -200,7 +200,7 @@ class TestLanczosRoute:
 
         shift, ov_ground, ov_excited = dense_reference(cfg)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_ground == pytest.approx(ov_ground, abs=1e-12)
         assert got_excited == pytest.approx(ov_excited, abs=1e-12)
@@ -218,7 +218,7 @@ class TestLanczosRoute:
         eigh = np.linalg.eigh
         monkeypatch.setattr(full_model, "CERTIFICATE_RTOL", -1.0)  # no residual passes
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
         assert solved == [cfg.dim]
         shift, ov_ground, ov_excited = dense_reference(cfg)
@@ -239,7 +239,7 @@ class TestLanczosRoute:
         eigh = np.linalg.eigh
         monkeypatch.setattr(full_model, "LANCZOS_MAX_STEPS", 2)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
         assert solved == [cfg.dim]
         shift, ov_ground, ov_excited = dense_reference(cfg)
@@ -275,7 +275,7 @@ class TestLanczosRoute:
 
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        dressed, got_ground, got_excited = full_model._diagonalize_and_identify(cfg)
+        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
         assert solved == [cfg.dim]
         monkeypatch.setattr(full_model, "OVERLAP_ATOL", np.inf)
@@ -312,6 +312,106 @@ class TestLanczosRoute:
         assert report.overlap_ground > 0.99 and report.overlap_excited > 0.99
         assert report.shift == pytest.approx(
             0.01**2 * (1.0 / (1.0 - 5.0) + 1.0 / (1.0 + 5.0)), rel=1e-2)
+
+
+# the full-dressed benchmark's kinds of point: n_max 14 below and above the
+# dipole frequency, n_max 30, and one field with two dipoles at n_max 9
+PROBE_CONFIGS = {
+    "sweep-below": FullModelConfig(1.4, (5.0,), (3.0,), (0.01,), ((0.01,),), 14),
+    "sweep-above": FullModelConfig(4.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14),
+    "single": FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 30),
+    "three-mode": FullModelConfig(2.2, (5.0,), (3.0, 3.0), (0.01,), ((0.01,), (0.01,)), 9),
+}
+
+
+def probe_runs(cfg, monkeypatch):
+    """The n_max + 2 solve from the bare states and from the padded n_max
+    vectors, as (result, products H_int psi taken) each."""
+    *_, vectors = full_model._diagonalize_and_identify(cfg)
+    wider = cfg.with_n_max(cfg.n_max + 2)
+    products = []
+    add_bands = full_model._add_bands
+
+    def counting(bands, psi, out):
+        products.append(len(psi))
+        return add_bands(bands, psi, out)
+
+    monkeypatch.setattr(full_model, "_add_bands", counting)
+    cold = full_model._diagonalize_and_identify(wider)
+    cold_products = len(products)
+    warm = full_model._diagonalize_and_identify(wider, full_model._pad(cfg, vectors, wider.n_max))
+    return (cold, cold_products), (warm, len(products) - cold_products)
+
+
+class TestWarmProbe:
+
+    def test_padding_keeps_every_amplitude_in_place(self):
+        cfg = MODE_CONFIGS[2]  # two fields and a dipole at n_max 5
+        vectors = np.random.default_rng(3).normal(size=(2, cfg.dim))
+        padded = full_model._pad(cfg, vectors, 7).reshape((2, 2) + (7,) * cfg.n_modes)
+        assert np.array_equal(padded[..., :5, :5, :5], vectors.reshape((2,) + cfg.mode_dims))
+        assert np.count_nonzero(padded) == np.count_nonzero(vectors)
+
+    @pytest.mark.parametrize("cfg", list(SOLVER_CONFIGS.values()) + list(PROBE_CONFIGS.values()),
+                             ids=list(SOLVER_CONFIGS) + list(PROBE_CONFIGS))
+    def test_warm_probe_equals_cold_probe(self, cfg, monkeypatch):
+        (cold, cold_products), (warm, warm_products) = probe_runs(cfg, monkeypatch)
+        for got, want in zip(warm[:3], cold[:3]):
+            assert got == pytest.approx(want, abs=1e-12)
+        assert abs(warm[3][0] @ cold[3][0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(warm[3][1] @ cold[3][1]) == pytest.approx(1.0, abs=1e-12)
+        assert warm_products <= cold_products
+
+    @pytest.mark.parametrize("cfg", PROBE_CONFIGS.values(), ids=PROBE_CONFIGS.keys())
+    def test_warm_probe_takes_at_most_half_the_products(self, cfg, monkeypatch):
+        # at a converged truncation the padded n_max vectors are eigenvectors
+        # of the wider H to within its tolerance; a truncation far from
+        # converged (two-fields at n_max 5) saves less
+        (_, cold_products), (_, warm_products) = probe_runs(cfg, monkeypatch)
+        assert 2 * warm_products <= cold_products
+
+    def test_dressed_transition_probes_from_the_padded_vectors(self, monkeypatch):
+        cfg = PROBE_CONFIGS["sweep-below"]
+        starts = []
+        run = full_model.lanczos
+
+        def recording(matvec, start, *args):
+            starts.append(start)
+            return run(matvec, start, *args)
+
+        monkeypatch.setattr(full_model, "lanczos", recording)
+        report = dressed_transition(cfg)
+        assert report.converged
+        assert len(starts) == 4
+        # the n_max runs start from the bare states, the probe's from states
+        # spread over many levels
+        assert [np.count_nonzero(start) for start in starts[:2]] == [1, 1]
+        assert min(np.count_nonzero(start) for start in starts[2:]) > 10
+        assert all(len(start) == 2 * 16 ** 2 for start in starts[2:])
+
+    @pytest.mark.parametrize("cfg", [PROBE_CONFIGS["sweep-above"], SOLVER_CONFIGS["two-dipoles"]],
+                             ids=["sweep-above", "two-dipoles"])
+    def test_failed_warm_certificate_runs_eigh_once(self, cfg, monkeypatch):
+        # the n_max runs start from a bare state (one nonzero entry) and pass;
+        # every run from a padded vector is made to fail its residual test
+        run, eigh = full_model.lanczos, np.linalg.eigh
+        solved = []
+
+        def failing_when_warm(matvec, start, *args):
+            pair = run(matvec, start, *args)
+            return pair._replace(residual=np.inf) if np.count_nonzero(start) > 1 else pair
+
+        def counting_eigh(mat):
+            solved.append(len(mat))
+            return eigh(mat)
+
+        expected = dressed_transition(cfg)
+        monkeypatch.setattr(full_model, "lanczos", failing_when_warm)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        report = dressed_transition(cfg)
+        monkeypatch.undo()
+        assert solved == [cfg.with_n_max(cfg.n_max + 2).dim]
+        assert report == expected
 
 
 class TestDressedTransition:

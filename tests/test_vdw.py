@@ -442,6 +442,69 @@ class TestSectorSolve:
         negativity_fock_oracle(cfg, n_max=16)
 
 
+def log_negativity(psi):
+    return 2.0 * np.log(np.sum(np.linalg.svd(psi, compute_uv=False)))
+
+
+class TestWarmFockProbe:
+    """The n_max - 2 probe starts Lanczos from the n_max ground state, cut."""
+
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.6])
+    def test_warm_probe_equals_cold_probe_in_fewer_products(self, u, monkeypatch):
+        cfg = config_for_coupling(u)
+        _, psi = fock_ground_state(cfg, 40)
+        products = []
+        run = vdw.lanczos
+
+        def counting(matvec, start, pick):
+            def counted(v):
+                products.append(len(v))
+                return matvec(v)
+            return run(counted, start, pick)
+
+        monkeypatch.setattr(vdw, "lanczos", counting)
+        cold_energy, cold_psi = fock_ground_state(cfg, 38)
+        cold = len(products)
+        warm_energy, warm_psi = fock_ground_state(cfg, 38, psi[:-2, :-2])
+        assert warm_energy == pytest.approx(cold_energy, abs=1e-12)
+        assert abs(np.sum(warm_psi * cold_psi)) == pytest.approx(1.0, abs=1e-12)
+        assert log_negativity(warm_psi) == pytest.approx(log_negativity(cold_psi), abs=1e-12)
+        assert 2 * (len(products) - cold) <= cold
+
+    def test_start_outside_the_vacuum_block_falls_back_to_the_vacuum(self):
+        # an exchange-antisymmetric start has no component in the vacuum's
+        # block, so the run starts from the vacuum as without a start
+        cfg = config_for_coupling(0.3)
+        antisymmetric = np.triu(np.ones((12, 12)), 1)
+        antisymmetric -= antisymmetric.T
+        energy, psi = fock_ground_state(cfg, 12, antisymmetric)
+        cold_energy, cold_psi = fock_ground_state(cfg, 12)
+        assert energy == cold_energy
+        assert np.array_equal(psi, cold_psi)
+
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.6])
+    def test_oracles_converge_without_a_dense_eigensolve(self, u, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve although every certificate passes")
+
+        starts = []
+        run = vdw.lanczos
+
+        def recording(matvec, start, pick):
+            starts.append(np.count_nonzero(start))
+            return run(matvec, start, pick)
+
+        cfg = config_for_coupling(u)
+        monkeypatch.setattr(vdw, "lanczos", recording)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert vdw_fock_oracle(cfg, n_max=40).converged
+        assert negativity_fock_oracle(cfg, n_max=40).converged
+        # each oracle solves n_max from the vacuum and its probe from the cut state
+        assert starts[0] == starts[2] == 1
+        assert min(starts[1], starts[3]) > 10
+
+
 class TestFockDimensionLimit:
 
     def test_limit_is_the_full_model_limit(self):
