@@ -46,15 +46,7 @@ from .full_model import (
     dressed_transition,
     refractive_modulation,
 )
-from .operators import (
-    HermitianOperator,
-    Spectrum,
-    eig_hermitian,
-    ladder,
-    pauli,
-    quadratures,
-    tensor,
-)
+from .operators import HermitianOperator, ladder, pauli, quadratures
 from .perturbation import PerturbationResult, second_order_shift, transition_shift
 from .vdw import (
     ConvergedValue,
@@ -76,8 +68,7 @@ from .vdw import (
 __all__ = [
     "__version__",
     # operators
-    "HermitianOperator", "Spectrum", "ladder", "pauli", "tensor",
-    "quadratures", "eig_hermitian",
+    "HermitianOperator", "ladder", "pauli", "quadratures",
     # perturbation
     "PerturbationResult", "second_order_shift", "transition_shift",
     # full model

@@ -42,7 +42,7 @@ takes about m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of
 steps at weak coupling), the dense fallback dim^2 * 8 bytes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -90,8 +90,17 @@ class FullModelConfig:
         object.__setattr__(self, "dipole_freqs", tuple(float(w) for w in self.dipole_freqs))
         object.__setattr__(self, "qubit_field_couplings",
                            tuple(float(g) for g in self.qubit_field_couplings))
-        f = np.asarray(self.dipole_field_couplings, dtype=float)
-        f = f.reshape(len(self.dipole_freqs), len(self.field_freqs))
+        shape = (len(self.dipole_freqs), len(self.field_freqs))
+        try:
+            f = np.asarray(self.dipole_field_couplings, dtype=float)
+        except ValueError:  # ragged rows, or entries that are not numbers
+            f = None
+        # an empty value stands for the empty matrix when either mode count is 0
+        if f is None or (f.shape != shape and not (f.size == 0 and 0 in shape)):
+            got = repr(self.dipole_field_couplings) if f is None else f"shape {f.shape}"
+            raise ValueError(f"dipole_field_couplings must have shape {shape}, one row per "
+                             f"dipole mode and one column per field mode, got {got}")
+        f = f.reshape(shape)
         f.setflags(write=False)
         object.__setattr__(self, "dipole_field_couplings", f)
 
@@ -118,11 +127,6 @@ class FullModelConfig:
     @property
     def mode_dims(self) -> tuple:
         return (2,) + (self.n_max,) * self.n_modes
-
-    def with_n_max(self, n_max: int) -> "FullModelConfig":
-        return FullModelConfig(self.qubit_freq, self.field_freqs, self.dipole_freqs,
-                               self.qubit_field_couplings, self.dipole_field_couplings,
-                               n_max, self.dim_limit)
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ def build_h0(cfg: FullModelConfig) -> HermitianOperator:
     Qubit term diag(-w/2, +w/2), plus w_n a_n^dag a_n per field mode and
     W_m b_m^dag b_m per dipole mode.
     """
-    return HermitianOperator(np.diag(_h0_diagonal(cfg)), cfg.mode_dims)
+    return HermitianOperator(np.diag(_h0_diagonal(cfg)))
 
 
 def build_hint(cfg: FullModelConfig) -> HermitianOperator:
@@ -255,7 +259,7 @@ def build_hint(cfg: FullModelConfig) -> HermitianOperator:
     excitation number, so the matrix has an exactly zero diagonal.  The
     dense reference of the terms apply_h applies.
     """
-    return HermitianOperator(_assemble(np.zeros(cfg.dim), _hint_bands(cfg)), cfg.mode_dims)
+    return HermitianOperator(_assemble(np.zeros(cfg.dim), _hint_bands(cfg)))
 
 
 def _bare_indices(cfg: FullModelConfig):
@@ -318,7 +322,7 @@ def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
 
 def _pad(cfg: FullModelConfig, vectors: np.ndarray, n_max: int) -> np.ndarray:
     """Rows of ``vectors`` on the basis of cfg, zero-padded to n_max levels
-    per mode: the same states on the basis of cfg.with_n_max(n_max)."""
+    per mode: the same states on the basis of replace(cfg, n_max=n_max)."""
     shaped = vectors.reshape((len(vectors),) + cfg.mode_dims)
     widths = [(0, 0), (0, 0)] + [(0, n_max - cfg.n_max)] * cfg.n_modes
     return np.pad(shaped, widths).reshape(len(vectors), -1)
@@ -341,7 +345,7 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     """
     dressed, ov_g, ov_e, vectors = _diagonalize_and_identify(cfg)
     bare = cfg.qubit_freq
-    wider = cfg.with_n_max(cfg.n_max + 2)
+    wider = replace(cfg, n_max=cfg.n_max + 2)
 
     def probe():
         return _diagonalize_and_identify(wider, _pad(cfg, vectors, wider.n_max))[0] - bare

@@ -1,11 +1,11 @@
-"""Finite-dimensional operator building blocks.
+"""Finite-dimensional operator building blocks and the Lanczos kernel.
 
-Ladder operators, Pauli matrices, Kronecker products, position/momentum
-quadratures, dense Hermitian eigendecomposition and a Lanczos kernel for one
-eigenpair.  Everything works in reduced units (hbar = 1) on truncated
-Fock spaces represented as dense numpy arrays; composite operators carry
-their subsystem dimensions so basis indices keep their row-major product
-meaning.
+Ladder operators, Pauli matrices, position/momentum quadratures, the
+truncation probe and a Lanczos kernel for one eigenpair: what the solvers
+use.  HermitianOperator is the checked dense matrix that pauli,
+full_model.build_h0 and build_hint return as references for the tests.
+Everything works in reduced units (hbar = 1) on truncated Fock spaces
+represented as dense numpy arrays.
 """
 
 import math
@@ -34,47 +34,25 @@ _PAULI = {
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense complex Hermitian matrix with subsystem metadata.
+    """Dense complex Hermitian matrix.
 
-    ``subsystem_dims`` records the row-major tensor-factor dimensions; their
-    product must equal the matrix dimension.  Entries are copied and frozen
-    at construction, so instances are safe to share across threads.
+    Entries are copied and frozen at construction, so instances are safe to
+    share across threads.
     """
 
     entries: np.ndarray
-    subsystem_dims: tuple[int, ...]
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {entries.shape}")
-        dims = tuple(int(d) for d in self.subsystem_dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        if int(np.prod(dims)) != entries.shape[0]:
-            raise ValueError(
-                f"product of subsystem_dims {dims} != matrix dimension {entries.shape[0]}"
-            )
         check_hermitian(entries)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "subsystem_dims", dims)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``values`` is sorted ascending (energies, hbar = 1); ``vectors`` holds
-    the matching orthonormal eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def check_hermitian(mat: np.ndarray) -> None:
@@ -82,13 +60,6 @@ def check_hermitian(mat: np.ndarray) -> None:
     dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
     if dev > HERMITICITY_ATOL:
         raise HermiticityError(f"max|O - O^dag| = {dev:.3e} exceeds {HERMITICITY_ATOL}")
-
-
-def as_matrix(op) -> np.ndarray:
-    """Return the ndarray behind ``op``, which may be a HermitianOperator."""
-    if isinstance(op, HermitianOperator):
-        return op.entries
-    return np.asarray(op)
 
 
 def ladder(n_max: int) -> np.ndarray:
@@ -121,27 +92,7 @@ def pauli(axis: str) -> HermitianOperator:
         mat = _PAULI[axis]
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return HermitianOperator(mat, (2,))
-
-
-def tensor(ops):
-    """Kronecker product of ``ops`` in list order.
-
-    Accepts plain matrices or HermitianOperator instances.  When every
-    factor is a HermitianOperator the result is one too, with the
-    subsystem dimensions concatenated in order; otherwise a plain ndarray
-    is returned.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("tensor requires at least one operator")
-    out = as_matrix(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_matrix(op))
-    if all(isinstance(op, HermitianOperator) for op in ops):
-        dims = tuple(d for op in ops for d in op.subsystem_dims)
-        return HermitianOperator(out, dims)
-    return out
+    return HermitianOperator(mat)
 
 
 def quadratures(n_max: int, mass: float, freq: float):
@@ -332,22 +283,3 @@ def lanczos(matvec, start, pick, max_steps=None, weight=None) -> RitzPair:
     gap = float(np.min(np.abs(others - values[j]))) if len(others) else math.inf
     return RitzPair(theta, y, float(np.linalg.norm(hy - theta * y)), gap)
 
-
-def eig_hermitian(op) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    op : HermitianOperator or ndarray
-        Raw arrays are Hermiticity-checked against the module tolerance.
-
-    Returns
-    -------
-    Spectrum
-        Eigenvalues ascending, orthonormal eigenvectors as columns.
-    """
-    mat = as_matrix(op)
-    if not isinstance(op, HermitianOperator):
-        check_hermitian(mat)
-    values, vectors = np.linalg.eigh(mat)
-    return Spectrum(values=values, vectors=vectors)

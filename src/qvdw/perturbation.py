@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError
-from .operators import as_matrix
 
 DEGENERACY_TOL = 1e-9
 
@@ -33,7 +32,8 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
     second_order = sum over n != i of |<n|H_int|i>|^2 / (E_i - E_n),
     first_order = <i|H_int|i>, where E are the entries of ``h0_diag``
     (the diagonal of H0 in its eigenbasis).  ``h_int`` is the interaction
-    matrix, or only its column H_int|i> as a vector: nothing else is read.
+    matrix as an array (for a HermitianOperator, its ``entries``), or only
+    its column H_int|i> as a vector: nothing else is read.
 
     Terms with an exactly zero numerator are skipped before the degeneracy
     check, so accidental degeneracies between uncoupled sectors do not
@@ -45,7 +45,7 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
         If some coupled state n has |E_i - E_n| < tol_degeneracy.
     """
     energies = np.asarray(h0_diag, dtype=float)
-    mat = as_matrix(h_int)
+    mat = np.asarray(h_int)
     dim = energies.shape[0]
     if mat.shape not in ((dim, dim), (dim,)):
         raise ValueError(f"h_int shape {mat.shape} does not match h0_diag length {dim}")

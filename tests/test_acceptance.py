@@ -101,7 +101,7 @@ def test_criterion_4_perturbation_vs_exact_diagonalization():
             cfg = FullModelConfig(1.0, (5.0,), (), (g,), (), 30)
             exact = dressed_transition(cfg).shift
             h0 = np.diag(build_h0(cfg).entries).real
-            pert = transition_shift(h0, build_hint(cfg), cfg.n_max, 0)
+            pert = transition_shift(h0, build_hint(cfg).entries, cfg.n_max, 0)
             return abs(exact - pert)
 
         res_g = residual(0.01)
@@ -122,7 +122,7 @@ def test_criterion_5_full_model_smoke():
         assert cfg.dim == 392
         report = dressed_transition(cfg)  # convergence probe runs n_max=16
         h0 = np.diag(build_h0(cfg).entries).real
-        pert = transition_shift(h0, build_hint(cfg), cfg.n_max**2, 0)
+        pert = transition_shift(h0, build_hint(cfg).entries, cfg.n_max**2, 0)
         elapsed = time.perf_counter() - start
 
         assert np.isfinite(report.shift)
@@ -195,7 +195,7 @@ def test_criterion_8_invariant_suites():
 
         # first order vanishes for excitation-changing interactions
         h0 = np.diag(build_h0(cfg).entries).real
-        hi = build_hint(cfg)
+        hi = build_hint(cfg).entries
         assert all(second_order_shift(h0, hi, i).first_order == 0.0
                    for i in range(0, cfg.dim, 7))
 

@@ -581,6 +581,20 @@ class TestParameterTypes:
         assert err.startswith(f"qvdw: config error: parameter {key!r} must be ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("couplings", ["[[0.01, 0.02, 0.03, 0.04]]",
+                                           "[[0.01], [0.02, 0.03, 0.04]]"])
+    def test_mis_shaped_coupling_matrix_is_config_error(self, couplings, capsys):
+        code = main(["full", "--set", "dipole_freqs=[3.0, 3.0]",
+                     "--set", "field_freqs=[5.0, 6.0]",
+                     "--set", "qubit_field_couplings=[0.01, 0.0]",
+                     "--set", f"dipole_field_couplings={couplings}", "--set", "n_max=4"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qvdw: config error: dipole_field_couplings must have "
+                              "shape (2, 2)")
+        assert len(err.splitlines()) == 1
+
     def test_mistyped_config_file_parameter_is_config_error(self, tmp_path, capsys):
         doc = {"parameters": {"field_freqs": "55", "qubit_field_couplings": "11"}}
         code = _run_config(tmp_path, doc, model="full")

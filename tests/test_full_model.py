@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -86,8 +87,26 @@ class TestConfig:
             FullModelConfig(1.0, (5.0,), (), (), (), 4)
 
     def test_dipole_matrix_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.1, 0.2),), 4)
+        for dipole_freqs, field_freqs, couplings in [
+                ((3.0,), (5.0,), ((0.1, 0.2),)),
+                # the same number of entries in the wrong shape
+                ((3.0, 3.0), (5.0, 6.0), ((0.01, 0.02, 0.03, 0.04),)),
+                ((3.0, 3.0), (5.0, 6.0), (0.01, 0.02, 0.03, 0.04)),
+                ((3.0, 3.0), (5.0, 6.0), ((0.01,), (0.02, 0.03, 0.04))),
+                ((), (5.0,), ((0.01,),))]:
+            shape = (len(dipole_freqs), len(field_freqs))
+            with pytest.raises(ValueError, match=rf"dipole_field_couplings must have shape "
+                                                 rf"\({shape[0]}, {shape[1]}\)"):
+                FullModelConfig(1.0, field_freqs, dipole_freqs, (0.01,) * len(field_freqs),
+                                couplings, 4)
+
+    @pytest.mark.parametrize("dipole_freqs, field_freqs, couplings", [
+        ((), (), ()), ((3.0,), (), ()), ((3.0,), (), ((),)), ((), (5.0, 6.0), ())])
+    def test_empty_dipole_matrix_when_a_mode_count_is_zero(self, dipole_freqs, field_freqs,
+                                                           couplings):
+        cfg = FullModelConfig(1.0, field_freqs, dipole_freqs, (0.01,) * len(field_freqs),
+                              couplings, 4)
+        assert cfg.dipole_field_couplings.shape == (len(dipole_freqs), len(field_freqs))
 
     def test_nonpositive_frequency(self):
         with pytest.raises(ValueError):
@@ -328,7 +347,7 @@ def probe_runs(cfg, monkeypatch):
     """The n_max + 2 solve from the bare states and from the padded n_max
     vectors, as (result, products H_int psi taken) each."""
     *_, vectors = full_model._diagonalize_and_identify(cfg)
-    wider = cfg.with_n_max(cfg.n_max + 2)
+    wider = replace(cfg, n_max=cfg.n_max + 2)
     products = []
     add_bands = full_model._add_bands
 
@@ -410,7 +429,7 @@ class TestWarmProbe:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         report = dressed_transition(cfg)
         monkeypatch.undo()
-        assert solved == [cfg.with_n_max(cfg.n_max + 2).dim]
+        assert solved == [replace(cfg, n_max=cfg.n_max + 2).dim]
         assert report == expected
 
 
@@ -462,7 +481,7 @@ class TestDressedTransition:
             cfg = single_mode_cfg(omega=1.0, mode=5.0, g=g, n_max=20)
             exact = dressed_transition(cfg).shift
             h0 = np.diag(build_h0(cfg).entries).real
-            pert = transition_shift(h0, build_hint(cfg), cfg.n_max, 0)
+            pert = transition_shift(h0, build_hint(cfg).entries, cfg.n_max, 0)
             return abs(exact - pert)
 
         ratio = residual(0.01) / residual(0.005)
@@ -506,7 +525,7 @@ class TestDispersiveSingleMode:
         cfg = single_mode_cfg(omega, mode, g, n_max)
         h0 = np.diag(build_h0(cfg).entries).real
         bare_ground, bare_excited = 0, n_max
-        old = transition_shift(h0, build_hint(cfg), bare_excited, bare_ground)
+        old = transition_shift(h0, build_hint(cfg).entries, bare_excited, bare_ground)
         assert dispersive_single_mode(omega, mode, g, n_max) == old
 
 

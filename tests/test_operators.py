@@ -4,13 +4,10 @@ import pytest
 from qvdw import (
     HermitianOperator,
     HermiticityError,
-    Spectrum,
     TruncationError,
-    eig_hermitian,
     ladder,
     pauli,
     quadratures,
-    tensor,
 )
 from qvdw import operators
 from qvdw.operators import check_hermitian, lanczos, truncation_probe
@@ -48,6 +45,13 @@ class TestLadder:
         expected[-1, -1] -= n_max
         assert np.allclose(comm, expected, atol=4e-15)
 
+    def test_harmonic_oscillator_spectrum(self):
+        n_max = 20
+        a = ladder(n_max)
+        h = a.T @ a + 0.5 * np.eye(n_max)
+        values = np.linalg.eigvalsh(h)
+        assert np.allclose(values[:3], [0.5, 1.5, 2.5], atol=1e-12)
+
 
 class TestPauli:
 
@@ -70,45 +74,6 @@ class TestPauli:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             pauli("w")
-
-
-class TestTensor:
-
-    def test_identity(self):
-        assert np.array_equal(tensor([np.eye(2), np.eye(3)]), np.eye(6))
-
-    def test_dims(self):
-        out = tensor([np.zeros((2, 2)), np.zeros((5, 5))])
-        assert out.shape == (10, 10)
-
-    def test_sigma_z_on_first_factor(self):
-        # basis index 2 is binary 10: qubit factor in state 1 -> eigenvalue -1
-        out = tensor([pauli("z").entries, np.eye(2)])
-        assert out[2, 2] == -1.0
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError):
-            tensor([])
-
-    def test_hermitian_inputs_keep_dims(self):
-        out = tensor([pauli("z"), pauli("x")])
-        assert isinstance(out, HermitianOperator)
-        assert out.subsystem_dims == (2, 2)
-        assert out.dim == 4
-
-    def test_associativity_exact_on_integers(self):
-        rng = np.random.default_rng(7)
-        a, b, c = (rng.integers(-5, 6, size=(d, d)).astype(float) for d in (2, 3, 2))
-        left = tensor([a, tensor([b, c])])
-        right = tensor([tensor([a, b]), c])
-        assert np.array_equal(left, right)
-
-    def test_associativity_floats(self):
-        rng = np.random.default_rng(8)
-        a, b, c = (rng.normal(size=(d, d)) for d in (2, 3, 2))
-        left = tensor([a, tensor([b, c])])
-        right = tensor([tensor([a, b]), c])
-        assert np.allclose(left, right, atol=1e-15)
 
 
 class TestQuadratures:
@@ -136,46 +101,6 @@ class TestQuadratures:
             quadratures(4, mass, freq)
 
 
-class TestEigHermitian:
-
-    def test_sorts_diagonal(self):
-        spec = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(spec.values, [1.0, 2.0, 3.0], atol=0)
-
-    def test_pauli_x(self):
-        spec = eig_hermitian(pauli("x"))
-        assert np.allclose(spec.values, [-1.0, 1.0], atol=1e-15)
-
-    def test_harmonic_oscillator_spectrum(self):
-        n_max = 20
-        a = ladder(n_max)
-        h = a.T @ a + 0.5 * np.eye(n_max)
-        spec = eig_hermitian(h)
-        assert np.allclose(spec.values[:3], [0.5, 1.5, 2.5], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_spectrum_invariants_random(self):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        h = (m + m.conj().T) / 2
-        spec = eig_hermitian(h)
-        # eigenvalue sum equals trace
-        assert np.sum(spec.values) == pytest.approx(np.trace(h).real, rel=1e-10)
-        # orthonormality
-        gram = spec.vectors.conj().T @ spec.vectors
-        assert np.max(np.abs(gram - np.eye(12))) <= 1e-10
-        # reconstruction
-        rebuilt = spec.vectors @ np.diag(spec.values) @ spec.vectors.conj().T
-        rel = np.linalg.norm(rebuilt - h) / np.linalg.norm(h)
-        assert rel <= 1e-9
-
-    def test_returns_spectrum_type(self):
-        assert isinstance(eig_hermitian(np.eye(3)), Spectrum)
-
-
 class TestCheckHermitian:
 
     def test_rejects_non_symmetric_real_matrix(self):
@@ -190,21 +115,21 @@ class TestHermitianOperator:
 
     def test_rejects_non_hermitian_entries(self):
         with pytest.raises(HermiticityError):
-            HermitianOperator(np.array([[0.0, 1.0], [0.5, 0.0]]), (2,))
+            HermitianOperator(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    def test_rejects_dim_mismatch(self):
+    def test_rejects_non_square_entries(self):
         with pytest.raises(ValueError):
-            HermitianOperator(np.eye(4), (2, 3))
+            HermitianOperator(np.zeros((2, 3)))
 
     def test_entries_frozen(self):
-        op = HermitianOperator(np.eye(2), (2,))
+        op = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
 
     def test_tolerates_tiny_asymmetry(self):
         m = np.eye(2, dtype=complex)
         m[0, 1] = 1e-13
-        op = HermitianOperator(m, (2,))
+        op = HermitianOperator(m)
         assert op.dim == 2
 
 

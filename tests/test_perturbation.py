@@ -92,7 +92,7 @@ class TestInvariants:
         cfg = FullModelConfig(1.0, (5.0, 2.0), (3.0,), (0.1, 0.2),
                               ((0.3, 0.4),), n_max=3)
         h0 = np.diag(build_h0(cfg).entries).real
-        hi = build_hint(cfg)
+        hi = build_hint(cfg).entries
         for i in range(0, cfg.dim, 5):
             assert second_order_shift(h0, hi, i).first_order == 0.0
 
