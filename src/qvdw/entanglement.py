@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidStateError, UncertaintyViolationError
 from .operators import pauli, truncation_probe
-from .vdw import FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, fock_ground_state, normal_modes
+from .vdw import FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, fock_ground_pair, normal_modes
 # not called here; perfbench's tracer wraps this binding by name
 from .vdw import coupled_hamiltonian_fock  # noqa: F401
 
@@ -133,14 +133,13 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     """Log-negativity of the coupled ground state from its Fock amplitudes,
     independent of the covariance route.
 
-    Solves the truncated two-mode Hamiltonian in its parity x exchange
-    sectors (fock_ground_state), which returns the ground state as
-    psi[n1, n2].  The state is pure, so
+    The ground state psi[n1, n2] of the truncated two-mode Hamiltonian and
+    its n_max - 2 probe come from fock_ground_pair, the solve that
+    vdw_fock_oracle shares.  The state is pure, so
     E_N = 2 ln(sum of its Schmidt coefficients), the singular values of psi;
     this equals ln(2N + 1) with N the summed negative eigenvalues of the
     partially transposed projector.  The converged flag compares against
-    the n_max - 2 truncation, solved from psi cut to n_max - 2 levels per
-    oscillator, with the same certificates.
+    the probe's E_N.
     """
     if n_max < 12:
         raise ValueError(f"n_max must be >= 12 for a meaningful oracle, got {n_max}")
@@ -148,12 +147,9 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     def log_neg(psi):
         return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
 
-    _, psi = fock_ground_state(cfg, n_max)
-
-    def probe():
-        return log_neg(fock_ground_state(cfg, n_max - 2, psi[:-2, :-2])[1])
-
-    return ConvergedValue(*truncation_probe(log_neg(psi), probe, FOCK_CONVERGENCE_TOL))
+    (_, psi), (_, probe_psi) = fock_ground_pair(cfg, n_max)
+    return ConvergedValue(*truncation_probe(log_neg(psi), lambda: log_neg(probe_psi),
+                                            FOCK_CONVERGENCE_TOL))
 
 
 def concurrence(state: TwoQubitState) -> float:

@@ -48,7 +48,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import perturbation
-from .errors import DimensionLimitError, IdentificationError, NearResonanceError
+from .errors import (DimensionLimitError, IdentificationError, NearResonanceError,
+                     UnstableConfigurationError)
 from .operators import (DEFAULT_DIM_LIMIT, HermitianOperator, check_hermitian, lanczos,
                         truncation_probe)
 
@@ -115,6 +116,22 @@ class FullModelConfig:
             )
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        # with x = (a + a^dag)/sqrt2 the field and dipole part of H is
+        # p^T D p / 2 + x^T V x / 2, D = diag(mode freqs) and V = D + 2 F, F
+        # the symmetric field-dipole coupling block: bounded below only when V
+        # is positive definite (one field, one dipole: w_a w_b > 4 f^2)
+        if f.any():
+            n_fields = len(self.field_freqs)
+            v = np.diag(self.field_freqs + self.dipole_freqs)
+            v[n_fields:, :n_fields] = 2.0 * f
+            v[:n_fields, n_fields:] = 2.0 * f.T
+            try:
+                np.linalg.cholesky(v)
+            except np.linalg.LinAlgError:
+                raise UnstableConfigurationError(
+                    "dipole_field_couplings too strong: diag(mode freqs) + 2 F is not "
+                    "positive definite, so the field and dipole modes have no ground state"
+                ) from None
 
     @property
     def n_modes(self) -> int:

@@ -16,6 +16,7 @@ omega_plus >= omega_minus.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -333,20 +334,39 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     return energy, (coef * vector[index]).reshape(n_max, n_max)
 
 
+@lru_cache(maxsize=2)
+def fock_ground_pair(cfg: VdwConfig, n_max: int):
+    """The Fock ground state at n_max and its n_max - 2 truncation probe.
+
+    Both Fock oracles read the same pair: vdw_fock_oracle its energies and
+    negativity_fock_oracle its states.  The n_max state comes from
+    fock_ground_state from the vacuum, the probe from fock_ground_state
+    started at that state cut to n_max - 2 levels per oscillator, with the
+    same certificates.  The last two pairs are cached, so ``qvdw entangle``
+    and vdw_fock_oracle at one coupling share one solve, and a sweep, whose
+    points differ, gets no hits.  A raised error is not cached.
+
+    Returns ``((energy, psi), (probe_energy, probe_psi))``, both psi
+    read-only n x n amplitude matrices (see fock_ground_state).
+    """
+    energy, psi = fock_ground_state(cfg, n_max)
+    psi.setflags(write=False)
+    probe_energy, probe_psi = fock_ground_state(cfg, n_max - 2, psi[:-2, :-2])
+    probe_psi.setflags(write=False)
+    return (energy, psi), (probe_energy, probe_psi)
+
+
 def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
     """Ground shift by diagonalizing the truncated Fock^2 Hamiltonian.
 
-    Independent check of exact_ground_shift: solve the truncated two-mode
-    Hamiltonian sector by sector (fock_ground_state) and subtract the
+    Independent check of exact_ground_shift: the ground energy of the
+    truncated two-mode Hamiltonian, solved sector by sector, minus the
     uncoupled ground energy w0.  The converged flag compares against the
-    n_max - 2 truncation, solved from the n_max ground state cut to
-    n_max - 2 levels per oscillator, with the same certificates.
+    n_max - 2 truncation.  Both solves come from fock_ground_pair, which
+    negativity_fock_oracle shares.
     """
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
-    energy, psi = fock_ground_state(cfg, n_max)
-
-    def probe():
-        return fock_ground_state(cfg, n_max - 2, psi[:-2, :-2])[0] - cfg.freq
-
-    return ConvergedValue(*truncation_probe(energy - cfg.freq, probe, FOCK_CONVERGENCE_TOL))
+    (energy, _), (probe_energy, _) = fock_ground_pair(cfg, n_max)
+    return ConvergedValue(*truncation_probe(energy - cfg.freq, lambda: probe_energy - cfg.freq,
+                                            FOCK_CONVERGENCE_TOL))

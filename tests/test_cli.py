@@ -177,6 +177,20 @@ class TestMainExitCodes:
         assert out == ""
         assert "model error" in err
 
+    @pytest.mark.parametrize("f, status", [(0.49, 0), (0.5, 3), (0.6, 3), (1.0, 3), (3.0, 3)])
+    def test_unstable_full_coupling_exit_code(self, f, status, capsys):
+        # field and dipole at 1.0 have a ground state only for 4 f^2 < 1
+        code = main(["full", "--set", "field_freqs=[1.0]", "--set", "dipole_freqs=[1.0]",
+                     "--set", "qubit_field_couplings=[0.05]",
+                     "--set", f"dipole_field_couplings=[[{f}]]",
+                     "--set", "qubit_freq=3.0", "--set", "n_max=4"])
+        out, err = capsys.readouterr()
+        assert code == status
+        if status:
+            assert out == ""
+            assert err.startswith("qvdw: model error: dipole_field_couplings too strong")
+            assert len(err.splitlines()) == 1
+
     def test_near_resonance_exit_code(self, capsys):
         code = main(["dispersive", "--set", "mode_freq=1.0"])
         _, err = capsys.readouterr()

@@ -9,6 +9,7 @@ from qvdw import (
     FullModelConfig,
     IdentificationError,
     NearResonanceError,
+    UnstableConfigurationError,
     build_h0,
     build_hint,
     dispersive_single_mode,
@@ -115,6 +116,25 @@ class TestConfig:
     def test_n_max_too_small(self):
         with pytest.raises(ValueError):
             FullModelConfig(1.0, (), (), (), (), 1)
+
+    @pytest.mark.parametrize("f", [0.5, 0.6, 1.0, 3.0, -0.6])
+    def test_unstable_field_dipole_coupling_is_refused(self, f):
+        # field 1, dipole 1: the field and dipole part of H is bounded below
+        # only when w_a w_b > 4 f^2, i.e. |f| < 1/2
+        with pytest.raises(UnstableConfigurationError):
+            FullModelConfig(3.0, (1.0,), (1.0,), (0.05,), ((f,),), 4)
+
+    @pytest.mark.parametrize("f", [0.49, -0.49])
+    def test_stable_field_dipole_coupling_runs(self, f):
+        report = dressed_transition(FullModelConfig(3.0, (1.0,), (1.0,), (0.05,), ((f,),), 4))
+        assert np.isfinite(report.shift)
+
+    def test_stability_reads_the_whole_coupling_matrix(self):
+        # each dipole alone is stable on the field (4 f^2 = 0.64 < 1), but
+        # together they couple it to (x_b1 + x_b2) / sqrt2 with 2 f sqrt2 = 1.13 > 1
+        with pytest.raises(UnstableConfigurationError):
+            FullModelConfig(3.0, (1.0,), (1.0, 1.0), (0.05,), ((0.4,), (0.4,)), 4)
+        FullModelConfig(3.0, (1.0,), (1.0, 1.0), (0.05,), ((0.3,), (0.3,)), 4)
 
     def test_dim(self):
         cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.1,),), 14)
@@ -309,7 +329,8 @@ class TestLanczosRoute:
         # the bare ground state spreads over many eigenvectors, none with a
         # squared overlap of 1/2: the run stops long before LANCZOS_MAX_STEPS
         # and the dense route raises
-        cfg = FullModelConfig(1.05, (1.0,), (1.1,), (1.5,), ((1.5,),), 20)
+        # (f = 0.5 keeps the field and dipole modes stable: 4 f^2 < 1.0 * 1.1)
+        cfg = FullModelConfig(1.05, (1.0,), (1.1,), (1.5,), ((0.5,),), 20)
         products = []
         add_bands = full_model._add_bands
 

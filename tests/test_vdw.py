@@ -18,11 +18,21 @@ from qvdw import (
     vdw_fock_oracle,
 )
 from qvdw import full_model, vdw
+from qvdw.cli import main
 from qvdw.operators import lanczos
-from qvdw.vdw import coupled_hamiltonian_fock, fock_ground_state
+from qvdw.vdw import coupled_hamiltonian_fock, fock_ground_pair, fock_ground_state
 
 # reduced-unit reference case: e = k = m = w0 = 1, R = 2 gives lambda = -1/4
 REF = VdwConfig(separation=2.0)
+
+
+@pytest.fixture(autouse=True)
+def fresh_fock_pairs():
+    """Each test solves its own Fock pairs, so a test that patches lanczos,
+    eigh or eigvalsh cannot pass on a pair that an earlier test cached."""
+    fock_ground_pair.cache_clear()
+    yield
+    fock_ground_pair.cache_clear()
 
 
 class TestConfig:
@@ -500,9 +510,84 @@ class TestWarmFockProbe:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert vdw_fock_oracle(cfg, n_max=40).converged
         assert negativity_fock_oracle(cfg, n_max=40).converged
-        # each oracle solves n_max from the vacuum and its probe from the cut state
-        assert starts[0] == starts[2] == 1
-        assert min(starts[1], starts[3]) > 10
+        # the oracles share one pair: n_max from the vacuum, the probe from the
+        # cut state
+        assert len(starts) == 2
+        assert starts[0] == 1
+        assert starts[1] > 10
+
+
+class TestSharedFockSolve:
+    """Both Fock oracles read one cached fock_ground_pair per (cfg, n_max)."""
+
+    def test_two_oracles_make_two_solves(self, monkeypatch):
+        calls = []
+        solve = vdw.fock_ground_state
+
+        def recording(cfg, n_max, start=None):
+            result = solve(cfg, n_max, start)
+            calls.append((n_max, None if start is None else np.array(start), result[1]))
+            return result
+
+        monkeypatch.setattr(vdw, "fock_ground_state", recording)
+        cfg = config_for_coupling(0.3)
+        vdw_fock_oracle(cfg, n_max=40)
+        negativity_fock_oracle(cfg, n_max=40)
+        assert [n_max for n_max, _, _ in calls] == [40, 38]
+        assert calls[0][1] is None
+        assert np.array_equal(calls[1][1], calls[0][2][:-2, :-2])
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
+    def test_values_equal_a_recomputation_bit_for_bit(self, u):
+        cfg = config_for_coupling(u)
+        shift, log_neg = vdw_fock_oracle(cfg, n_max=24), negativity_fock_oracle(cfg, n_max=24)
+        fock_ground_pair.cache_clear()
+        assert negativity_fock_oracle(cfg, n_max=24) == log_neg
+        fock_ground_pair.cache_clear()
+        assert vdw_fock_oracle(cfg, n_max=24) == shift
+        # the solves the oracles made each on their own
+        energy, psi = fock_ground_state(cfg, 24)
+        probe_energy, probe_psi = fock_ground_state(cfg, 22, psi[:-2, :-2])
+        assert shift.value == energy - cfg.freq
+        assert shift.converged == (abs(probe_energy - energy) <= vdw.FOCK_CONVERGENCE_TOL)
+        assert log_neg.value == log_negativity(psi)
+        assert log_neg.converged == (abs(log_negativity(probe_psi) - log_negativity(psi))
+                                     <= vdw.FOCK_CONVERGENCE_TOL)
+
+    def test_cached_states_are_read_only(self):
+        for _, psi in fock_ground_pair(REF, 16):
+            assert not psi.flags.writeable
+            with pytest.raises(ValueError):
+                psi[0, 0] = 1.0
+
+    @pytest.mark.parametrize("cfg, n_max, error", [
+        (config_for_coupling(1.0), 20, UnstableConfigurationError),
+        (REF, 65, DimensionLimitError),
+        (REF, 6, ValueError),  # below both oracles' n_max
+    ])
+    def test_a_raised_error_is_raised_again(self, cfg, n_max, error):
+        for oracle in (vdw_fock_oracle, negativity_fock_oracle, vdw_fock_oracle):
+            with pytest.raises(error):
+                oracle(cfg, n_max=n_max)
+        assert fock_ground_pair.cache_info().currsize == 0
+
+    def test_another_coupling_or_n_max_misses(self):
+        vdw_fock_oracle(config_for_coupling(0.3), n_max=16)
+        negativity_fock_oracle(config_for_coupling(0.3), n_max=18)
+        negativity_fock_oracle(config_for_coupling(0.31), n_max=16)
+        assert fock_ground_pair.cache_info()[:2] == (0, 3)  # hits, misses
+        negativity_fock_oracle(config_for_coupling(0.3), n_max=18)
+        assert fock_ground_pair.cache_info()[:2] == (1, 3)
+
+    def test_entangle_prints_the_same_bytes_after_a_vdw_oracle_call(self, capsys):
+        argv = ["entangle", "--set", "coupling=0.3", "--set", "n_max=16"]
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        fock_ground_pair.cache_clear()
+        vdw_fock_oracle(config_for_coupling(0.3), n_max=16)
+        assert main(argv) == 0
+        assert capsys.readouterr() == alone
+        assert fock_ground_pair.cache_info()[:2] == (1, 1)
 
 
 class TestFockDimensionLimit:
