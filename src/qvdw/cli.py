@@ -9,10 +9,10 @@ Output is deterministic: floats are printed with 17 significant digits, CSV
 uses comma separators and LF line endings, rows follow sweep order.
 
 Exit codes: 0 success, 2 usage/config error (including non-finite numbers,
-fractional integer parameters and config values of the wrong JSON type), 3
-model error (degeneracy, instability, identification, arithmetic overflow or
-division by zero, a non-finite result, running out of memory, ...), 4 I/O
-error.
+fractional integer parameters, config values of the wrong JSON type and
+configs nested too deep), 3 model error (degeneracy, instability,
+identification, arithmetic overflow or division by zero, a non-finite
+result, running out of memory, ...), 4 I/O error.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import FitError, ModelError
 
 UNITS_NOTE = "reduced units (hbar = 1); no SI conversion applied"
 MAX_SWEEP_POINTS = 100_000
+MAX_NESTING = 32  # how deep si_scale_factors may nest: recursive code checks and prints it
 
 
 def _fmt(x: float) -> str:
@@ -78,6 +79,15 @@ def _whole(p, key) -> int:
     if not _real(p, key).is_integer():
         raise ValueError(f"{key!r} must be a whole number, got {p[key]!r}")
     return int(p[key])
+
+
+def _depth(value) -> int:
+    """How deep lists and objects nest in ``value``, counted without recursion."""
+    depth, level = 0, [value]
+    while level := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+    return depth
 
 
 def _nested_numbers(value, depth: int) -> bool:
@@ -217,8 +227,7 @@ def fit_power_law(xs, ys):
 # --- model evaluators ------------------------------------------------------
 
 def _eval_vdw(p):
-    cfg = vdw.VdwConfig(mass=p["mass"], freq=p["freq"], charge=p["charge"],
-                        coulomb_k=p["coulomb_k"], separation=p["separation"])
+    cfg = vdw.VdwConfig(**p)
     return {
         "lambda": vdw.dipole_coupling_lambda(cfg),
         "exact_shift": vdw.exact_ground_shift(cfg),
@@ -230,14 +239,14 @@ def _eval_entangle(p):
     cfg = vdw.config_for_coupling(p["coupling"])
     gaussian = entanglement.log_negativity_gaussian(
         entanglement.ground_state_covariance(cfg))
-    oracle = entanglement.negativity_fock_oracle(cfg, _whole(p, "n_max"))
+    oracle = entanglement.negativity_fock_oracle(cfg, p["n_max"])
     return {"E_N_gaussian": gaussian, "E_N_fock": oracle.value,
-            "converged": 1.0 if oracle.converged else 0.0}
+            "converged": float(oracle.converged)}
 
 
 def _eval_dispersive(p):
     shift = full_model.dispersive_single_mode(
-        p["qubit_freq"], p["mode_freq"], p["coupling"], n_max=_whole(p, "n_max"))
+        p["qubit_freq"], p["mode_freq"], p["coupling"], n_max=p["n_max"])
     return {"shift": shift}
 
 
@@ -247,24 +256,8 @@ def _eval_refractive(p):
 
 
 def _eval_full(p):
-    cfg = full_model.FullModelConfig(
-        qubit_freq=p["qubit_freq"],
-        field_freqs=p["field_freqs"],
-        dipole_freqs=p["dipole_freqs"],
-        qubit_field_couplings=p["qubit_field_couplings"],
-        dipole_field_couplings=p["dipole_field_couplings"],
-        n_max=_whole(p, "n_max"),
-        dim_limit=_whole(p, "dim_limit"),
-    )
-    report = full_model.dressed_transition(cfg)
-    return {
-        "bare_transition": report.bare_transition,
-        "dressed_transition": report.dressed_transition,
-        "shift": report.shift,
-        "overlap_ground": report.overlap_ground,
-        "overlap_excited": report.overlap_excited,
-        "converged": 1.0 if report.converged else 0.0,
-    }
+    report = full_model.dressed_transition(full_model.FullModelConfig(**p))
+    return {**asdict(report), "converged": float(report.converged)}
 
 
 def _finalize_vdw(table: ResultTable, scenario: ScenarioConfig):
@@ -290,9 +283,13 @@ def _finalize_entangle(table: ResultTable, scenario: ScenarioConfig):
 class ModelSpec:
     defaults: dict
     evaluate: callable
-    sweepable: frozenset
     finalize: callable = None
     matrices: frozenset = frozenset()  # parameters that are lists of lists
+
+    @property
+    def sweepable(self) -> frozenset:
+        """The parameters with a float default, the only ones a sweep's values fit."""
+        return frozenset(k for k, v in self.defaults.items() if isinstance(v, float))
 
 
 _SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
@@ -303,31 +300,26 @@ MODELS = {
         defaults={"mass": 1.0, "freq": 1.0, "charge": 1.0, "coulomb_k": 1.0,
                   "separation": 1.0},
         evaluate=_eval_vdw,
-        sweepable=frozenset({"mass", "freq", "charge", "coulomb_k", "separation"}),
         finalize=_finalize_vdw,
     ),
     "entangle": ModelSpec(
         defaults={"coupling": 0.1, "n_max": 24},
         evaluate=_eval_entangle,
-        sweepable=frozenset({"coupling"}),
         finalize=_finalize_entangle,
     ),
     "dispersive": ModelSpec(
         defaults={"qubit_freq": 1.0, "mode_freq": 5.0, "coupling": 0.01, "n_max": 30},
         evaluate=_eval_dispersive,
-        sweepable=frozenset({"qubit_freq", "mode_freq", "coupling"}),
     ),
     "refractive": ModelSpec(
         defaults={"freq": 1.0, "index": 1.0},
         evaluate=_eval_refractive,
-        sweepable=frozenset({"freq", "index"}),
     ),
     "full": ModelSpec(
         defaults={"qubit_freq": 1.0, "field_freqs": [], "dipole_freqs": [],
                   "qubit_field_couplings": [], "dipole_field_couplings": [],
                   "n_max": 8, "dim_limit": full_model.DEFAULT_DIM_LIMIT},
         evaluate=_eval_full,
-        sweepable=frozenset({"qubit_freq"}),
         matrices=frozenset({"dipole_field_couplings"}),
     ),
 }
@@ -340,10 +332,10 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     order.  Raises ValueError for config problems (naming the offending
     key), including non-finite parameter values and values not shaped like
     the default (a number, not a boolean or a string, where the default is
-    a number; a list of numbers where it is a list; a list of lists of
-    numbers for the model's matrices), and lets ModelError
-    propagate for physics-level failures; a result column holding a NaN or
-    an infinity is one too.
+    a number, and a whole one where it is an int; a list of numbers where it
+    is a list; a list of lists of numbers for the model's matrices), and lets
+    ModelError propagate for physics-level failures; a result column holding
+    a NaN or an infinity is one too.
     """
     if scenario.model not in MODELS:
         raise ValueError(f"unknown model {scenario.model!r}; "
@@ -370,11 +362,8 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     if scenario.si_scale_factors is not None:
         metadata["si_scale_factors"] = scenario.si_scale_factors
 
-    if scenario.sweep is None:
-        rows = [spec.evaluate(params)]
-        columns = {name: [row[name] for row in rows] for name in rows[0]}
-    else:
-        sweep = scenario.sweep
+    sweep = scenario.sweep
+    if sweep is not None:
         if sweep.parameter not in spec.sweepable:
             raise ValueError(
                 f"sweep parameter {sweep.parameter!r} is not a sweepable "
@@ -385,16 +374,22 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
         metadata["sweep"] = {"parameter": sweep.parameter, "start": sweep.start,
                              "stop": sweep.stop, "points": sweep.points,
                              "log": sweep.log}
+    # the models take an int where the default is one; the metadata keeps the
+    # value as it was given
+    point = {**params, **{key: _whole(params, key) for key, default in spec.defaults.items()
+                          if isinstance(default, int)}}
+    if sweep is None:
+        rows = [spec.evaluate(point)]
+        columns = {}
+    else:
         rows = []
         for value in values:
-            point = dict(params)
-            point[sweep.parameter] = value
             try:
-                rows.append(spec.evaluate(point))
+                rows.append(spec.evaluate({**point, sweep.parameter: value}))
             except (ModelError, ArithmeticError) as exc:
                 raise type(exc)(f"{sweep.parameter}={_fmt(value)}: {exc}") from exc
         columns = {sweep.parameter: values}
-        columns.update({name: [row[name] for row in rows] for name in rows[0]})
+    columns.update({name: [row[name] for row in rows] for name in rows[0]})
     for name, column in columns.items():
         if not _is_finite(column):
             raise ModelError(f"column {name!r} holds a non-finite value; "
@@ -469,6 +464,8 @@ def build_scenario(args) -> ScenarioConfig:
     if not isinstance(out_path, (str, type(None))):
         raise ValueError(f"output 'path' must be a string, got {out_path!r}")
     si_scale_factors = doc.get("si_scale_factors")
+    if _depth(si_scale_factors) > MAX_NESTING:
+        raise ValueError(f"si_scale_factors must not nest more than {MAX_NESTING} deep")
     if not _is_finite(si_scale_factors):
         raise ValueError("si_scale_factors must not hold NaN or infinite numbers")
     return ScenarioConfig(args.model, parameters, sweep, out_format, out_path,
@@ -504,7 +501,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = build_scenario(args)
-    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
         print(f"qvdw: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -148,7 +148,7 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
         return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
 
     (_, psi), (_, probe_psi) = fock_ground_pair(cfg, n_max)
-    return ConvergedValue(*truncation_probe(log_neg(psi), lambda: log_neg(probe_psi),
+    return ConvergedValue(*truncation_probe(log_neg(psi), log_neg(probe_psi),
                                             FOCK_CONVERGENCE_TOL))
 
 

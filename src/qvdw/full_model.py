@@ -116,6 +116,9 @@ class FullModelConfig:
             )
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        if self.dim_limit < 2:
+            raise ValueError(f"dim_limit must be >= 2, the bare qubit's dimension, "
+                             f"got {self.dim_limit}")
         # with x = (a + a^dag)/sqrt2 the field and dipole part of H is
         # p^T D p / 2 + x^T V x / 2, D = diag(mode freqs) and V = D + 2 F, F
         # the symmetric field-dipole coupling block: bounded below only when V
@@ -363,12 +366,9 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     dressed, ov_g, ov_e, vectors = _diagonalize_and_identify(cfg)
     bare = cfg.qubit_freq
     wider = replace(cfg, n_max=cfg.n_max + 2)
-
-    def probe():
-        return _diagonalize_and_identify(wider, _pad(cfg, vectors, wider.n_max))[0] - bare
-
-    shift, converged = truncation_probe(
-        dressed - bare, probe if wider.dim <= wider.dim_limit else None, CONVERGENCE_TOL)
+    probe = (_diagonalize_and_identify(wider, _pad(cfg, vectors, wider.n_max))[0] - bare
+             if wider.dim <= wider.dim_limit else None)
+    shift, converged = truncation_probe(dressed - bare, probe, CONVERGENCE_TOL)
 
     return ShiftReport(
         bare_transition=bare,

@@ -125,7 +125,7 @@ def quadratures(n_max: int, mass: float, freq: float):
 def truncation_probe(value: float, probe, tol: float):
     """Check a truncated-space result against a second truncation.
 
-    ``probe`` computes the same quantity at another n_max; it is None when
+    ``probe`` is the same quantity computed at another n_max, or None when
     that run cannot be made (say, it would exceed a dimension limit), which
     counts as not converged.
 
@@ -134,7 +134,7 @@ def truncation_probe(value: float, probe, tol: float):
     (value, converged) : tuple
         ``value`` unchanged, and whether the probe lies within ``tol`` of it.
     """
-    return value, probe is not None and bool(abs(probe() - value) <= tol)
+    return value, probe is not None and bool(abs(probe - value) <= tol)
 
 
 def _tridiagonal_eigenpairs(alpha, beta):

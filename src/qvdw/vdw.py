@@ -368,5 +368,5 @@ def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
     (energy, _), (probe_energy, _) = fock_ground_pair(cfg, n_max)
-    return ConvergedValue(*truncation_probe(energy - cfg.freq, lambda: probe_energy - cfg.freq,
+    return ConvergedValue(*truncation_probe(energy - cfg.freq, probe_energy - cfg.freq,
                                             FOCK_CONVERGENCE_TOL))

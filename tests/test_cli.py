@@ -10,7 +10,9 @@ import pytest
 import qvdw
 from qvdw import FitError, UnstableConfigurationError, full_model
 from qvdw.cli import (
+    MAX_NESTING,
     MAX_SWEEP_POINTS,
+    MODELS,
     ResultTable,
     ScenarioConfig,
     SweepSpec,
@@ -94,12 +96,29 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="radius"):
             run_scenario(ScenarioConfig("vdw", {"radius": 3.0}))
 
-    def test_unsweepable_parameter(self):
+    @pytest.mark.parametrize("model, key", [
+        ("entangle", "n_max"), ("dispersive", "n_max"), ("full", "n_max"),
+        ("full", "dim_limit"), ("full", "field_freqs"), ("full", "dipole_freqs"),
+        ("full", "qubit_field_couplings"), ("full", "dipole_field_couplings"),
+    ])
+    def test_unsweepable_parameter(self, model, key):
         scenario = ScenarioConfig(
-            model="entangle", parameters={},
-            sweep=SweepSpec("n_max", 12.0, 24.0, 3))
-        with pytest.raises(ValueError, match="n_max"):
+            model=model, parameters={},
+            sweep=SweepSpec(key, 12.0, 24.0, 3))
+        with pytest.raises(ValueError, match=f"sweep parameter {key!r} is not a sweepable"):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize("model, sweepable", [
+        ("vdw", {"mass", "freq", "charge", "coulomb_k", "separation"}),
+        ("entangle", {"coupling"}),
+        ("dispersive", {"qubit_freq", "mode_freq", "coupling"}),
+        ("refractive", {"freq", "index"}),
+        ("full", {"qubit_freq"}),
+    ])
+    def test_sweepable_parameters_are_the_float_defaults(self, model, sweepable):
+        defaults = MODELS[model].defaults
+        assert MODELS[model].sweepable == sweepable == {
+            key for key, value in defaults.items() if isinstance(value, float)}
 
     def test_too_few_sweep_points(self):
         scenario = ScenarioConfig(
@@ -387,12 +406,33 @@ class TestBoundaryRejections:
         assert out == ""
         assert argv[-1].split("=")[0] in err
 
-    def test_integral_values_keep_working(self, capsys):
+    @pytest.mark.parametrize("model", ["entangle", "dispersive", "full"])
+    def test_integral_values_keep_working(self, model, capsys):
         outputs = []
-        for n_max in ("24", "24.0"):
-            assert main(["dispersive", "--set", f"n_max={n_max}"]) == 0
+        for n_max, dim_limit in (("24", "4096"), ("24.0", "4096.0")):
+            argv = [model, "--set", f"n_max={n_max}", "--format", "json"]
+            if model == "full":
+                argv += ["--set", f"dim_limit={dim_limit}", "--set", "field_freqs=[5.0]",
+                         "--set", "qubit_field_couplings=[0.01]"]
+            assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
+        # the metadata echoes the values as given, and %.17g prints 24.0 as 24
         assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["metadata"]["parameters"]["n_max"] == 24
+
+    def test_float_typed_integer_is_echoed_as_given(self, capsys):
+        assert main(["full", "--set", "dim_limit=1e20", "--format", "json"]) == 0
+        out, _ = capsys.readouterr()
+        assert '"dim_limit": 1e+20' in out
+
+    @pytest.mark.parametrize("dim_limit", ["-5", "0", "1"])
+    def test_dim_limit_below_the_bare_qubit_is_config_error(self, dim_limit, capsys):
+        code = main(["full", "--set", f"dim_limit={dim_limit}"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qvdw: config error: dim_limit must be >= 2")
+        assert len(err.splitlines()) == 1
 
     def test_fock_space_above_the_limit_is_model_error(self, capsys):
         code = main(["entangle", "--set", "n_max=300"])
@@ -442,6 +482,54 @@ class TestBoundaryRejections:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 4
+
+
+def _nested(depth):
+    """Empty lists nested ``depth`` deep, as JSON text."""
+    return "[" * depth + "]" * depth
+
+
+class TestDeepNesting:
+    """Documents nested deeper than the recursion limit are config errors,
+    never a RecursionError traceback."""
+
+    def _assert_config_error(self, code, capsys):
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qvdw: config error:")
+        assert len(err.splitlines()) == 1
+
+    def test_config_file_too_deep_to_decode(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"parameters": {"freq": %s}}' % _nested(100_000))
+        self._assert_config_error(main(["refractive", "--config", str(cfg)]), capsys)
+
+    def test_set_value_too_deep_to_decode(self, capsys):
+        self._assert_config_error(main(["refractive", "--set", f"freq={_nested(5000)}"]),
+                                  capsys)
+
+    def test_si_scale_factors_too_deep_to_check(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"si_scale_factors": %s}' % _nested(500))
+        self._assert_config_error(main(["refractive", "--config", str(cfg)]), capsys)
+
+    def test_si_scale_factors_too_deep_to_print(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"si_scale_factors": %s, "output": {"format": "json"}}'
+                       % _nested(330))
+        self._assert_config_error(main(["refractive", "--config", str(cfg)]), capsys)
+
+    def test_si_scale_factors_at_the_nesting_bound_are_echoed(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+            nested = {"length": json.loads(_nested(depth - 1))}
+            cfg.write_text(json.dumps({"si_scale_factors": nested,
+                                       "output": {"format": "json"}}))
+            assert main(["refractive", "--config", str(cfg)]) == code
+            out, _ = capsys.readouterr()
+            if code == 0:
+                assert json.loads(out)["metadata"]["si_scale_factors"] == nested
 
 
 def _run_config(tmp_path, doc, *flags, model="vdw"):

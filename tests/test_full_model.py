@@ -117,6 +117,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             FullModelConfig(1.0, (), (), (), (), 1)
 
+    @pytest.mark.parametrize("dim_limit", [-5, 0, 1])
+    def test_dim_limit_below_the_bare_qubit(self, dim_limit):
+        # no truncation fits below the qubit's own dimension 2
+        with pytest.raises(ValueError, match="dim_limit"):
+            FullModelConfig(1.0, (), (), (), (), 8, dim_limit)
+        assert dressed_transition(FullModelConfig(1.0, dim_limit=2)).shift == 0.0
+
     @pytest.mark.parametrize("f", [0.5, 0.6, 1.0, 3.0, -0.6])
     def test_unstable_field_dipole_coupling_is_refused(self, f):
         # field 1, dipole 1: the field and dipole part of H is bounded below

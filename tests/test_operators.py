@@ -136,10 +136,10 @@ class TestHermitianOperator:
 class TestTruncationProbe:
 
     def test_agreeing_probe_converges(self):
-        assert truncation_probe(1.0, lambda: 1.0 + 1e-9, 1e-8) == (1.0, True)
+        assert truncation_probe(1.0, 1.0 + 1e-9, 1e-8) == (1.0, True)
 
     def test_distant_probe_does_not_converge(self):
-        assert truncation_probe(1.0, lambda: 1.0 + 1e-7, 1e-8) == (1.0, False)
+        assert truncation_probe(1.0, 1.0 + 1e-7, 1e-8) == (1.0, False)
 
     def test_missing_probe_does_not_converge(self):
         assert truncation_probe(1.0, None, 1e-8) == (1.0, False)
