@@ -11,8 +11,8 @@ uses comma separators and LF line endings, rows follow sweep order.
 Exit codes: 0 success, 2 usage/config error (including non-finite numbers,
 fractional integer parameters, config values of the wrong JSON type and
 configs nested too deep), 3 model error (degeneracy, instability,
-identification, arithmetic overflow or division by zero, a non-finite
-result, running out of memory, ...), 4 I/O error.
+identification, arithmetic overflow or division by zero, a linear-algebra
+failure, a non-finite result, running out of memory, ...), 4 I/O error.
 """
 
 import argparse
@@ -245,8 +245,7 @@ def _eval_entangle(p):
 
 
 def _eval_dispersive(p):
-    shift = full_model.dispersive_single_mode(
-        p["qubit_freq"], p["mode_freq"], p["coupling"], n_max=p["n_max"])
+    shift = full_model.dispersive_single_mode(p["qubit_freq"], p["mode_freq"], p["coupling"])
     return {"shift": shift}
 
 
@@ -308,7 +307,7 @@ MODELS = {
         finalize=_finalize_entangle,
     ),
     "dispersive": ModelSpec(
-        defaults={"qubit_freq": 1.0, "mode_freq": 5.0, "coupling": 0.01, "n_max": 30},
+        defaults={"qubit_freq": 1.0, "mode_freq": 5.0, "coupling": 0.01},
         evaluate=_eval_dispersive,
     ),
     "refractive": ModelSpec(
@@ -335,7 +334,8 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     a number, and a whole one where it is an int; a list of numbers where it
     is a list; a list of lists of numbers for the model's matrices), and lets
     ModelError propagate for physics-level failures; a result column holding
-    a NaN or an infinity is one too.
+    a NaN or an infinity is one too, as are FloatingPointError (numpy float
+    overflow, division by zero or NaN inside a model) and LinAlgError.
     """
     if scenario.model not in MODELS:
         raise ValueError(f"unknown model {scenario.model!r}; "
@@ -378,17 +378,19 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     # value as it was given
     point = {**params, **{key: _whole(params, key) for key, default in spec.defaults.items()
                           if isinstance(default, int)}}
-    if sweep is None:
-        rows = [spec.evaluate(point)]
-        columns = {}
-    else:
-        rows = []
-        for value in values:
-            try:
-                rows.append(spec.evaluate({**point, sweep.parameter: value}))
-            except (ModelError, ArithmeticError) as exc:
-                raise type(exc)(f"{sweep.parameter}={_fmt(value)}: {exc}") from exc
-        columns = {sweep.parameter: values}
+    # a float that overflows or turns NaN inside a model raises FloatingPointError
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        if sweep is None:
+            rows = [spec.evaluate(point)]
+            columns = {}
+        else:
+            rows = []
+            for value in values:
+                try:
+                    rows.append(spec.evaluate({**point, sweep.parameter: value}))
+                except (ModelError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                    raise type(exc)(f"{sweep.parameter}={_fmt(value)}: {exc}") from exc
+            columns = {sweep.parameter: values}
     columns.update({name: [row[name] for row in rows] for name in rows[0]})
     for name, column in columns.items():
         if not _is_finite(column):
@@ -510,12 +512,13 @@ def main(argv=None) -> int:
 
     try:
         table = run_scenario(scenario)
+    except (ModelError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught here first
+        print(f"qvdw: model error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, TypeError) as exc:
         print(f"qvdw: config error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, ArithmeticError, MemoryError) as exc:
-        print(f"qvdw: model error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 3
 
     text = table.to_csv() if scenario.out_format == "csv" else table.to_json()
     try:

@@ -380,44 +380,40 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     )
 
 
-def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float,
-                           n_max: int = 30,
-                           tol_degeneracy: float = perturbation.DEGENERACY_TOL) -> float:
+def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float) -> float:
     """Second-order transition shift of a qubit coupled to one mode.
 
-    Delegates to the perturbation engine on the 2 x n_max product model
-    with interaction g s_x (a + a^dag); no hand-derived dispersive formula
-    is used.  It reads vectors of length 2 n_max and builds no matrix, so
-    the product dimension is bounded by the entries a dense matrix at the
-    default limit holds, DEFAULT_DIM_LIMIT ** 2; above that it raises
-    DimensionLimitError before allocating anything.
+    Delegates to the perturbation engine on the qubit + one-mode product
+    model with interaction g s_x (a + a^dag); no hand-derived dispersive
+    formula is used.  H_int takes |0,vac> and |1,vac> to one photon and no
+    further, so both second-order sums read Fock level 1 only: the mode is
+    truncated to the levels 0 and 1; a wider truncation gives the same bits.
     """
     if qubit_freq <= 0 or mode_freq <= 0:
         raise ValueError("qubit_freq and mode_freq must be positive")
-    if abs(qubit_freq - mode_freq) < tol_degeneracy:
+    if abs(qubit_freq - mode_freq) < perturbation.DEGENERACY_TOL:
         raise NearResonanceError(
             f"|qubit_freq - mode_freq| = {abs(qubit_freq - mode_freq):.3e} is below "
-            f"{tol_degeneracy}; the dispersive expansion does not apply on resonance"
+            f"{perturbation.DEGENERACY_TOL}; the dispersive expansion fails on resonance"
         )
-    cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max,
-                          DEFAULT_DIM_LIMIT ** 2)
+    cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max=2)
     h0 = _h0_diagonal(cfg)
     i_ground, i_excited = _bare_indices(cfg)
     # the sums read only the columns H_int|i> of the two bare states
-    h_excited, h_ground = _bare_columns(n_max, coupling)
-    upper = perturbation.second_order_shift(h0, h_excited, i_excited, tol_degeneracy)
-    lower = perturbation.second_order_shift(h0, h_ground, i_ground, tol_degeneracy)
+    h_excited, h_ground = _bare_columns(coupling)
+    upper = perturbation.second_order_shift(h0, h_excited, i_excited)
+    lower = perturbation.second_order_shift(h0, h_ground, i_ground)
     return upper.second_order - lower.second_order
 
 
 @lru_cache(maxsize=2)
-def _bare_columns(n_max: int, coupling: float) -> np.ndarray:
-    """H_int|1,vac> and H_int|0,vac> of the qubit + one-mode model, as
-    read-only rows: its bands applied to the two bare states.  They depend on
-    n_max and the coupling only, so a sweep over either frequency reads them
-    from the cache; building them takes ~0.1 ms, more than the ~0.07 ms the
-    rest of a dispersive point takes."""
-    cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max, DEFAULT_DIM_LIMIT ** 2)
+def _bare_columns(coupling: float) -> np.ndarray:
+    """H_int|1,vac> and H_int|0,vac> of the qubit + one-mode model on the
+    levels 0 and 1, as read-only rows: its bands applied to the two bare
+    states.  They depend on the coupling only, so a sweep over either
+    frequency reads them from the cache; building them takes longer than
+    the rest of a dispersive point."""
+    cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max=2)
     units = np.zeros((2, cfg.dim))
     units[[0, 1], _bare_indices(cfg)[::-1]] = 1.0
     columns = _add_bands(_hint_bands(cfg), units, np.zeros_like(units))

@@ -3,7 +3,7 @@
 Second order in the coupling (first order is reported as well; it vanishes
 identically for excitation-changing interactions).  Degenerate denominators
 coupled by the perturbation abort the computation instead of producing a
-silently huge shift.
+silently huge shift; the degeneracy tolerance is the fixed DEGENERACY_TOL.
 """
 
 from dataclasses import dataclass
@@ -19,14 +19,13 @@ DEGENERACY_TOL = 1e-9
 class PerturbationResult:
     """Energy corrections for one unperturbed basis state."""
 
-    state_index: int
     first_order: float
     second_order: float
     terms_used: int
     min_denominator: float
 
 
-def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERACY_TOL) -> PerturbationResult:
+def second_order_shift(h0_diag, h_int, i: int) -> PerturbationResult:
     """Second-order energy shift of basis state ``i``.
 
     second_order = sum over n != i of |<n|H_int|i>|^2 / (E_i - E_n),
@@ -42,7 +41,7 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
     Raises
     ------
     DegeneracyError
-        If some coupled state n has |E_i - E_n| < tol_degeneracy.
+        If some coupled state n has |E_i - E_n| < DEGENERACY_TOL.
     """
     energies = np.asarray(h0_diag, dtype=float)
     mat = np.asarray(h_int)
@@ -51,8 +50,6 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
         raise ValueError(f"h_int shape {mat.shape} does not match h0_diag length {dim}")
     if not 0 <= i < dim:
         raise ValueError(f"state index {i} out of range for dimension {dim}")
-    if tol_degeneracy <= 0:
-        raise ValueError("tol_degeneracy must be positive")
 
     column = mat[:, i] if mat.ndim == 2 else mat
     coupled = np.abs(column) > 0
@@ -63,17 +60,16 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
     gaps = np.abs(denominators)
     min_den = float(np.minimum.reduce(gaps)) if terms else np.inf
 
-    if min_den < tol_degeneracy:
-        n_bad = np.flatnonzero(coupled)[gaps < tol_degeneracy][0]
+    if min_den < DEGENERACY_TOL:
+        n_bad = np.flatnonzero(coupled)[gaps < DEGENERACY_TOL][0]
         raise DegeneracyError(
             f"states {i} and {n_bad} are coupled but near-degenerate "
-            f"(|E_i - E_n| = {abs(energies[i] - energies[n_bad]):.3e} < {tol_degeneracy})"
+            f"(|E_i - E_n| = {abs(energies[i] - energies[n_bad]):.3e} < {DEGENERACY_TOL})"
         )
 
     # index order is preserved by the boolean mask, keeping the sum deterministic
     second = float(np.add.reduce(np.abs(amplitudes) ** 2 / denominators))
     return PerturbationResult(
-        state_index=i,
         first_order=float(column[i].real),
         second_order=second,
         terms_used=terms,
@@ -81,11 +77,10 @@ def second_order_shift(h0_diag, h_int, i: int, tol_degeneracy: float = DEGENERAC
     )
 
 
-def transition_shift(h0_diag, h_int, i_excited: int, i_ground: int,
-                     tol_degeneracy: float = DEGENERACY_TOL) -> float:
+def transition_shift(h0_diag, h_int, i_excited: int, i_ground: int) -> float:
     """Second-order shift of the transition energy E_excited - E_ground."""
     if i_excited == i_ground:
         raise ValueError("excited and ground indices must differ")
-    upper = second_order_shift(h0_diag, h_int, i_excited, tol_degeneracy)
-    lower = second_order_shift(h0_diag, h_int, i_ground, tol_degeneracy)
+    upper = second_order_shift(h0_diag, h_int, i_excited)
+    lower = second_order_shift(h0_diag, h_int, i_ground)
     return upper.second_order - lower.second_order

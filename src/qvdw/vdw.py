@@ -139,15 +139,15 @@ def perturbative_ground_shift(cfg: VdwConfig) -> float:
     return -(lam * lam) / (8.0 * cfg.mass**2 * cfg.freq**3)
 
 
-def matrix_element_x1x2(cfg: VdwConfig, n_max: int = 2) -> float:
-    """<1,1| x1 x2 |0,0> evaluated on truncated quadrature matrices.
+def matrix_element_x1x2(cfg: VdwConfig) -> float:
+    """<1,1| x1 x2 |0,0> = <1|x|0>^2, read from the quadrature matrix on the
+    levels 0 and 1, which hold both states.
 
-    Computed from the position matrices rather than the closed form
+    Computed from the position matrix rather than the closed form
     1/(2 m w0); independent of charge and separation.
     """
-    x, _ = quadratures(n_max, cfg.mass, cfg.freq)
-    x1x2 = np.kron(x, x)
-    return float(np.real(x1x2[n_max + 1, 0]))
+    x, _ = quadratures(2, cfg.mass, cfg.freq)
+    return float(x[1, 0] * x[1, 0])
 
 
 def excited_state_shift(cfg: VdwConfig) -> ExcitedStateShift:

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from qvdw.cli import (
     ResultTable,
     ScenarioConfig,
     SweepSpec,
+    _json_dumps,
     fit_power_law,
     main,
     run_scenario,
@@ -46,6 +47,10 @@ class TestFitPowerLaw:
     def test_degenerate_abscissas(self):
         with pytest.raises(FitError):
             fit_power_law([3.0, 3.0], [1.0, 2.0])
+
+    def test_unequal_lengths(self):
+        with pytest.raises(FitError, match="same length"):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 class TestRunScenario:
@@ -97,7 +102,7 @@ class TestRunScenario:
             run_scenario(ScenarioConfig("vdw", {"radius": 3.0}))
 
     @pytest.mark.parametrize("model, key", [
-        ("entangle", "n_max"), ("dispersive", "n_max"), ("full", "n_max"),
+        ("entangle", "n_max"), ("full", "n_max"),
         ("full", "dim_limit"), ("full", "field_freqs"), ("full", "dipole_freqs"),
         ("full", "qubit_field_couplings"), ("full", "dipole_field_couplings"),
     ])
@@ -159,6 +164,10 @@ class TestResultTable:
         assert set(doc) == {"metadata", "columns"}
         assert doc["columns"]["a"] == [0.1]
         assert doc["metadata"]["n"] == 3
+
+    def test_json_refuses_unsupported_types(self):
+        with pytest.raises(TypeError, match="complex"):
+            _json_dumps({"a": [1j]})
 
 
 class TestMainExitCodes:
@@ -226,6 +235,37 @@ class TestMainExitCodes:
         code = main(["vdw", "--config", "/nonexistent-dir/cfg.json"])
         capsys.readouterr()
         assert code == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["vdw", "--set", "separation"],
+        ["vdw", "--sweep", "separation"],
+        ["vdw", "--sweep", "separation=1:2"],
+        ["vdw", "--sweep", "separation=1:2:3:lin"],
+        ["vdw", "--sweep", "separation=-1:2:3:log"],
+        ["full", "--set", "qubit_freq=0"],
+        ["full", "--set", "qubit_freq=-1"],
+    ])
+    def test_malformed_flag_is_config_error(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qvdw: config error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("doc, text", [
+        ("[1, 2]", "must contain a JSON object"),
+        ('{"modle": "vdw"}', "'modle'"),
+    ])
+    def test_malformed_config_file_is_config_error(self, doc, text, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(doc)
+        code = main(["vdw", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qvdw: config error:") and text in err
+        assert len(err.splitlines()) == 1
 
 
 class TestMainBehavior:
@@ -393,7 +433,7 @@ class TestBoundaryRejections:
         assert "pert_shift" in err
 
     @pytest.mark.parametrize("argv", [
-        ["dispersive", "--set", "n_max=8.9"],
+        ["full", "--set", "n_max=8.9"],
         ["entangle", "--set", "n_max=12.5"],
         ["entangle", "--set", "n_max=true"],
         ["entangle", "--set", 'n_max="24"'],
@@ -406,7 +446,7 @@ class TestBoundaryRejections:
         assert out == ""
         assert argv[-1].split("=")[0] in err
 
-    @pytest.mark.parametrize("model", ["entangle", "dispersive", "full"])
+    @pytest.mark.parametrize("model", ["entangle", "full"])
     def test_integral_values_keep_working(self, model, capsys):
         outputs = []
         for n_max, dim_limit in (("24", "4096"), ("24.0", "4096.0")):
@@ -661,6 +701,57 @@ class TestSweepBounds:
         assert err == "qvdw: model error: out of memory\n"
 
 
+# floats that overflow inside a model, not in the parameters themselves
+OVERFLOW_ARGV = {
+    "full-h0": ["full", "--set", "field_freqs=[1e308]", "--set", "qubit_field_couplings=[0.1]"],
+    "full-norm": ["full", "--set", "field_freqs=[1e300]", "--set", "dipole_freqs=[1e300]",
+                  "--set", "qubit_field_couplings=[0.01]",
+                  "--set", "dipole_field_couplings=[[1e299]]"],
+    "dispersive": ["dispersive", "--set", "coupling=1e300"],
+}
+
+
+class TestFloatingPointFailures:
+    """An overflow or a failed linear-algebra routine inside a model is a model
+    error: one stderr line, no warning and no output."""
+
+    @pytest.mark.parametrize("argv", OVERFLOW_ARGV.values(), ids=OVERFLOW_ARGV.keys())
+    def test_overflow_is_model_error(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qvdw: model error: overflow")
+        assert len(err.splitlines()) == 1
+        assert caught == []
+
+    def test_overflow_at_a_sweep_point_names_the_point(self, capsys):
+        # g^2 overflows at the second point, g = 1e200
+        code = main(["dispersive", "--sweep", "coupling=0:2e200:3"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        point, message = err.removeprefix("qvdw: model error: coupling=").split(": ", 1)
+        assert float(point) == 1e200
+        assert message.startswith("overflow")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "qubit_freq=1:2:2"]])
+    def test_linear_algebra_failure_is_model_error(self, sweep, monkeypatch, capsys):
+        def no_convergence(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(full_model, "_hint_bands", no_convergence)
+        code = main(["full", "--set", "field_freqs=[5.0]",
+                     "--set", "qubit_field_couplings=[0.01]", *sweep])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        prefix = "qubit_freq=1: " if sweep else ""
+        assert err == f"qvdw: model error: {prefix}SVD did not converge\n"
+
+
 class TestParameterTypes:
 
     @pytest.mark.parametrize("model, settings, key", [
@@ -674,6 +765,7 @@ class TestParameterTypes:
         ("full", ["dipole_freqs=3.0"], "dipole_freqs"),
         ("full", ["field_freqs=[5.0]", "dipole_freqs=[3.0]", "qubit_field_couplings=[0.01]",
                   "dipole_field_couplings=[0.01]"], "dipole_field_couplings"),
+        ("vdw", ["separation=abc"], "separation"),
     ])
     def test_mistyped_parameter_is_config_error(self, model, settings, key, capsys):
         code = main([model, *(arg for setting in settings for arg in ("--set", setting))])
@@ -735,30 +827,22 @@ class TestParameterTypes:
         assert out.splitlines()[1] == "1,1,0,1,1,1"
 
 
-class TestDispersiveSize:
-    """dispersive reads vectors of length 2 n_max, so it is bounded by the
-    entries a dense matrix at the default limit holds, not by that limit."""
+class TestDispersiveLevels:
+    """dispersive reads Fock levels 0 and 1 only, so it has no n_max."""
 
-    def test_large_n_max_runs(self, capsys):
-        assert main(["dispersive", "--set", "n_max=3000"]) == 0
+    def test_defaults_equal_the_closed_form(self, capsys):
+        assert main(["dispersive"]) == 0
         out, _ = capsys.readouterr()
         q, w, g = 1.0, 5.0, 0.01  # the model's defaults
         assert float(out.splitlines()[1]) == pytest.approx(
             g**2 * (1.0 / (q - w) + 1.0 / (q + w)), rel=1e-9)
 
-    def test_huge_n_max_is_refused_before_allocating(self, capsys):
-        tracemalloc.start()
-        try:
-            code = main(["dispersive", "--set", f"n_max={10**8}"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def test_n_max_is_config_error(self, capsys):
+        code = main(["dispersive", "--set", "n_max=30"])
         out, err = capsys.readouterr()
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert err.startswith("qvdw: model error:")
-        assert str(2 * 10**8) in err
-        assert peak < 10**7  # the vectors would take 1.6 GB
+        assert err.startswith("qvdw: config error:") and "n_max" in err
 
 
 # one small scenario per model

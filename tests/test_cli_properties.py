@@ -96,7 +96,7 @@ SOLVABLE = {
     "refractive": {"freq": st.floats(0.1, 10.0), "index": st.floats(1.0, 4.0)},
     "entangle": {"coupling": st.floats(0.0, 0.9), "n_max": st.integers(12, 16)},
     "dispersive": {"qubit_freq": st.floats(0.1, 10.0), "mode_freq": st.floats(0.1, 10.0),
-                   "coupling": st.floats(-0.5, 0.5), "n_max": st.integers(2, 64)},
+                   "coupling": st.floats(-0.5, 0.5)},
     "full": {"qubit_freq": st.floats(0.1, 10.0), "n_max": st.integers(2, 6),
              "dim_limit": st.integers(2, 4096)},
 }
@@ -109,7 +109,6 @@ ONE_ITEM = (st.lists(PARAMETER_VALUES, max_size=1) | st.text(max_size=1)
 # any value, but never an n_max or a dim_limit that would be solved at size
 ANY = {
     "entangle": {"n_max": N_MAX_VALUES},
-    "dispersive": {"n_max": _sizes(2, 64)},
     "full": {"n_max": _sizes(2, 6), "dim_limit": _sizes(0, 4096),
              **dict.fromkeys(("field_freqs", "dipole_freqs", "qubit_field_couplings",
                               "dipole_field_couplings"), ONE_ITEM)},

@@ -104,6 +104,10 @@ class TestGroundStateCovariance:
         with pytest.raises(UncertaintyViolationError):
             GaussianTwoModeState(0.1 * np.eye(4))
 
+    def test_non_4x4_covariance_rejected(self):
+        with pytest.raises(ValueError, match="4x4"):
+            GaussianTwoModeState(0.5 * np.eye(3))
+
     def test_asymmetric_covariance_rejected(self):
         cov = 0.5 * np.eye(4)
         cov[0, 1] = 0.2
@@ -284,6 +288,10 @@ class TestTwoQubitStateValidation:
         rho = np.diag([0.7, 0.5, -0.1, -0.1])
         with pytest.raises(InvalidStateError):
             TwoQubitState(rho)
+
+    def test_not_4x4(self):
+        with pytest.raises(ValueError, match="4x4"):
+            TwoQubitState(np.eye(2) / 2.0)
 
 
 class TestLocalUnitaryInvariance:

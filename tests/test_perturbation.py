@@ -103,7 +103,7 @@ class TestInvariants:
             h0 = np.sort(rng.uniform(0.0, 10.0, size=dim))
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             hi = (m + m.conj().T) / 2
-            res = second_order_shift(h0, hi, 0, tol_degeneracy=1e-12)
+            res = second_order_shift(h0, hi, 0)
             assert res.second_order <= 0.0
 
     def test_pairwise_antisymmetry_sum_rule(self):
