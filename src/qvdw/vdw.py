@@ -21,11 +21,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionLimitError, UnstableConfigurationError
-from .operators import DEFAULT_DIM_LIMIT, lanczos, quadratures, truncation_probe
+from .operators import (DEFAULT_DIM_LIMIT, _tridiagonal_eigenpairs, lanczos, quadratures,
+                        truncation_probe)
 
 FOCK_CONVERGENCE_TOL = 1e-8
 # the Lanczos energy of the vacuum's block is certified to lie within its
-# residual plus this fraction of max(1, |energy|) above the block's minimum
+# residual plus this fraction of max(1, |energy|) above the block's minimum,
+# and a separable bound must clear it by this fraction to certify another block
 FOCK_CERTIFICATE_RTOL = 1e-10
 
 
@@ -209,8 +211,10 @@ def _product_nonzeros(h_single: np.ndarray, x: np.ndarray, lam: float):
                  for parts in (rows, cols, vals))
 
 
-def _sector_blocks(cfg: VdwConfig, n_max: int):
-    """The four parity x exchange blocks of coupled_hamiltonian_fock(cfg, n_max).
+def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float):
+    """The four parity x exchange blocks of H = h x 1 + 1 x h + lam x x, h
+    and x the n_max-level matrices of _single_oscillator: the blocks of
+    coupled_hamiltonian_fock(cfg, n_max) for lam = dipole_coupling_lambda(cfg).
 
     Both oscillators are identical, so H commutes with the exchange
     n1 <-> n2 as well as with (-1)^(n1 + n2).  Basis state i of a sector is
@@ -228,8 +232,8 @@ def _sector_blocks(cfg: VdwConfig, n_max: int):
     the vacuum |0, 0> as its first basis state, comes first.  Each block is
     scattered from the nonzero entries of H; no n_max^2 matrix is built.
     """
-    h_single, x = _single_oscillator(cfg, n_max)
-    rows, cols, vals = _product_nonzeros(h_single, x, dipole_coupling_lambda(cfg))
+    n_max = len(h_single)
+    rows, cols, vals = _product_nonzeros(h_single, x, lam)
     a_all, b_all = np.triu_indices(n_max)
     order = np.lexsort((a_all, a_all + b_all))
     a_all, b_all = a_all[order], b_all[order]
@@ -276,6 +280,40 @@ def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
     return True
 
 
+def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
+    """Lower bounds on the spectra of the _sector_blocks(h_single, x, lam),
+    from a separable operator below H; None when the even or the odd levels
+    number fewer than two (n_max 2 and 3).
+
+    (x x 1 +- 1 x x)^2 >= 0 gives lam x x x >= -(|lam|/2)(x^2 x 1 + 1 x x^2),
+    so H >= B = h' x 1 + 1 x h' with h' = h - (|lam|/2) x^2.  Every term of
+    h' changes the level by 0 or 2, so its even and its odd levels make two
+    tridiagonal matrices, with eigenvalues e_0 <= e_1 <= ... and
+    o_0 <= o_1 <= ....  B, like H, commutes with parity and exchange, so
+    each sector block of H lies above B's block in that sector, and by
+    Weyl's monotonicity its k-th eigenvalue above B's k-th: the vacuum's
+    block above min(2 e_0, 2 o_0) and its second eigenvalue above the second
+    smallest of 2 e_0, e_0 + e_1, 2 o_0 and o_0 + o_1, the even
+    antisymmetric block above min(e_0 + e_1, o_0 + o_1), and both odd blocks
+    above e_0 + o_0.
+
+    Returns ``(second, lowest)``: the bound on the vacuum block's second
+    eigenvalue, and the bounds on the lowest eigenvalues of the four blocks
+    in _sector_blocks order.
+    """
+    h_bound = h_single - 0.5 * abs(lam) * (x @ x)
+    pairs = []
+    for part in (h_bound[0::2, 0::2], h_bound[1::2, 1::2]):
+        if len(part) < 2:
+            return None
+        # the signs of the off-diagonal leave a tridiagonal spectrum unchanged
+        values, _ = _tridiagonal_eigenpairs(np.diag(part), np.abs(np.diag(part, 1)))
+        pairs.append(values[:2])
+    (e0, e1), (o0, o1) = pairs
+    second = sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1]
+    return second, (min(2.0 * e0, 2.0 * o0), min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
+
+
 def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     """Ground energy and state of the two-mode Fock Hamiltonian, per sector.
 
@@ -284,20 +322,34 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     ``start``, an n_max x n_max amplitude matrix such as the ground state of
     a wider truncation cut to n_max levels, projected onto the block (the
     vacuum again if the projection vanishes).  The run gives the Ritz value
-    theta and its residual r.  Every block is then certified by
-    a shell-by-shell Cholesky factorization (_lies_above): the vacuum's
-    block to have no eigenvalue below theta - margin, margin = r +
-    FOCK_CERTIFICATE_RTOL max(1, |theta|), so that theta is the block's
-    minimum to within margin and Lanczos missed no lower state; each other
-    block to lie above the energy found so far.  A block that fails its
-    certificate is diagonalized by eigh, and the lowest energy wins.  So the
-    result is the ground energy of coupled_hamiltonian_fock(cfg, n_max)
-    whichever sector holds it, and a dense eigensolve runs only when a
-    certificate fails; the start changes only how many Lanczos steps that
-    takes.  Raises DimensionLimitError when n_max^2 exceeds the
-    dense-matrix limit, and UnstableConfigurationError, as normal_modes does,
-    when |lambda| >= m w0^2: the pair then has no ground state, and the
-    lowest level of its truncated Hamiltonian means nothing.
+    theta and its residual r, and theta is the ground energy once two things
+    are certified: the vacuum's block has no eigenvalue below theta -
+    margin, margin = r + FOCK_CERTIFICATE_RTOL max(1, |theta|), so Lanczos
+    missed no lower state; and each other block lies above theta.
+
+    The first certificate is tried from the separable bounds of
+    _separable_bounds, which cost two tridiagonal eigensolves of n_max / 2
+    levels.  With rho the bound on the vacuum block's second eigenvalue,
+    Temple's inequality puts the block's lowest eigenvalue at or above
+    theta - r^2 / (rho - theta) when theta < rho, so the vacuum's block is
+    certified when r^2 / (rho - theta) <= margin, and each other block when
+    its bound exceeds theta + FOCK_CERTIFICATE_RTOL max(1, |theta|).  When
+    all four hold, theta and its Ritz vector are returned and only the
+    vacuum's block is ever built.  The bound gives up as the coupling grows:
+    the odd blocks' bound 2 w0 sqrt(1 - u) falls below theta near u = 0.8,
+    and at n_max 2 and 3 a level parity class has fewer than two levels and
+    there is no bound.  Then every block is certified by a shell-by-shell
+    Cholesky factorization (_lies_above): the vacuum's block against theta -
+    margin, each other block against the energy found so far.  A block that
+    fails its certificate is diagonalized by eigh, and the lowest energy
+    wins.  So the result is the ground energy of
+    coupled_hamiltonian_fock(cfg, n_max) whichever sector holds it, and a
+    dense eigensolve runs only when a Cholesky certificate fails; the start
+    changes only how many Lanczos steps that takes.  Raises
+    DimensionLimitError when n_max^2 exceeds the dense-matrix limit, and
+    UnstableConfigurationError, as normal_modes does, when |lambda| >= m
+    w0^2: the pair then has no ground state, and the lowest level of its
+    truncated Hamiltonian means nothing.
 
     Returns ``(energy, psi)``, psi the ground state as the n_max x n_max
     amplitude matrix psi[n1, n2].
@@ -307,28 +359,38 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
         raise DimensionLimitError(
             f"Fock dimension n_max^2 = {n_max * n_max} exceeds limit "
             f"{DEFAULT_DIM_LIMIT}; reduce n_max")
-    energy, ground = None, None
-    for index, coef, block, bounds in _sector_blocks(cfg, n_max):
-        if energy is None:
-            # the vacuum's block comes first, with |0, 0> as its first state
-            seed = np.zeros(len(block))
-            if start is not None:
-                # <S_i|start> sums coef over the product states of basis state i
-                inside = index >= 0
-                seed = np.bincount(index[inside], (coef * np.ravel(start))[inside],
-                                   minlength=len(block))
-            if not seed.any():
-                seed[0] = 1.0
-            theta, vector, residual, _ = lanczos(block.__matmul__, seed, "lowest")
-            margin = residual + FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
-            if _lies_above(block, bounds, theta - margin):
-                energy, ground = theta, (index, coef, vector)
-                continue
-        elif _lies_above(block, bounds, energy):
-            continue
-        values, vectors = np.linalg.eigh(block)
-        if energy is None or values[0] < energy:
+    h_single, x = _single_oscillator(cfg, n_max)
+    lam = dipole_coupling_lambda(cfg)
+    blocks = _sector_blocks(h_single, x, lam)
+    # the vacuum's block comes first, with |0, 0> as its first state
+    index, coef, block, bounds = next(blocks)
+    seed = np.zeros(len(block))
+    if start is not None:
+        # <S_i|start> sums coef over the product states of basis state i
+        inside = index >= 0
+        seed = np.bincount(index[inside], (coef * np.ravel(start))[inside],
+                           minlength=len(block))
+    if not seed.any():
+        seed[0] = 1.0
+    theta, vector, residual, _ = lanczos(block.__matmul__, seed, "lowest")
+    energy, ground = theta, (index, coef, vector)
+    tolerance = FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
+    margin = residual + tolerance
+    separable, certified = _separable_bounds(h_single, x, lam), False
+    if separable is not None:
+        second, lowest = separable
+        certified = (theta < second and residual * residual / (second - theta) <= margin
+                     and min(lowest[1:]) > theta + tolerance)
+    if not certified:
+        if not _lies_above(block, bounds, theta - margin):
+            values, vectors = np.linalg.eigh(block)
             energy, ground = float(values[0]), (index, coef, vectors[:, 0])
+        for index, coef, block, bounds in blocks:
+            if _lies_above(block, bounds, energy):
+                continue
+            values, vectors = np.linalg.eigh(block)
+            if values[0] < energy:
+                energy, ground = float(values[0]), (index, coef, vectors[:, 0])
     index, coef, vector = ground
     # coef is 0 outside the winning sector, where index is -1
     return energy, (coef * vector[index]).reshape(n_max, n_max)

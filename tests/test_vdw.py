@@ -252,6 +252,20 @@ def odd_parity(n_max):
     return (n1 + n2) % 2 == 1
 
 
+def fock_terms(cfg, n_max):
+    """The one-oscillator h and x and the coupling lambda that
+    fock_ground_state builds its sector blocks and bounds from."""
+    return (*vdw._single_oscillator(cfg, n_max), dipole_coupling_lambda(cfg))
+
+
+def sector_blocks(cfg, n_max):
+    return vdw._sector_blocks(*fock_terms(cfg, n_max))
+
+
+def no_separable_bound(*terms):
+    return None
+
+
 class TestParitySectors:
 
     @pytest.mark.parametrize("n_max", [8, 12, 13])
@@ -277,10 +291,10 @@ class TestParitySectors:
         # is solved, and its state is returned
         cfg, n_max = config_for_coupling(0.3), 10
         blocks, eigh, lanczos = vdw._sector_blocks, np.linalg.eigh, vdw.lanczos
-        sizes = [len(block) for _, _, block, _ in blocks(cfg, n_max)]
+        sizes = [len(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
 
-        def lowered(cfg, n_max):
-            for index, coef, block, bounds in blocks(cfg, n_max):
+        def lowered(*terms):
+            for index, coef, block, bounds in blocks(*terms):
                 if coef[n_max] < 0:  # the sign of |1,0> in (|0,1> - |1,0>)/sqrt2
                     assert index[1] == index[n_max] == 0
                     block[0, 0] -= 5.0
@@ -297,6 +311,8 @@ class TestParitySectors:
             return lanczos(matvec, start, pick)
 
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
+        # the separable bound holds for the real H, not for the lowered block
+        monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(vdw, "lanczos", counting_lanczos)
         energy, psi = fock_ground_state(cfg, n_max)
@@ -321,7 +337,7 @@ class TestParitySectors:
     ], ids=["u0", "u0.3", "u0.9", "mass1.7-freq0.6"])
     def test_sector_spectra_make_up_the_dense_spectrum(self, cfg, n_max):
         sectors = [np.linalg.eigvalsh(block)
-                   for _, _, block, _ in vdw._sector_blocks(cfg, n_max)]
+                   for _, _, block, _ in sector_blocks(cfg, n_max)]
         dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))
         assert np.max(np.abs(np.sort(np.concatenate(sectors)) - dense)) <= 1e-12
 
@@ -363,7 +379,7 @@ class TestSectorSolve:
     @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
     def test_blocks_are_ordered_by_shell_and_block_tridiagonal(self, u, n_max):
         n1, n2 = np.divmod(np.arange(n_max * n_max), n_max)
-        for index, _, block, bounds in vdw._sector_blocks(config_for_coupling(u), n_max):
+        for index, _, block, bounds in sector_blocks(config_for_coupling(u), n_max):
             inside = index >= 0
             shell = np.zeros(len(block), dtype=int)
             shell[index[inside]] = (n1 + n2)[inside]
@@ -378,7 +394,7 @@ class TestSectorSolve:
     @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
     def test_lanczos_equals_eigh_on_the_sector_blocks(self, u, n_max):
         rng = np.random.default_rng(n_max)
-        blocks = vdw._sector_blocks(config_for_coupling(u), n_max)
+        blocks = sector_blocks(config_for_coupling(u), n_max)
         for number, (_, _, block, _) in enumerate(blocks):
             # the vacuum's block from the vacuum, as fock_ground_state runs it
             start = rng.normal(size=len(block)) if number else vacuum_start(len(block))
@@ -390,7 +406,7 @@ class TestSectorSolve:
             assert residual <= 1e-12
 
     def test_breakdown_at_zero_coupling_returns_the_vacuum(self):
-        _, _, block, _ = next(vdw._sector_blocks(config_for_coupling(0.0), 12))
+        _, _, block, _ = next(sector_blocks(config_for_coupling(0.0), 12))
         products = []
 
         def matvec(v):
@@ -407,7 +423,7 @@ class TestSectorSolve:
     @pytest.mark.parametrize("n_max", [8, 13, 40])
     @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
     def test_shell_certificate_agrees_with_dense_cholesky(self, u, n_max):
-        for _, _, block, bounds in vdw._sector_blocks(config_for_coupling(u), n_max):
+        for _, _, block, bounds in sector_blocks(config_for_coupling(u), n_max):
             lowest = np.linalg.eigvalsh(block)[0]
             for energy, above in ((lowest - 1e-6, True), (lowest + 1e-6, False)):
                 assert vdw._lies_above(block, bounds, energy) is above
@@ -420,8 +436,8 @@ class TestSectorSolve:
         cfg, n_max, low = config_for_coupling(0.3), 10, 0.5
         blocks = vdw._sector_blocks
 
-        def hidden(cfg, n_max):
-            for number, (index, coef, block, bounds) in enumerate(blocks(cfg, n_max)):
+        def hidden(*terms):
+            for number, (index, coef, block, bounds) in enumerate(blocks(*terms)):
                 if number == 0:
                     i = index[n_max + 1]
                     assert coef[n_max + 1] == 1.0  # the basis state is |1,1> itself
@@ -430,6 +446,8 @@ class TestSectorSolve:
                 yield index, coef, block, bounds
 
         monkeypatch.setattr(vdw, "_sector_blocks", hidden)
+        # the separable bound holds for the real H, not for the altered block
+        monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
@@ -450,6 +468,67 @@ class TestSectorSolve:
         cfg = config_for_coupling(u)
         vdw_fock_oracle(cfg, n_max=16)
         negativity_fock_oracle(cfg, n_max=16)
+
+
+class TestSeparableBound:
+    """H >= h' x 1 + 1 x h' bounds the sector spectra from below and
+    certifies the Lanczos pair without a Cholesky factorization."""
+
+    @pytest.mark.parametrize("n_max", [4, 5, 8, 13, 40])
+    @pytest.mark.parametrize("cfg", [
+        config_for_coupling(0.0), config_for_coupling(0.3), config_for_coupling(0.79),
+        config_for_coupling(0.9), config_for_coupling(0.97),
+        VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
+    ], ids=["u0", "u0.3", "u0.79", "u0.9", "u0.97", "mass1.7-freq0.6"])
+    def test_bounds_lie_below_the_block_spectra(self, cfg, n_max):
+        second, lowest = vdw._separable_bounds(*fock_terms(cfg, n_max))
+        spectra = [np.linalg.eigvalsh(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
+        # at zero coupling h' = h and the bounds are the block minima, up to rounding
+        assert second <= spectra[0][1] + 1e-12
+        for bound, spectrum in zip(lowest, spectra):
+            assert bound <= spectrum[0] + 1e-12
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5])
+    @pytest.mark.parametrize("cfg", [
+        config_for_coupling(0.3), VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
+    ], ids=["u0.3", "mass1.7-freq0.6"])
+    def test_tiny_truncations_fall_back_where_there_is_no_bound(self, cfg, n_max):
+        # at n_max 2 and 3 the odd levels number one, too few for a bound
+        assert (vdw._separable_bounds(*fock_terms(cfg, n_max)) is None) == (n_max < 4)
+        energy, _ = fock_ground_state(cfg, n_max)
+        dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))[0]
+        assert energy == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("u, certificates", [(0.05, 0), (0.3, 0), (0.6, 0), (0.9, 4)])
+    def test_certified_points_build_only_the_vacuum_block(self, monkeypatch, u, certificates):
+        blocks, lies_above = vdw._sector_blocks, vdw._lies_above
+        drawn, factored = [], []
+
+        def counting_blocks(*terms):
+            for sector in blocks(*terms):
+                drawn.append(len(sector[2]))
+                yield sector
+
+        def counting_lies_above(block, bounds, energy):
+            factored.append(len(block))
+            return lies_above(block, bounds, energy)
+
+        monkeypatch.setattr(vdw, "_sector_blocks", counting_blocks)
+        monkeypatch.setattr(vdw, "_lies_above", counting_lies_above)
+        fock_ground_state(config_for_coupling(u), 40)
+        assert len(factored) == certificates
+        # at u 0.9 the odd blocks' bound lies below the ground energy
+        assert len(drawn) == (1 if certificates == 0 else 4)
+
+    @pytest.mark.parametrize("n_max", [24, 40])
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.6])
+    def test_bound_off_gives_the_same_bits(self, monkeypatch, u, n_max):
+        cfg = config_for_coupling(u)
+        energy, psi = fock_ground_state(cfg, n_max)
+        monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
+        cholesky_energy, cholesky_psi = fock_ground_state(cfg, n_max)
+        assert energy == cholesky_energy
+        assert np.array_equal(psi, cholesky_psi)
 
 
 def log_negativity(psi):
