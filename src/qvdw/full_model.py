@@ -15,6 +15,10 @@ and ground product states, compared against the bare splitting w.
 Solver.  H is real symmetric and never assembled on the main path: apply_h
 multiplies a state by the H0 diagonal and adds each coupling term as
 shifted slices of the state times a coefficient band, O(dim) per term.
+The bands read no frequency, so a process builds them once per coupling
+set and n_max and shares them, read-only, with every later config that has
+the same couplings and n_max: a qubit_freq sweep builds two sets, one for
+the solve and one for the n_max + 2 probe.
 Lanczos (operators.lanczos) runs once from the bare ground state and once
 from the bare excited state and keeps, in each run, the Ritz pair whose
 vector overlaps the start most.  A pair is certified when its residual
@@ -42,7 +46,7 @@ takes about m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of
 steps at weak coupling), the dense fallback dim^2 * 8 bytes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -76,15 +80,20 @@ class FullModelConfig:
     one column per field mode (the physically motivated case is diagonal,
     one dipole talking to one field mode, but nothing forces that).
     ``n_max`` is the per-mode Fock truncation.
+
+    The coupling matrix is kept as a read-only array, and as a tuple of rows
+    that equality and the hash compare in its place, so equal configs
+    compare equal and hash alike.
     """
 
     qubit_freq: float
     field_freqs: tuple = ()
     dipole_freqs: tuple = ()
     qubit_field_couplings: tuple = ()
-    dipole_field_couplings: tuple = ()
+    dipole_field_couplings: tuple = field(default=(), compare=False)
     n_max: int = 8
     dim_limit: int = DEFAULT_DIM_LIMIT
+    _dipole_field_rows: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "field_freqs", tuple(float(w) for w in self.field_freqs))
@@ -104,6 +113,7 @@ class FullModelConfig:
         f = f.reshape(shape)
         f.setflags(write=False)
         object.__setattr__(self, "dipole_field_couplings", f)
+        object.__setattr__(self, "_dipole_field_rows", tuple(map(tuple, f.tolist())))
 
         if self.qubit_freq <= 0:
             raise ValueError(f"qubit_freq must be positive, got {self.qubit_freq}")
@@ -192,7 +202,7 @@ def _ladder_amplitudes(level: np.ndarray, step: int, n_max: int) -> np.ndarray:
     return np.sqrt(level.astype(float))
 
 
-def _hint_bands(cfg: FullModelConfig) -> list:
+def _hint_bands(cfg: FullModelConfig) -> tuple:
     """The interaction as bands above the diagonal of the flat product
     basis: (offset, coefficients) pairs with
     H_int[i, i + offset] = H_int[i + offset, i] = coefficients[i].
@@ -203,31 +213,44 @@ def _hint_bands(cfg: FullModelConfig) -> list:
     offsets stride_j + stride_l and stride_j - stride_l, and each
     coefficient is c times the two one-slot amplitudes.  Coefficients are
     cut after their last nonzero entry; the bare qubit has no bands.
+
+    The bands read no frequency or dim_limit, so _coupling_bands builds
+    them once per coupling set and n_max and every such config shares them,
+    read-only; dim_limit is checked here on every call.
     """
     _check_dim(cfg)
-    n_fields, dims = len(cfg.field_freqs), cfg.mode_dims
+    return _coupling_bands(cfg.n_max, cfg.qubit_field_couplings, cfg._dipole_field_rows)
+
+
+@lru_cache(maxsize=4)
+def _coupling_bands(n_max: int, qubit_field: tuple, dipole_field: tuple) -> tuple:
+    """_hint_bands for these couplings, one qubit-field entry per field mode
+    and one row per dipole mode, at n_max levels per mode."""
+    n_fields = len(qubit_field)
+    dims = (2,) + (n_max,) * (n_fields + len(dipole_field))
     strides = [int(np.prod(dims[j + 1:])) for j in range(len(dims))]
-    index = np.arange(cfg.dim)
-    terms = [(g, 0, 1 + k) for k, g in enumerate(cfg.qubit_field_couplings)]
+    index = np.arange(int(np.prod(dims)))
+    terms = [(g, 0, 1 + k) for k, g in enumerate(qubit_field)]
     terms += [(f, 1 + k, 1 + n_fields + l)
-              for (l, k), f in np.ndenumerate(cfg.dipole_field_couplings)]
+              for l, row in enumerate(dipole_field) for k, f in enumerate(row)]
     bands = []
     for c, j, l in terms:
         if c == 0.0:
             continue
         level_j, level_l = (index // strides[slot] % dims[slot] for slot in (j, l))
         # s_x takes the lower qubit level up with amplitude 1
-        up = (level_j == 0) * 1.0 if j == 0 else _ladder_amplitudes(level_j, 1, cfg.n_max)
+        up = (level_j == 0) * 1.0 if j == 0 else _ladder_amplitudes(level_j, 1, n_max)
         for step in (1, -1):
-            amplitude = up * _ladder_amplitudes(level_l, step, cfg.n_max)
+            amplitude = up * _ladder_amplitudes(level_l, step, n_max)
             nonzero = np.flatnonzero(amplitude)
             if len(nonzero):
-                bands.append((strides[j] + step * strides[l],
-                              float(c) * amplitude[:nonzero[-1] + 1]))
-    return bands
+                coefficients = float(c) * amplitude[:nonzero[-1] + 1]
+                coefficients.setflags(write=False)
+                bands.append((strides[j] + step * strides[l], coefficients))
+    return tuple(bands)
 
 
-def _add_bands(bands: list, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _add_bands(bands: tuple, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out += H_int psi along the last axis, from the bands of _hint_bands."""
     for offset, coefficients in bands:
         n = len(coefficients)
@@ -251,7 +274,7 @@ def apply_h(cfg: FullModelConfig, psi: np.ndarray) -> np.ndarray:
     return _add_bands(_hint_bands(cfg), psi, _h0_diagonal(cfg) * psi)
 
 
-def _assemble(diagonal: np.ndarray, bands: list) -> np.ndarray:
+def _assemble(diagonal: np.ndarray, bands: tuple) -> np.ndarray:
     """The dense matrix with this diagonal and these bands (_hint_bands).
     Both triangles get the same coefficients, so it is exactly symmetric."""
     h = np.diag(diagonal)
@@ -343,9 +366,10 @@ def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
 def _pad(cfg: FullModelConfig, vectors: np.ndarray, n_max: int) -> np.ndarray:
     """Rows of ``vectors`` on the basis of cfg, zero-padded to n_max levels
     per mode: the same states on the basis of replace(cfg, n_max=n_max)."""
-    shaped = vectors.reshape((len(vectors),) + cfg.mode_dims)
-    widths = [(0, 0), (0, 0)] + [(0, n_max - cfg.n_max)] * cfg.n_modes
-    return np.pad(shaped, widths).reshape(len(vectors), -1)
+    padded = np.zeros((len(vectors), 2) + (n_max,) * cfg.n_modes)
+    padded[(...,) + (slice(cfg.n_max),) * cfg.n_modes] = (
+        vectors.reshape((len(vectors),) + cfg.mode_dims))
+    return padded.reshape(len(vectors), -1)
 
 
 def dressed_transition(cfg: FullModelConfig) -> ShiftReport:

@@ -146,11 +146,23 @@ def _tridiagonal_eigenpairs(alpha, beta):
     dense solves that a failed certificate asks for.  So the pairs come from
     the SVD of T - shift, shift a Gershgorin lower bound of T: the shifted
     matrix is positive semidefinite, so its singular pairs are its
-    eigenpairs, and the singular values descend.
+    eigenpairs, and the singular values descend.  T - shift is written into
+    one array by flat index, the diagonal every m + 1 entries from 0 and the
+    off-diagonals from 1 and m; a 1 x 1 T is its own eigenvalue.
     """
-    off = np.diag(beta, 1) + np.diag(beta, -1)
-    shift = np.min(alpha - off.sum(axis=1))
-    _, s, vh = np.linalg.svd(np.diag(alpha - shift) + off)
+    m = len(alpha)
+    if m == 1:
+        return np.array(alpha, dtype=float), np.ones((1, 1))
+    # Gershgorin row sums: each row holds at most two off-diagonal entries
+    rows = np.zeros(m)
+    rows[:-1] += beta
+    rows[1:] += beta
+    shift = np.min(alpha - rows)
+    t = np.zeros((m, m))
+    t.flat[::m + 1] = alpha - shift
+    t.flat[1::m + 1] = beta
+    t.flat[m::m + 1] = beta
+    _, s, vh = np.linalg.svd(t)
     return s[::-1] + shift, vh[::-1]
 
 
@@ -251,35 +263,37 @@ def lanczos(matvec, start, pick, max_steps=None, weight=None) -> RitzPair:
     steps = dim if max_steps is None else min(dim, max_steps)
     basis = np.empty((steps, dim))
     basis[0] = start / np.linalg.norm(start)
-    alpha, beta, scale = [], [], 0.0
+    alpha, beta, scale = np.empty(steps), np.empty(steps), 0.0
     for k in range(steps):
         w = matvec(basis[k])
-        alpha.append(basis[k] @ w)
+        alpha[k] = basis[k] @ w
         for _ in range(2):
             w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
-        beta.append(np.linalg.norm(w))
-        scale = max(scale, abs(alpha[-1]) + sum(beta[-2:]))
+        beta[k] = np.linalg.norm(w)
+        # row k's Gershgorin radius, its two betas summed before alpha is added
+        scale = max(scale, abs(alpha[k]) + (beta[k - 1] + beta[k] if k else beta[k]))
         tol = LANCZOS_RTOL * scale
         last = k == steps - 1
         # a Ritz pair costs more than a step, so it is taken every few steps,
         # at a breakdown and at the last step
-        if k % LANCZOS_CHECK_EVERY == 0 or beta[-1] <= tol or last:
-            values, vectors = _tridiagonal_eigenpairs(alpha, beta[:-1])
+        if k % LANCZOS_CHECK_EVERY == 0 or beta[k] <= tol or last:
+            values, vectors = _tridiagonal_eigenpairs(alpha[:k + 1], beta[:k])
             # column 0 holds each Ritz vector's overlap with the start
             weights = vectors[:, 0] ** 2
             j = 0 if pick == "lowest" else int(np.argmax(weights))
-            if beta[-1] * abs(vectors[j, -1]) <= tol or last:
+            if beta[k] * abs(vectors[j, -1]) <= tol or last:
                 break
             # a Ritz weight w_j is the Christoffel function at theta_j
             if (weight is not None and np.max(weights) <= weight
-                    and _largest_point_mass(alpha, beta, values) <= weight):
+                    and _largest_point_mass(alpha[:k + 1], beta[:k + 1], values) <= weight):
                 break
-        basis[k + 1] = w / beta[-1]
+        basis[k + 1] = w / beta[k]
     y = vectors[j] @ basis[:k + 1]
     y /= np.linalg.norm(y)
     hy = matvec(y)
     theta = float(y @ hy)
-    others = np.delete(values, j)
-    gap = float(np.min(np.abs(others - values[j]))) if len(others) else math.inf
-    return RitzPair(theta, y, float(np.linalg.norm(hy - theta * y)), gap)
+    # the Ritz values ascend, so the nearest other one is a neighbour
+    below = values[j] - values[j - 1] if j else math.inf
+    above = values[j + 1] - values[j] if j + 1 < len(values) else math.inf
+    return RitzPair(theta, y, float(np.linalg.norm(hy - theta * y)), float(min(below, above)))
 

@@ -147,6 +147,26 @@ class TestConfig:
         cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.1,),), 14)
         assert cfg.dim == 2 * 14 * 14
 
+    @pytest.mark.parametrize("cfg", MODE_CONFIGS + [SOLVER_CONFIGS["two-dipoles"]])
+    def test_equal_configs_compare_equal_and_hash_alike(self, cfg):
+        twin = replace(cfg)
+        assert twin is not cfg
+        assert twin == cfg
+        assert hash(twin) == hash(cfg)
+        assert {cfg: "stored"}[twin] == "stored"
+
+    def test_one_coupling_entry_makes_configs_unequal(self):
+        cfg = SOLVER_CONFIGS["two-dipoles"]
+        assert cfg != replace(cfg, qubit_field_couplings=(0.03,))
+        assert cfg != replace(cfg, dipole_field_couplings=((0.01,), (0.03,)))
+        assert len({cfg, replace(cfg, dipole_field_couplings=((0.01,), (0.03,)))}) == 2
+
+    def test_coupling_matrix_stays_a_read_only_array(self):
+        couplings = SOLVER_CONFIGS["two-dipoles"].dipole_field_couplings
+        assert np.array_equal(couplings, [[0.01], [0.02]])
+        with pytest.raises(ValueError):
+            couplings[0, 0] = 1.0
+
 
 class TestBuildH0:
 
@@ -573,3 +593,48 @@ class TestRefractiveModulation:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             refractive_modulation(1.0, 0.9)
+
+
+# one field and one dipole at n_max 14, the benchmark's sweep point
+BAND_CFG = FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14)
+
+
+def same_bands(got, want):
+    return ([offset for offset, _ in got] == [offset for offset, _ in want]
+            and all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want)))
+
+
+class TestBandCache:
+    """_hint_bands builds the bands once per coupling set and n_max."""
+
+    @pytest.mark.parametrize("changes", [
+        {"qubit_freq": 3.7}, {"field_freqs": (4.0,)}, {"dipole_freqs": (2.5,)},
+        {"dim_limit": 5000}], ids=["qubit", "field", "dipole", "dim_limit"])
+    def test_cached_bands_equal_a_fresh_build(self, changes):
+        other = replace(BAND_CFG, **changes)
+        full_model._coupling_bands.cache_clear()
+        cached = full_model._hint_bands(BAND_CFG)
+        hit = full_model._hint_bands(other)
+        assert hit is cached
+        full_model._coupling_bands.cache_clear()
+        fresh = full_model._hint_bands(other)
+        assert fresh is not cached
+        assert same_bands(hit, fresh)
+
+    def test_cached_coefficients_are_read_only(self):
+        for _, coefficients in full_model._hint_bands(BAND_CFG):
+            with pytest.raises(ValueError):
+                coefficients[0] = 1.0
+
+    def test_smaller_dim_limit_still_raises_on_a_cache_hit(self):
+        full_model._hint_bands(BAND_CFG)
+        with pytest.raises(DimensionLimitError):
+            full_model._hint_bands(replace(BAND_CFG, dim_limit=BAND_CFG.dim - 1))
+
+    def test_qubit_sweep_builds_one_band_set_per_n_max(self):
+        full_model._coupling_bands.cache_clear()
+        for q in np.linspace(1.0, 2.6, 9):
+            assert dressed_transition(replace(BAND_CFG, qubit_freq=q)).converged
+        info = full_model._coupling_bands.cache_info()
+        # n_max and the n_max + 2 probe
+        assert (info.misses, info.hits) == (2, 16)

@@ -281,3 +281,58 @@ class TestLanczosStartOverlap:
     def test_unknown_pick_is_refused(self):
         with pytest.raises(ValueError):
             lanczos(np.eye(3).__matmul__, np.ones(3), "highest")
+
+
+def diag_built_eigenpairs(alpha, beta):
+    """Reference copy of the Ritz-check solve as it was first written: T from
+    np.diag calls and a row sum, then the same SVD of T - shift."""
+    off = np.diag(beta, 1) + np.diag(beta, -1)
+    shift = np.min(alpha - off.sum(axis=1))
+    _, s, vh = np.linalg.svd(np.diag(alpha - shift) + off)
+    return s[::-1] + shift, vh[::-1]
+
+
+def recorded_full_run(monkeypatch):
+    """The (alpha, beta) of every Ritz check of an n_max 14 `full` point."""
+    from qvdw import FullModelConfig, full_model
+    recorded = []
+    solve = operators._tridiagonal_eigenpairs
+
+    def recording(alpha, beta):
+        recorded.append((np.array(alpha), np.array(beta)))
+        return solve(alpha, beta)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(operators, "_tridiagonal_eigenpairs", recording)
+        full_model.dressed_transition(
+            FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14))
+    return recorded
+
+
+class TestTridiagonalEigenpairs:
+    """The in-place assembly of T - shift gives the SVD the same matrix as the
+    np.diag build, so every value and vector is the same to the bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 17, 40])
+    def test_equals_the_diag_build_on_random_coefficients(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            alpha, beta = rng.normal(size=m), rng.uniform(0.0, 2.0, size=m - 1)
+            values, vectors = operators._tridiagonal_eigenpairs(alpha, beta)
+            want_values, want_vectors = diag_built_eigenpairs(alpha, beta)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(vectors, want_vectors)
+
+    def test_equals_the_diag_build_on_a_recorded_full_run(self, monkeypatch):
+        recorded = recorded_full_run(monkeypatch)
+        assert max(len(alpha) for alpha, _ in recorded) >= 10
+        for alpha, beta in recorded:
+            values, vectors = operators._tridiagonal_eigenpairs(alpha, beta)
+            want_values, want_vectors = diag_built_eigenpairs(alpha, beta)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(vectors, want_vectors)
+
+    def test_one_row_is_its_own_eigenpair(self):
+        values, vectors = operators._tridiagonal_eigenpairs(np.array([0.7]), np.array([]))
+        assert np.array_equal(values, [0.7])
+        assert np.array_equal(vectors, [[1.0]])
