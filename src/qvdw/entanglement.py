@@ -5,8 +5,11 @@ Gaussian, so its 4x4 covariance matrix (ordering x1, p1, x2, p2; vacuum
 variance 1/2 with hbar = 1) determines the logarithmic negativity through
 the smallest symplectic eigenvalue of the partial transpose.  A Fock-basis
 oracle provides an independent check: it solves the truncated Hamiltonian
-in its parity x exchange sectors and takes E_N from the ground state's
-Schmidt coefficients.  E_N uses the natural logarithm in both routes.
+by Lanczos on the n_max x n_max amplitude matrix of its ground state, which
+its parity x exchange symmetry keeps in the vacuum's sector, certifies the
+energy by a separable lower bound (per-sector Cholesky factorizations past
+coupling ~0.8), and takes E_N from the ground state's Schmidt
+coefficients.  E_N uses the natural logarithm in both routes.
 
 Two-qubit route: Wootters concurrence and the maximal CHSH value (the
 Horodecki criterion), quantifying the Bell-test program for verifying

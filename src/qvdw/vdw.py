@@ -25,9 +25,9 @@ from .operators import (DEFAULT_DIM_LIMIT, _tridiagonal_eigenpairs, lanczos, qua
                         truncation_probe)
 
 FOCK_CONVERGENCE_TOL = 1e-8
-# the Lanczos energy of the vacuum's block is certified to lie within its
-# residual plus this fraction of max(1, |energy|) above the block's minimum,
-# and a separable bound must clear it by this fraction to certify another block
+# the Lanczos energy of the Fock ground state is certified to lie within its
+# residual plus this fraction of max(1, |energy|) above H's minimum, and a
+# separable bound must clear it by this fraction to count as lying above it
 FOCK_CERTIFICATE_RTOL = 1e-10
 
 
@@ -184,8 +184,9 @@ def coupled_hamiltonian_fock(cfg: VdwConfig, n_max: int) -> np.ndarray:
     """Dense H on the two-mode truncated Fock space, built from quadratures.
 
     p^2/2m + m w0^2 x^2 / 2 for each oscillator plus lambda x1 x2; real
-    symmetric.  The dense reference that fock_ground_state's sector blocks
-    are checked against.  Every term changes n1 + n2 by 0 or +-2, so H has
+    symmetric.  The dense reference that fock_ground_state's product on the
+    amplitude matrix and its fallback's sector blocks are checked against;
+    no solver builds it.  Every term changes n1 + n2 by 0 or +-2, so H has
     no entry between the even and odd (-1)^(n1 + n2) parity sectors.
     """
     h_single, x = _single_oscillator(cfg, n_max)
@@ -231,6 +232,9 @@ def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float):
     bounds[j] to bounds[j + 1] - 1.  The even symmetric sector, which holds
     the vacuum |0, 0> as its first basis state, comes first.  Each block is
     scattered from the nonzero entries of H; no n_max^2 matrix is built.
+    fock_ground_state draws the blocks only when its separable bound cannot
+    certify the Lanczos energy (its fallback, near coupling 0.8 and above,
+    and at n_max 2 and 3).
     """
     n_max = len(h_single)
     rows, cols, vals = _product_nonzeros(h_single, x, lam)
@@ -280,17 +284,40 @@ def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
     return True
 
 
-def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
-    """Lower bounds on the spectra of the _sector_blocks(h_single, x, lam),
-    from a separable operator below H; None when the even or the odd levels
-    number fewer than two (n_max 2 and 3).
+def _bound_levels(h_single: np.ndarray, x: np.ndarray, lam: float):
+    """The spectra of h' = h - (|lam|/2) x^2 on its even and on its odd
+    levels, and the ground vector of its even levels.
+
+    Every term of h' changes the level by 0 or 2, so its even levels 0, 2,
+    ... and its odd levels 1, 3, ... make two tridiagonal matrices T.  Each
+    is solved as |T|, T with |off-diagonal|, which has T's spectrum: T =
+    D |T| D for D the diagonal of running products of the off-diagonal's
+    signs, so D restores T's eigenvectors from those of |T|.
+
+    Returns ``(even, odd, phi)``: the eigenvalues of both parts, ascending,
+    and the unit ground vector phi of the even part, phi[i] the amplitude of
+    level 2 i.
+    """
+    h_bound = h_single - 0.5 * abs(lam) * (x @ x)
+    parts = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
+    (even, vectors), (odd, _) = (_tridiagonal_eigenpairs(np.diag(part), np.abs(np.diag(part, 1)))
+                                 for part in parts)
+    signs = np.where(np.diag(parts[0], 1) < 0.0, -1.0, 1.0)
+    return even, odd, vectors[0] * np.cumprod(np.append(1.0, signs))
+
+
+def _separable_bounds(even: np.ndarray, odd: np.ndarray):
+    """Lower bounds on the spectra of H's four sector blocks (see
+    _sector_blocks), from a separable operator below H, given the spectra
+    ``even`` and ``odd`` of h' = h - (|lam|/2) x^2 on its even and its odd
+    levels (see _bound_levels); None when either numbers fewer than two
+    values (n_max 2 and 3).
 
     (x x 1 +- 1 x x)^2 >= 0 gives lam x x x >= -(|lam|/2)(x^2 x 1 + 1 x x^2),
-    so H >= B = h' x 1 + 1 x h' with h' = h - (|lam|/2) x^2.  Every term of
-    h' changes the level by 0 or 2, so its even and its odd levels make two
-    tridiagonal matrices, with eigenvalues e_0 <= e_1 <= ... and
-    o_0 <= o_1 <= ....  B, like H, commutes with parity and exchange, so
-    each sector block of H lies above B's block in that sector, and by
+    so H >= B = h' x 1 + 1 x h', and with e_0 <= e_1 <= ... the values of
+    ``even`` and o_0 <= o_1 <= ... those of ``odd``, B's eigenvalues are
+    the sums of two of them.  B, like H, commutes with parity and exchange,
+    so each sector block of H lies above B's block in that sector, and by
     Weyl's monotonicity its k-th eigenvalue above B's k-th: the vacuum's
     block above min(2 e_0, 2 o_0) and its second eigenvalue above the second
     smallest of 2 e_0, e_0 + e_1, 2 o_0 and o_0 + o_1, the even
@@ -301,55 +328,70 @@ def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
     eigenvalue, and the bounds on the lowest eigenvalues of the four blocks
     in _sector_blocks order.
     """
-    h_bound = h_single - 0.5 * abs(lam) * (x @ x)
-    pairs = []
-    for part in (h_bound[0::2, 0::2], h_bound[1::2, 1::2]):
-        if len(part) < 2:
-            return None
-        # the signs of the off-diagonal leave a tridiagonal spectrum unchanged
-        values, _ = _tridiagonal_eigenpairs(np.diag(part), np.abs(np.diag(part, 1)))
-        pairs.append(values[:2])
-    (e0, e1), (o0, o1) = pairs
+    if len(even) < 2 or len(odd) < 2:
+        return None
+    (e0, e1), (o0, o1) = even[:2], odd[:2]
     second = sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1]
     return second, (min(2.0 * e0, 2.0 * o0), min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
 
 
 def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
-    """Ground energy and state of the two-mode Fock Hamiltonian, per sector.
+    """Ground energy and state of the two-mode Fock Hamiltonian, solved
+    matrix-free on its amplitude matrix.
 
-    The vacuum's block (even parity, exchange symmetric) is solved by
-    Lanczos (operators.lanczos, lowest pair) from the vacuum, or from
-    ``start``, an n_max x n_max amplitude matrix such as the ground state of
-    a wider truncation cut to n_max levels, projected onto the block (the
-    vacuum again if the projection vanishes).  The run gives the Ritz value
-    theta and its residual r, and theta is the ground energy once two things
-    are certified: the vacuum's block has no eigenvalue below theta -
-    margin, margin = r + FOCK_CERTIFICATE_RTOL max(1, |theta|), so Lanczos
-    missed no lower state; and each other block lies above theta.
+    H acts on the n_max x n_max amplitude matrix Psi[n1, n2] as
+    h Psi + Psi h + lambda x Psi x, h and x the one-oscillator matrices of
+    _single_oscillator, and operators.lanczos finds its lowest Ritz pair
+    from that product alone.  H commutes with the parity (-1)^(n1 + n2) and
+    the exchange n1 <-> n2, so a run started from an even, symmetric Psi
+    stays in the vacuum's sector, and it is capped at that sector's
+    dimension (420 at n_max 40).  The product is taken on the symmetric part
+    S of Psi, as A + A^T with A = h S + (lambda/2) x S x, which rounds to an
+    exactly symmetric matrix: rounding then cannot seed an antisymmetric
+    part that the run would amplify (h Psi + Psi h + lambda x Psi x
+    evaluated term by term lets it grow to 2e-14 at n_max 8, u 0.97), and
+    odd-parity amplitudes stay exact zeros.
 
-    The first certificate is tried from the separable bounds of
-    _separable_bounds, which cost two tridiagonal eigensolves of n_max / 2
-    levels.  With rho the bound on the vacuum block's second eigenvalue,
-    Temple's inequality puts the block's lowest eigenvalue at or above
-    theta - r^2 / (rho - theta) when theta < rho, so the vacuum's block is
-    certified when r^2 / (rho - theta) <= margin, and each other block when
-    its bound exceeds theta + FOCK_CERTIFICATE_RTOL max(1, |theta|).  When
-    all four hold, theta and its Ritz vector are returned and only the
-    vacuum's block is ever built.  The bound gives up as the coupling grows:
-    the odd blocks' bound 2 w0 sqrt(1 - u) falls below theta near u = 0.8,
-    and at n_max 2 and 3 a level parity class has fewer than two levels and
-    there is no bound.  Then every block is certified by a shell-by-shell
-    Cholesky factorization (_lies_above): the vacuum's block against theta -
-    margin, each other block against the energy found so far.  A block that
-    fails its certificate is diagonalized by eigh, and the lowest energy
-    wins.  So the result is the ground energy of
-    coupled_hamiltonian_fock(cfg, n_max) whichever sector holds it, and a
-    dense eigensolve runs only when a Cholesky certificate fails; the start
-    changes only how many Lanczos steps that takes.  Raises
-    DimensionLimitError when n_max^2 exceeds the dense-matrix limit, and
-    UnstableConfigurationError, as normal_modes does, when |lambda| >= m
-    w0^2: the pair then has no ground state, and the lowest level of its
-    truncated Hamiltonian means nothing.
+    The cold start is phi x phi, phi the ground vector of
+    h' = h - (|lambda|/2) x^2 on its even levels (_bound_levels), the
+    ground state of the separable operator that bounds H below: at n_max 38
+    it takes 10, 18, 30 and 34 products at coupling u 0.05, 0.3, 0.6 and
+    0.75 where the vacuum takes 18, 34, 30 and 62.
+    ``start``, an n_max x n_max amplitude matrix such as the ground state
+    of a wider truncation cut to n_max levels, is projected instead: its
+    even-parity part of start + start^T (the cold start if that vanishes).
+
+    The run gives the Ritz value theta and its residual r, and theta is the
+    ground energy once H is certified to have no eigenvalue below theta -
+    margin, margin = r + FOCK_CERTIFICATE_RTOL max(1, |theta|).  The
+    separable bounds of _separable_bounds, two tridiagonal eigensolves of
+    n_max / 2 levels, give rho, a lower bound on H's second eigenvalue: the
+    least of the bound on the vacuum block's second eigenvalue and the
+    bounds on the other three blocks' lowest.  Temple's inequality puts H's
+    lowest eigenvalue at or above theta - r^2 / (rho - theta) when theta <
+    rho, on the whole amplitude space and so whichever sector holds the
+    ground state.  So theta is certified when rho exceeds theta +
+    FOCK_CERTIFICATE_RTOL max(1, |theta|) and r^2 / (rho - theta) <=
+    margin.  Then theta and its Ritz vector are returned, and no sector
+    block is built.
+
+    The bound gives up as the coupling grows: the odd blocks' bound
+    2 w0 sqrt(1 - u) falls below theta near u = 0.8, and at n_max 2 and 3 a
+    level parity class has fewer than two levels and there is no bound.
+    Then the sector blocks are built (_sector_blocks) and certified by a
+    shell-by-shell Cholesky factorization (_lies_above): the vacuum's block
+    against theta - margin, and each other block against the energy found
+    so far, unless its separable bound already exceeds that energy plus
+    FOCK_CERTIFICATE_RTOL max(1, |theta|).  A block that fails its
+    certificate is diagonalized by eigh, and the lowest energy wins.  So the
+    result is the ground energy of coupled_hamiltonian_fock(cfg, n_max)
+    whichever sector holds it, and a dense eigensolve runs only when a
+    Cholesky certificate fails; the start changes only how many Lanczos
+    steps that takes.  Raises ValueError when ``start`` is not an n_max x
+    n_max matrix, DimensionLimitError when n_max^2 exceeds the dense-matrix
+    limit, and UnstableConfigurationError, as normal_modes does, when
+    |lambda| >= m w0^2: the pair then has no ground state, and the lowest
+    level of its truncated Hamiltonian means nothing.
 
     Returns ``(energy, psi)``, psi the ground state as the n_max x n_max
     amplitude matrix psi[n1, n2].
@@ -359,41 +401,57 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
         raise DimensionLimitError(
             f"Fock dimension n_max^2 = {n_max * n_max} exceeds limit "
             f"{DEFAULT_DIM_LIMIT}; reduce n_max")
+    if start is not None and np.shape(start) != (n_max, n_max):
+        raise ValueError(f"start must be an n_max x n_max = {n_max} x {n_max} amplitude "
+                         f"matrix, got shape {np.shape(start)}")
     h_single, x = _single_oscillator(cfg, n_max)
     lam = dipole_coupling_lambda(cfg)
-    blocks = _sector_blocks(h_single, x, lam)
-    # the vacuum's block comes first, with |0, 0> as its first state
-    index, coef, block, bounds = next(blocks)
-    seed = np.zeros(len(block))
+    even, odd, phi = _bound_levels(h_single, x, lam)
+    seed = np.zeros((n_max, n_max))
     if start is not None:
-        # <S_i|start> sums coef over the product states of basis state i
-        inside = index >= 0
-        seed = np.bincount(index[inside], (coef * np.ravel(start))[inside],
-                           minlength=len(block))
+        # the start's part in the vacuum's sector, up to a factor 2
+        level = np.arange(n_max)
+        seed = np.where((level[:, None] + level) % 2 == 0, start + np.transpose(start), 0.0)
     if not seed.any():
-        seed[0] = 1.0
-    theta, vector, residual, _ = lanczos(block.__matmul__, seed, "lowest")
-    energy, ground = theta, (index, coef, vector)
+        seed[0::2, 0::2] = np.outer(phi, phi)
+
+    def matvec(v):
+        psi = v.reshape(n_max, n_max)
+        s = 0.5 * (psi + psi.T)
+        a = h_single @ s + (0.5 * lam) * (x @ s @ x)
+        return (a + a.T).ravel()
+
+    # the vacuum's sector holds the pairs n1 <= n2 of even n1 + n2
+    evens, odds = (n_max + 1) // 2, n_max // 2
+    theta, vector, residual, _ = lanczos(matvec, seed.ravel(), "lowest",
+                                         max_steps=(evens * (evens + 1) + odds * (odds + 1)) // 2)
+    energy, psi = theta, vector.reshape(n_max, n_max)
     tolerance = FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
     margin = residual + tolerance
-    separable, certified = _separable_bounds(h_single, x, lam), False
-    if separable is not None:
-        second, lowest = separable
-        certified = (theta < second and residual * residual / (second - theta) <= margin
-                     and min(lowest[1:]) > theta + tolerance)
-    if not certified:
-        if not _lies_above(block, bounds, theta - margin):
-            values, vectors = np.linalg.eigh(block)
-            energy, ground = float(values[0]), (index, coef, vectors[:, 0])
-        for index, coef, block, bounds in blocks:
-            if _lies_above(block, bounds, energy):
-                continue
-            values, vectors = np.linalg.eigh(block)
-            if values[0] < energy:
-                energy, ground = float(values[0]), (index, coef, vectors[:, 0])
-    index, coef, vector = ground
-    # coef is 0 outside the winning sector, where index is -1
-    return energy, (coef * vector[index]).reshape(n_max, n_max)
+    separable = _separable_bounds(even, odd)
+    second, lowest = separable if separable is not None else (-math.inf, (-math.inf,) * 4)
+    # a lower bound on H's second eigenvalue, whichever sector holds it
+    rho = min(second, *lowest[1:])
+    if theta + tolerance < rho and residual * residual / (rho - theta) <= margin:
+        return energy, psi
+
+    def sector_state(index, coef, vector):
+        # coef is 0 outside the sector, where index is -1
+        return (coef * vector[index]).reshape(n_max, n_max)
+
+    blocks = _sector_blocks(h_single, x, lam)
+    # the vacuum's block comes first
+    index, coef, block, bounds = next(blocks)
+    if not _lies_above(block, bounds, theta - margin):
+        values, vectors = np.linalg.eigh(block)
+        energy, psi = float(values[0]), sector_state(index, coef, vectors[:, 0])
+    for bound, (index, coef, block, bounds) in zip(lowest[1:], blocks):
+        if bound > energy + tolerance or _lies_above(block, bounds, energy):
+            continue
+        values, vectors = np.linalg.eigh(block)
+        if values[0] < energy:
+            energy, psi = float(values[0]), sector_state(index, coef, vectors[:, 0])
+    return energy, psi
 
 
 @lru_cache(maxsize=2)
@@ -402,7 +460,7 @@ def fock_ground_pair(cfg: VdwConfig, n_max: int):
 
     Both Fock oracles read the same pair: vdw_fock_oracle its energies and
     negativity_fock_oracle its states.  The n_max state comes from
-    fock_ground_state from the vacuum, the probe from fock_ground_state
+    fock_ground_state from its cold start, the probe from fock_ground_state
     started at that state cut to n_max - 2 levels per oscillator, with the
     same certificates.  The last two pairs are cached, so ``qvdw entangle``
     and vdw_fock_oracle at one coupling share one solve, and a sweep, whose
@@ -422,10 +480,10 @@ def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
     """Ground shift by diagonalizing the truncated Fock^2 Hamiltonian.
 
     Independent check of exact_ground_shift: the ground energy of the
-    truncated two-mode Hamiltonian, solved sector by sector, minus the
-    uncoupled ground energy w0.  The converged flag compares against the
-    n_max - 2 truncation.  Both solves come from fock_ground_pair, which
-    negativity_fock_oracle shares.
+    truncated two-mode Hamiltonian, solved on its amplitude matrix and
+    certified (fock_ground_state), minus the uncoupled ground energy w0.
+    The converged flag compares against the n_max - 2 truncation.  Both
+    solves come from fock_ground_pair, which negativity_fock_oracle shares.
     """
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")

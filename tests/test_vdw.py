@@ -266,6 +266,11 @@ def no_separable_bound(*terms):
     return None
 
 
+def separable_bounds(cfg, n_max):
+    even, odd, _ = vdw._bound_levels(*fock_terms(cfg, n_max))
+    return vdw._separable_bounds(even, odd)
+
+
 class TestParitySectors:
 
     @pytest.mark.parametrize("n_max", [8, 12, 13])
@@ -306,19 +311,20 @@ class TestParitySectors:
             solved.append(len(block))
             return eigh(block)
 
-        def counting_lanczos(matvec, start, pick):
+        def recording_lanczos(matvec, start, pick, max_steps=None):
             krylov.append(len(start))
-            return lanczos(matvec, start, pick)
+            return lanczos(matvec, start, pick, max_steps)
 
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
         # the separable bound holds for the real H, not for the lowered block
         monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(vdw, "lanczos", counting_lanczos)
+        monkeypatch.setattr(vdw, "lanczos", recording_lanczos)
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
-        assert krylov == [sizes[0]]
+        # one run on the whole amplitude matrix, then the per-block fallback
+        assert krylov == [n_max * n_max]
         assert solved == [sizes[3]]
         h = coupled_hamiltonian_fock(cfg, n_max)
         state = np.zeros(n_max * n_max)
@@ -373,6 +379,26 @@ def vacuum_start(dim):
     return start
 
 
+def vacuum_amplitudes(n_max):
+    """|0, 0> as an n_max x n_max amplitude matrix."""
+    start = np.zeros((n_max, n_max))
+    start[0, 0] = 1.0
+    return start
+
+
+def counting_lanczos(products):
+    """vdw.lanczos, appending each vector it multiplies to ``products``."""
+    run = vdw.lanczos
+
+    def counting(matvec, start, pick, max_steps=None):
+        def counted(v):
+            products.append(v)
+            return matvec(v)
+        return run(counted, start, pick, max_steps)
+
+    return counting
+
+
 class TestSectorSolve:
 
     @pytest.mark.parametrize("n_max", [8, 12, 13])
@@ -396,7 +422,7 @@ class TestSectorSolve:
         rng = np.random.default_rng(n_max)
         blocks = sector_blocks(config_for_coupling(u), n_max)
         for number, (_, _, block, _) in enumerate(blocks):
-            # the vacuum's block from the vacuum, as fock_ground_state runs it
+            # the vacuum's block from the vacuum
             start = rng.normal(size=len(block)) if number else vacuum_start(len(block))
             theta, y, residual, _ = lanczos(block.__matmul__, start, "lowest")
             values, vectors = np.linalg.eigh(block)
@@ -470,18 +496,93 @@ class TestSectorSolve:
         negativity_fock_oracle(cfg, n_max=16)
 
 
+FOCK_CONFIGS = [
+    config_for_coupling(0.0), config_for_coupling(0.3), config_for_coupling(0.79),
+    config_for_coupling(0.9), config_for_coupling(0.97),
+    VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
+]
+FOCK_CONFIG_IDS = ["u0", "u0.3", "u0.79", "u0.9", "u0.97", "mass1.7-freq0.6"]
+
+
+class TestAmplitudeSolve:
+    """Lanczos on the n_max x n_max amplitude matrix, from the separable
+    bound's ground state phi x phi, with no sector block on a certified point."""
+
+    @pytest.mark.parametrize("n_max", [4, 5, 8, 13])
+    @pytest.mark.parametrize("cfg", FOCK_CONFIGS, ids=FOCK_CONFIG_IDS)
+    def test_equals_dense_eigvalsh(self, cfg, n_max):
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        energy, psi = fock_ground_state(cfg, n_max)
+        assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(h @ psi.ravel() - energy * psi.ravel()) <= 1e-12
+        assert np.all(psi.ravel()[odd_parity(n_max)] == 0.0)
+        assert np.max(np.abs(psi - psi.T)) <= 1e-15
+
+    @pytest.mark.parametrize("n_max", [24, 40])
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.6, 0.79])
+    def test_equals_eigh_of_the_vacuum_block(self, u, n_max):
+        cfg = config_for_coupling(u)
+        energy, psi = fock_ground_state(cfg, n_max)
+        index, coef, block, _ = next(sector_blocks(cfg, n_max))
+        values, vectors = np.linalg.eigh(block)
+        ground = coef * vectors[index, 0]
+        assert energy == pytest.approx(values[0], abs=1e-12)
+        assert abs(ground @ psi.ravel()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.75])
+    def test_seed_lies_in_the_vacuum_sector_and_saves_products(self, monkeypatch, u):
+        cfg, n_max = config_for_coupling(u), 38
+        products = []
+        monkeypatch.setattr(vdw, "lanczos", counting_lanczos(products))
+        seeded_energy, _ = fock_ground_state(cfg, n_max)
+        seed = products[0].reshape(n_max, n_max)
+        seeded = len(products)
+        vacuum_energy, _ = fock_ground_state(cfg, n_max, vacuum_amplitudes(n_max))
+        assert np.all(seed.ravel()[odd_parity(n_max)] == 0.0)
+        assert np.array_equal(seed, seed.T)
+        assert np.count_nonzero(seed) > 1  # not the vacuum
+        assert seeded_energy == pytest.approx(vacuum_energy, abs=1e-12)
+        assert seeded < len(products) - seeded
+
+    @pytest.mark.parametrize("n_max", [40, 64])
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.6, 0.79])
+    def test_certified_points_build_no_block_and_run_no_dense_solve(self, monkeypatch, u,
+                                                                    n_max):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fallback ran although the Temple certificate holds")
+
+        for owner, name in ((vdw, "_sector_blocks"), (vdw, "_lies_above"),
+                            (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(owner, name, refuse)
+        cfg = config_for_coupling(u)
+        energy, _ = fock_ground_state(cfg, n_max)
+        monkeypatch.undo()
+        _, _, block, _ = next(sector_blocks(cfg, n_max))
+        assert energy == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-12)
+
+    @pytest.mark.parametrize("u", [0.81, 0.9, 0.92, 0.97])
+    def test_per_block_fallback_equals_dense_eigvalsh(self, u):
+        cfg = config_for_coupling(u)
+        energy, _ = fock_ground_state(cfg, 24)
+        assert energy == pytest.approx(
+            np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, 24))[0], abs=1e-12)
+
+    @pytest.mark.parametrize("start", [1.0, np.ones((12, 1)), np.ones((10, 10)), np.ones(144)],
+                             ids=["scalar", "column", "narrower", "flat"])
+    def test_a_wrong_shaped_start_is_refused(self, start):
+        with pytest.raises(ValueError, match="12 x 12"):
+            fock_ground_state(config_for_coupling(0.3), 12, start)
+
+
 class TestSeparableBound:
     """H >= h' x 1 + 1 x h' bounds the sector spectra from below and
     certifies the Lanczos pair without a Cholesky factorization."""
 
     @pytest.mark.parametrize("n_max", [4, 5, 8, 13, 40])
-    @pytest.mark.parametrize("cfg", [
-        config_for_coupling(0.0), config_for_coupling(0.3), config_for_coupling(0.79),
-        config_for_coupling(0.9), config_for_coupling(0.97),
-        VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
-    ], ids=["u0", "u0.3", "u0.79", "u0.9", "u0.97", "mass1.7-freq0.6"])
+    @pytest.mark.parametrize("cfg", FOCK_CONFIGS, ids=FOCK_CONFIG_IDS)
     def test_bounds_lie_below_the_block_spectra(self, cfg, n_max):
-        second, lowest = vdw._separable_bounds(*fock_terms(cfg, n_max))
+        second, lowest = separable_bounds(cfg, n_max)
         spectra = [np.linalg.eigvalsh(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
         # at zero coupling h' = h and the bounds are the block minima, up to rounding
         assert second <= spectra[0][1] + 1e-12
@@ -494,13 +595,17 @@ class TestSeparableBound:
     ], ids=["u0.3", "mass1.7-freq0.6"])
     def test_tiny_truncations_fall_back_where_there_is_no_bound(self, cfg, n_max):
         # at n_max 2 and 3 the odd levels number one, too few for a bound
-        assert (vdw._separable_bounds(*fock_terms(cfg, n_max)) is None) == (n_max < 4)
+        assert (separable_bounds(cfg, n_max) is None) == (n_max < 4)
         energy, _ = fock_ground_state(cfg, n_max)
         dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))[0]
         assert energy == pytest.approx(dense, abs=1e-12)
 
-    @pytest.mark.parametrize("u, certificates", [(0.05, 0), (0.3, 0), (0.6, 0), (0.9, 4)])
-    def test_certified_points_build_only_the_vacuum_block(self, monkeypatch, u, certificates):
+    @pytest.mark.parametrize("u, drawn_blocks", [(0.05, 0), (0.3, 0), (0.6, 0), (0.9, 4)])
+    def test_certified_points_build_only_the_vacuum_block(self, monkeypatch, u, drawn_blocks):
+        # a certified point builds no block at all; at u 0.9 the odd blocks'
+        # bound lies below the ground energy, and the fallback factors the
+        # vacuum's block and both odd blocks, while the even antisymmetric
+        # block's own bound clears the energy
         blocks, lies_above = vdw._sector_blocks, vdw._lies_above
         drawn, factored = [], []
 
@@ -516,9 +621,8 @@ class TestSeparableBound:
         monkeypatch.setattr(vdw, "_sector_blocks", counting_blocks)
         monkeypatch.setattr(vdw, "_lies_above", counting_lies_above)
         fock_ground_state(config_for_coupling(u), 40)
-        assert len(factored) == certificates
-        # at u 0.9 the odd blocks' bound lies below the ground energy
-        assert len(drawn) == (1 if certificates == 0 else 4)
+        assert len(drawn) == drawn_blocks
+        assert len(factored) == (3 if drawn_blocks else 0)
 
     @pytest.mark.parametrize("n_max", [24, 40])
     @pytest.mark.parametrize("u", [0.05, 0.3, 0.6])
@@ -543,26 +647,26 @@ class TestWarmFockProbe:
         cfg = config_for_coupling(u)
         _, psi = fock_ground_state(cfg, 40)
         products = []
-        run = vdw.lanczos
+        monkeypatch.setattr(vdw, "lanczos", counting_lanczos(products))
 
-        def counting(matvec, start, pick):
-            def counted(v):
-                products.append(len(v))
-                return matvec(v)
-            return run(counted, start, pick)
+        def counted(start=None):
+            before = len(products)
+            return fock_ground_state(cfg, 38, start), len(products) - before
 
-        monkeypatch.setattr(vdw, "lanczos", counting)
-        cold_energy, cold_psi = fock_ground_state(cfg, 38)
-        cold = len(products)
-        warm_energy, warm_psi = fock_ground_state(cfg, 38, psi[:-2, :-2])
+        (cold_energy, cold_psi), cold = counted()
+        (warm_energy, warm_psi), warm = counted(psi[:-2, :-2])
+        _, from_vacuum = counted(vacuum_amplitudes(38))
         assert warm_energy == pytest.approx(cold_energy, abs=1e-12)
         assert abs(np.sum(warm_psi * cold_psi)) == pytest.approx(1.0, abs=1e-12)
         assert log_negativity(warm_psi) == pytest.approx(log_negativity(cold_psi), abs=1e-12)
-        assert 2 * (len(products) - cold) <= cold
+        # the cold seed already saves products at u 0.05 (10 against the
+        # vacuum's 18), so the warm run's 6 are compared with the vacuum too
+        assert warm < cold
+        assert 2 * warm <= from_vacuum
 
     def test_start_outside_the_vacuum_block_falls_back_to_the_vacuum(self):
         # an exchange-antisymmetric start has no component in the vacuum's
-        # block, so the run starts from the vacuum as without a start
+        # sector, so the run starts from the cold seed as without a start
         cfg = config_for_coupling(0.3)
         antisymmetric = np.triu(np.ones((12, 12)), 1)
         antisymmetric -= antisymmetric.T
@@ -579,9 +683,9 @@ class TestWarmFockProbe:
         starts = []
         run = vdw.lanczos
 
-        def recording(matvec, start, pick):
+        def recording(matvec, start, pick, max_steps=None):
             starts.append(np.count_nonzero(start))
-            return run(matvec, start, pick)
+            return run(matvec, start, pick, max_steps)
 
         cfg = config_for_coupling(u)
         monkeypatch.setattr(vdw, "lanczos", recording)
@@ -589,10 +693,11 @@ class TestWarmFockProbe:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert vdw_fock_oracle(cfg, n_max=40).converged
         assert negativity_fock_oracle(cfg, n_max=40).converged
-        # the oracles share one pair: n_max from the vacuum, the probe from the
-        # cut state
+        # the oracles share one pair: n_max from the cold seed phi x phi, the
+        # probe from the cut state
+        _, _, phi = vdw._bound_levels(*fock_terms(cfg, 40))
         assert len(starts) == 2
-        assert starts[0] == 1
+        assert starts[0] == np.count_nonzero(phi) ** 2
         assert starts[1] > 10
 
 
