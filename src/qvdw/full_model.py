@@ -31,12 +31,13 @@ state exceeds 1/2.  Eigenvectors are orthonormal, so at most one
 eigenvector overlaps a bare state that much, and the certified pair is the
 one the dense maximum-overlap rule picks, interior eigenvalues included (a
 qubit above a mode frequency).  If either pair fails its certificate, H is
-assembled from the same diagonal and bands and solved by dense eigh, which
-also raises IdentificationError when no eigenvector overlaps a bare state
-by 1/2.  That happens near a resonance, where the gap closes, and at strong
-coupling: a run stops as soon as the Christoffel function of its Lanczos
-polynomials shows no eigenvector overlapping the start by more than 1/2,
-and after LANCZOS_MAX_STEPS steps at the latest.  The truncation check
+assembled from the same diagonal and bands and solved by dense eigh
+(operators._dense_eigh), which also raises IdentificationError when no
+eigenvector overlaps a bare state by 1/2.  That happens near a resonance,
+where the gap closes, and at strong coupling: a run stops as soon as the
+Christoffel function of its Lanczos polynomials shows no eigenvector
+overlapping the start by more than 1/2, and after LANCZOS_MAX_STEPS steps
+at the latest.  The truncation check
 at n_max + 2 runs the same Lanczos with the same certificates and the same
 dense fallback, but starts from the two n_max vectors padded with two
 empty levels per mode: at a converged truncation they are eigenvectors of
@@ -44,6 +45,9 @@ the wider H to within its tolerance, and the runs stop after a few steps.
 dim_limit bounds the product dimension on both paths; the Lanczos basis
 takes about m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of
 steps at weak coupling), the dense fallback dim^2 * 8 bytes.
+Each Ritz check inside a run solves the run's small tridiagonal matrix by
+np.linalg.eigh as well; only the dense fallback passes through
+operators._dense_eigh, so that is where dense solves are counted.
 """
 
 from dataclasses import dataclass, field, replace
@@ -51,7 +55,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from . import perturbation
+from . import operators, perturbation
 from .errors import (DimensionLimitError, IdentificationError, NearResonanceError,
                      UnstableConfigurationError)
 from .operators import (DEFAULT_DIM_LIMIT, HermitianOperator, check_hermitian, lanczos,
@@ -311,11 +315,11 @@ def _bare_indices(cfg: FullModelConfig):
 
 
 def _identify(cfg: FullModelConfig, h: np.ndarray):
-    """Dense route: solve the assembled H by eigh and take, for each bare
-    state, the eigenvector that overlaps it most, as (energy, overlap,
-    eigenvector)."""
+    """Dense route: solve the assembled H by operators._dense_eigh and take,
+    for each bare state, the eigenvector that overlaps it most, as (energy,
+    overlap, eigenvector)."""
     check_hermitian(h)
-    values, vectors = np.linalg.eigh(h)
+    values, vectors = operators._dense_eigh(h)
     reports = []
     for bare in _bare_indices(cfg):
         overlaps = vectors[bare] ** 2

@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import operators
 from .errors import DimensionLimitError, UnstableConfigurationError
-from .operators import (DEFAULT_DIM_LIMIT, _tridiagonal_eigenpairs, lanczos, quadratures,
-                        truncation_probe)
+from .operators import DEFAULT_DIM_LIMIT, lanczos, quadratures, truncation_probe
 
 FOCK_CONVERGENCE_TOL = 1e-8
 # the Lanczos energy of the Fock ground state is certified to lie within its
@@ -212,7 +212,7 @@ def _product_nonzeros(h_single: np.ndarray, x: np.ndarray, lam: float):
                  for parts in (rows, cols, vals))
 
 
-def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float):
+def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float, sectors=range(4)):
     """The four parity x exchange blocks of H = h x 1 + 1 x h + lam x x, h
     and x the n_max-level matrices of _single_oscillator: the blocks of
     coupled_hamiltonian_fock(cfg, n_max) for lam = dipole_coupling_lambda(cfg).
@@ -225,16 +225,19 @@ def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float):
     Every term changes n1 + n2 by 0 or +-2 and a sector holds every other
     shell, so each block is block-tridiagonal over its shells.
 
-    Yields ``(index, coef, block, bounds)`` per sector: for every product
-    state s = |n1, n2>, flat index n1 n_max + n2, index[s] is the basis
-    state it belongs to (-1 outside the sector) and coef[s] =
-    <S_index[s]|s> (0 outside); shell j holds the basis states
-    bounds[j] to bounds[j + 1] - 1.  The even symmetric sector, which holds
-    the vacuum |0, 0> as its first basis state, comes first.  Each block is
-    scattered from the nonzero entries of H; no n_max^2 matrix is built.
-    fock_ground_state draws the blocks only when its separable bound cannot
-    certify the Lanczos energy (its fallback, near coupling 0.8 and above,
-    and at n_max 2 and 3).
+    Yields ``(index, coef, block, bounds)`` for each sector that
+    ``sectors`` names, in its order: for every product state s = |n1, n2>,
+    flat index n1 n_max + n2, index[s] is the basis state it belongs to (-1
+    outside the sector) and coef[s] = <S_index[s]|s> (0 outside); shell j
+    holds the basis states bounds[j] to bounds[j + 1] - 1.  Sector 0 is the
+    even symmetric one, which holds the vacuum |0, 0> as its first basis
+    state, then come the even antisymmetric, the odd symmetric and the odd
+    antisymmetric sectors.  ``sectors`` is read one number at a time, after
+    the caller has had the previous block, so a generator can decide on
+    each sector as it is reached.  Each block is scattered from the nonzero
+    entries of H; no n_max^2 matrix is built.  fock_ground_state draws
+    blocks only when its separable bounds cannot certify the Lanczos energy
+    (its fallback, near coupling 0.8 and above, and at n_max 2 and 3).
     """
     n_max = len(h_single)
     rows, cols, vals = _product_nonzeros(h_single, x, lam)
@@ -244,7 +247,9 @@ def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float):
     shell = a_all + b_all
     even = shell % 2 == 0
     pair = a_all < b_all
-    for mask, sign in ((even, 1.0), (even & pair, -1.0), (~even, 1.0), (~even, -1.0)):
+    signed_masks = ((even, 1.0), (even & pair, -1.0), (~even, 1.0), (~even, -1.0))
+    for sector in sectors:
+        mask, sign = signed_masks[sector]
         a, b = a_all[mask], b_all[mask]
         dim = len(a)
         index = np.full(n_max * n_max, -1)
@@ -289,21 +294,19 @@ def _bound_levels(h_single: np.ndarray, x: np.ndarray, lam: float):
     levels, and the ground vector of its even levels.
 
     Every term of h' changes the level by 0 or 2, so its even levels 0, 2,
-    ... and its odd levels 1, 3, ... make two tridiagonal matrices T.  Each
-    is solved as |T|, T with |off-diagonal|, which has T's spectrum: T =
-    D |T| D for D the diagonal of running products of the off-diagonal's
-    signs, so D restores T's eigenvectors from those of |T|.
+    ... and its odd levels 1, 3, ... make two tridiagonal matrices T, each
+    solved as it stands by LAPACK's symmetric eigensolver: the even one with
+    vectors (np.linalg.eigh), the odd one for its values alone
+    (np.linalg.eigvalsh).
 
     Returns ``(even, odd, phi)``: the eigenvalues of both parts, ascending,
     and the unit ground vector phi of the even part, phi[i] the amplitude of
     level 2 i.
     """
     h_bound = h_single - 0.5 * abs(lam) * (x @ x)
-    parts = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
-    (even, vectors), (odd, _) = (_tridiagonal_eigenpairs(np.diag(part), np.abs(np.diag(part, 1)))
-                                 for part in parts)
-    signs = np.where(np.diag(parts[0], 1) < 0.0, -1.0, 1.0)
-    return even, odd, vectors[0] * np.cumprod(np.append(1.0, signs))
+    even_part, odd_part = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
+    even, vectors = np.linalg.eigh(even_part)
+    return even, np.linalg.eigvalsh(odd_part), vectors[:, 0]
 
 
 def _separable_bounds(even: np.ndarray, odd: np.ndarray):
@@ -378,18 +381,23 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     The bound gives up as the coupling grows: the odd blocks' bound
     2 w0 sqrt(1 - u) falls below theta near u = 0.8, and at n_max 2 and 3 a
     level parity class has fewer than two levels and there is no bound.
-    Then the sector blocks are built (_sector_blocks) and certified by a
-    shell-by-shell Cholesky factorization (_lies_above): the vacuum's block
-    against theta - margin, and each other block against the energy found
-    so far, unless its separable bound already exceeds that energy plus
-    FOCK_CERTIFICATE_RTOL max(1, |theta|).  A block that fails its
-    certificate is diagonalized by eigh, and the lowest energy wins.  So the
-    result is the ground energy of coupled_hamiltonian_fock(cfg, n_max)
-    whichever sector holds it, and a dense eigensolve runs only when a
-    Cholesky certificate fails; the start changes only how many Lanczos
-    steps that takes.  Raises ValueError when ``start`` is not an n_max x
-    n_max matrix, DimensionLimitError when n_max^2 exceeds the dense-matrix
-    limit, and UnstableConfigurationError, as normal_modes does, when
+    Then each sector is settled on its own.  The vacuum's sector, where the
+    run lies, is certified by Temple's inequality with rho = the bound on
+    its second eigenvalue alone (it holds up to u ~0.92 at n_max 40), and
+    each other sector by its separable bound when that exceeds the energy
+    found so far plus FOCK_CERTIFICATE_RTOL max(1, |theta|).  Only a sector
+    that neither settles has its block built (_sector_blocks) and certified
+    by a shell-by-shell Cholesky factorization (_lies_above): the vacuum's
+    against theta - margin, every other one against the energy found so
+    far.  A block that fails its certificate is diagonalized by
+    operators._dense_eigh, and the lowest energy wins.  So the result is the
+    ground energy of coupled_hamiltonian_fock(cfg, n_max) whichever sector
+    holds it, and a dense eigensolve runs only when a Cholesky certificate
+    fails; the start changes only how many Lanczos steps that takes.
+
+    Raises ValueError when ``start`` is not an n_max x n_max matrix,
+    DimensionLimitError when n_max^2 exceeds the dense-matrix limit, and
+    UnstableConfigurationError, as normal_modes does, when
     |lambda| >= m w0^2: the pair then has no ground state, and the lowest
     level of its truncated Hamiltonian means nothing.
 
@@ -430,27 +438,41 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     margin = residual + tolerance
     separable = _separable_bounds(even, odd)
     second, lowest = separable if separable is not None else (-math.inf, (-math.inf,) * 4)
+
+    def temple_certifies(rho):
+        # with nothing but the lowest eigenvalue below rho, that eigenvalue
+        # lies at or above theta - r^2 / (rho - theta)
+        return theta + tolerance < rho and residual * residual / (rho - theta) <= margin
+
     # a lower bound on H's second eigenvalue, whichever sector holds it
-    rho = min(second, *lowest[1:])
-    if theta + tolerance < rho and residual * residual / (rho - theta) <= margin:
+    if temple_certifies(min(second, *lowest[1:])):
         return energy, psi
 
     def sector_state(index, coef, vector):
         # coef is 0 outside the sector, where index is -1
         return (coef * vector[index]).reshape(n_max, n_max)
 
-    blocks = _sector_blocks(h_single, x, lam)
-    # the vacuum's block comes first
-    index, coef, block, bounds = next(blocks)
-    if not _lies_above(block, bounds, theta - margin):
-        values, vectors = np.linalg.eigh(block)
-        energy, psi = float(values[0]), sector_state(index, coef, vectors[:, 0])
-    for bound, (index, coef, block, bounds) in zip(lowest[1:], blocks):
-        if bound > energy + tolerance or _lies_above(block, bounds, energy):
-            continue
-        values, vectors = np.linalg.eigh(block)
-        if values[0] < energy:
-            energy, psi = float(values[0]), sector_state(index, coef, vectors[:, 0])
+    # the run lies in the vacuum's sector, whose second eigenvalue lies at or
+    # above ``second``
+    vacuum_certified = temple_certifies(second)
+
+    def uncertified():
+        # the sectors whose block a Cholesky certificate must settle, each
+        # decided as the loop below reaches it: the vacuum's unless Temple
+        # certified it, then each other one whose bound does not clear the
+        # energy found so far
+        if not vacuum_certified:
+            yield 0
+        yield from (k for k in (1, 2, 3) if lowest[k] <= energy + tolerance)
+
+    for index, coef, block, bounds in _sector_blocks(h_single, x, lam, uncertified()):
+        # the vacuum |0, 0> is basis state 0 of its own block only, whose
+        # lowest eigenvalue the run found to within the margin
+        floor = theta - margin if index[0] == 0 else energy
+        if not _lies_above(block, bounds, floor):
+            values, vectors = operators._dense_eigh(block)
+            if values[0] < energy:
+                energy, psi = float(values[0]), sector_state(index, coef, vectors[:, 0])
     return energy, psi
 
 

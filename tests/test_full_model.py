@@ -17,7 +17,7 @@ from qvdw import (
     refractive_modulation,
     transition_shift,
 )
-from qvdw import full_model
+from qvdw import full_model, operators
 from qvdw.full_model import _h0_diagonal, apply_h
 from qvdw.operators import ladder
 
@@ -265,7 +265,7 @@ class TestLanczosRoute:
             raise AssertionError("dense eigh ran although every certificate should pass")
 
         shift, ov_ground, ov_excited = dense_reference(cfg)
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(operators, "_dense_eigh", refuse)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_ground == pytest.approx(ov_ground, abs=1e-12)
@@ -281,9 +281,9 @@ class TestLanczosRoute:
             solved.append(len(mat))
             return eigh(mat)
 
-        eigh = np.linalg.eigh
+        eigh = operators._dense_eigh
         monkeypatch.setattr(full_model, "CERTIFICATE_RTOL", -1.0)  # no residual passes
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
         assert solved == [cfg.dim]
@@ -302,9 +302,9 @@ class TestLanczosRoute:
             solved.append(len(mat))
             return eigh(mat)
 
-        eigh = np.linalg.eigh
+        eigh = operators._dense_eigh
         monkeypatch.setattr(full_model, "LANCZOS_MAX_STEPS", 2)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
         assert solved == [cfg.dim]
@@ -322,8 +322,8 @@ class TestLanczosRoute:
             solved.append(len(mat))
             return eigh(mat)
 
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eigh = operators._dense_eigh
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         with pytest.raises(IdentificationError):
             full_model._diagonalize_and_identify(cfg)
         assert solved == [cfg.dim]
@@ -339,13 +339,13 @@ class TestLanczosRoute:
             solved.append(len(mat))
             return eigh(mat)
 
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eigh = operators._dense_eigh
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
         assert solved == [cfg.dim]
         monkeypatch.setattr(full_model, "OVERLAP_ATOL", np.inf)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         full_model._diagonalize_and_identify(cfg)
         assert solved == [cfg.dim]  # the residual alone would have passed
         shift, ov_ground, ov_excited = dense_reference(cfg)
@@ -461,7 +461,7 @@ class TestWarmProbe:
     def test_failed_warm_certificate_runs_eigh_once(self, cfg, monkeypatch):
         # the n_max runs start from a bare state (one nonzero entry) and pass;
         # every run from a padded vector is made to fail its residual test
-        run, eigh = full_model.lanczos, np.linalg.eigh
+        run, eigh = full_model.lanczos, operators._dense_eigh
         solved = []
 
         def failing_when_warm(matvec, start, *args):
@@ -474,7 +474,7 @@ class TestWarmProbe:
 
         expected = dressed_transition(cfg)
         monkeypatch.setattr(full_model, "lanczos", failing_when_warm)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         report = dressed_transition(cfg)
         monkeypatch.undo()
         assert solved == [replace(cfg, n_max=cfg.n_max + 2).dim]

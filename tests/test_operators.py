@@ -26,6 +26,13 @@ class TestLadder:
         assert a[1, 2] == pytest.approx(np.sqrt(2.0), abs=0)
         assert a[0, 1] == 1.0
 
+    @pytest.mark.parametrize("n_max", [2, 3, 8, 40, 64])
+    def test_equals_the_entrywise_build(self, n_max):
+        want = np.zeros((n_max, n_max))
+        for k in range(1, n_max):
+            want[k - 1, k] = np.sqrt(k)
+        assert np.array_equal(ladder(n_max), want)
+
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             ladder(1)
@@ -284,17 +291,18 @@ class TestLanczosStartOverlap:
 
 
 def diag_built_eigenpairs(alpha, beta):
-    """Reference copy of the Ritz-check solve as it was first written: T from
-    np.diag calls and a row sum, then the same SVD of T - shift."""
+    """Independent reference for the Ritz-check solve: T from np.diag calls,
+    shifted by a Gershgorin lower bound so that it is positive
+    semidefinite, and solved by an SVD, whose singular pairs are then its
+    eigenpairs."""
     off = np.diag(beta, 1) + np.diag(beta, -1)
-    shift = np.min(alpha - off.sum(axis=1))
+    shift = np.min(alpha - np.abs(off).sum(axis=1))
     _, s, vh = np.linalg.svd(np.diag(alpha - shift) + off)
     return s[::-1] + shift, vh[::-1]
 
 
-def recorded_full_run(monkeypatch):
-    """The (alpha, beta) of every Ritz check of an n_max 14 `full` point."""
-    from qvdw import FullModelConfig, full_model
+def recorded_checks(monkeypatch, run):
+    """The (alpha, beta) of every Ritz check that ``run()`` makes."""
     recorded = []
     solve = operators._tridiagonal_eigenpairs
 
@@ -304,33 +312,78 @@ def recorded_full_run(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(operators, "_tridiagonal_eigenpairs", recording)
-        full_model.dressed_transition(
-            FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14))
+        run()
     return recorded
 
 
+def recorded_full_run(monkeypatch):
+    """The Ritz checks of an n_max 14 `full` point and its probe."""
+    from qvdw import FullModelConfig, full_model
+    cfg = FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14)
+    return recorded_checks(monkeypatch, lambda: full_model.dressed_transition(cfg))
+
+
+def recorded_fock_run(monkeypatch):
+    """The Ritz checks of a strong-coupling Fock pair at n_max 40."""
+    from qvdw import vdw
+    vdw.fock_ground_pair.cache_clear()
+    try:
+        return recorded_checks(
+            monkeypatch, lambda: vdw.fock_ground_pair(vdw.config_for_coupling(0.9), 40))
+    finally:
+        vdw.fock_ground_pair.cache_clear()
+
+
+def assert_eigenpairs_of(alpha, beta):
+    """_tridiagonal_eigenpairs solves T: ascending values within 1e-13 ||T||
+    of the reference's, unit orthogonal rows with residuals within
+    1e-13 ||T||, and each vector whose value lies more than 1e-8 from every
+    other one the reference's up to sign, within 1e-13 ||T|| / gap."""
+    m = len(alpha)
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    norm = np.linalg.norm(t, 2)
+    values, vectors = operators._tridiagonal_eigenpairs(alpha, beta)
+    want_values, want_vectors = diag_built_eigenpairs(alpha, beta)
+    assert values.shape == (m,) and vectors.shape == (m, m)
+    assert np.all(np.diff(values) >= 0.0)
+    assert np.max(np.abs(values - want_values)) <= 1e-13 * norm
+    assert np.max(np.abs(vectors @ t - values[:, None] * vectors)) <= 1e-13 * norm
+    assert np.max(np.abs(vectors @ vectors.T - np.eye(m))) <= 1e-13
+    gaps = np.full(m, np.inf)
+    gaps[:-1] = np.diff(values)
+    gaps[1:] = np.minimum(gaps[1:], np.diff(values))
+    for vector, want, gap in zip(vectors, want_vectors, gaps):
+        if gap > 1e-8:
+            sign = np.sign(vector @ want)
+            assert np.max(np.abs(vector - sign * want)) <= 1e-13 * norm / min(gap, norm)
+
+
 class TestTridiagonalEigenpairs:
-    """The in-place assembly of T - shift gives the SVD the same matrix as the
-    np.diag build, so every value and vector is the same to the bit."""
+    """LAPACK's symmetric eigensolver on the Ritz-check T agrees with the
+    independent SVD reference to rounding."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 17, 40])
     def test_equals_the_diag_build_on_random_coefficients(self, m):
         rng = np.random.default_rng(m)
-        for _ in range(5):
+        for trial in range(12):
             alpha, beta = rng.normal(size=m), rng.uniform(0.0, 2.0, size=m - 1)
-            values, vectors = operators._tridiagonal_eigenpairs(alpha, beta)
-            want_values, want_vectors = diag_built_eigenpairs(alpha, beta)
-            assert np.array_equal(values, want_values)
-            assert np.array_equal(vectors, want_vectors)
+            if trial % 2:
+                beta = -beta  # of either sign, as in the separable bound's T
+            if trial % 3 == 2 and m > 1:
+                beta[rng.integers(m - 1)] = 0.0  # T splits in two
+            assert_eigenpairs_of(alpha, beta)
 
     def test_equals_the_diag_build_on_a_recorded_full_run(self, monkeypatch):
         recorded = recorded_full_run(monkeypatch)
         assert max(len(alpha) for alpha, _ in recorded) >= 10
         for alpha, beta in recorded:
-            values, vectors = operators._tridiagonal_eigenpairs(alpha, beta)
-            want_values, want_vectors = diag_built_eigenpairs(alpha, beta)
-            assert np.array_equal(values, want_values)
-            assert np.array_equal(vectors, want_vectors)
+            assert_eigenpairs_of(alpha, beta)
+
+    def test_equals_the_diag_build_on_a_recorded_fock_run(self, monkeypatch):
+        recorded = recorded_fock_run(monkeypatch)
+        assert max(len(alpha) for alpha, _ in recorded) >= 40
+        for alpha, beta in recorded:
+            assert_eigenpairs_of(alpha, beta)
 
     def test_one_row_is_its_own_eigenpair(self):
         values, vectors = operators._tridiagonal_eigenpairs(np.array([0.7]), np.array([]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from qvdw import (
     polarizability,
     vdw_fock_oracle,
 )
-from qvdw import full_model, vdw
+from qvdw import full_model, operators, vdw
 from qvdw.cli import main
 from qvdw.operators import lanczos
 from qvdw.vdw import coupled_hamiltonian_fock, fock_ground_pair, fock_ground_state
@@ -28,8 +30,9 @@ REF = VdwConfig(separation=2.0)
 
 @pytest.fixture(autouse=True)
 def fresh_fock_pairs():
-    """Each test solves its own Fock pairs, so a test that patches lanczos,
-    eigh or eigvalsh cannot pass on a pair that an earlier test cached."""
+    """Each test solves its own Fock pairs, so a test that patches lanczos
+    or the dense eigensolve cannot pass on a pair that an earlier test
+    cached."""
     fock_ground_pair.cache_clear()
     yield
     fock_ground_pair.cache_clear()
@@ -266,6 +269,44 @@ def no_separable_bound(*terms):
     return None
 
 
+def counted_fallback(monkeypatch):
+    """Patch vdw's fallback to record, in two lists it returns, the number
+    of each sector whose block is built and the size of each block that is
+    factored."""
+    blocks, lies_above = vdw._sector_blocks, vdw._lies_above
+    drawn, factored = [], []
+
+    def counting_blocks(h_single, x, lam, sectors=range(4)):
+        def recorded():
+            for sector in sectors:
+                drawn.append(sector)
+                yield sector
+        yield from blocks(h_single, x, lam, recorded())
+
+    def counting_lies_above(block, bounds, energy):
+        factored.append(len(block))
+        return lies_above(block, bounds, energy)
+
+    monkeypatch.setattr(vdw, "_sector_blocks", counting_blocks)
+    monkeypatch.setattr(vdw, "_lies_above", counting_lies_above)
+    return drawn, factored
+
+
+def signless(t):
+    """The tridiagonal ``t`` with its off-diagonal made positive."""
+    return np.diag(np.diag(t)) + np.abs(t - np.diag(np.diag(t)))
+
+
+def svd_eigenpairs(t):
+    """Eigenvalues, ascending, and eigenvectors as rows of the symmetric
+    tridiagonal ``t``, by the SVD of t - shift, a Gershgorin shift that
+    leaves it positive semidefinite."""
+    radii = np.abs(t).sum(axis=1) - np.abs(np.diag(t))
+    shift = np.min(np.diag(t) - radii)
+    _, s, vh = np.linalg.svd(t - shift * np.eye(len(t)))
+    return s[::-1] + shift, vh[::-1]
+
+
 def separable_bounds(cfg, n_max):
     even, odd, _ = vdw._bound_levels(*fock_terms(cfg, n_max))
     return vdw._separable_bounds(even, odd)
@@ -295,7 +336,7 @@ class TestParitySectors:
         # the ground state into the last block: it fails the certificate and
         # is solved, and its state is returned
         cfg, n_max = config_for_coupling(0.3), 10
-        blocks, eigh, lanczos = vdw._sector_blocks, np.linalg.eigh, vdw.lanczos
+        blocks, eigh, lanczos = vdw._sector_blocks, operators._dense_eigh, vdw.lanczos
         sizes = [len(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
 
         def lowered(*terms):
@@ -318,7 +359,7 @@ class TestParitySectors:
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
         # the separable bound holds for the real H, not for the lowered block
         monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         monkeypatch.setattr(vdw, "lanczos", recording_lanczos)
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
@@ -489,8 +530,7 @@ class TestSectorSolve:
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigensolve although every certificate passes")
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(operators, "_dense_eigh", refuse)
         cfg = config_for_coupling(u)
         vdw_fock_oracle(cfg, n_max=16)
         negativity_fock_oracle(cfg, n_max=16)
@@ -553,7 +593,7 @@ class TestAmplitudeSolve:
             raise AssertionError("fallback ran although the Temple certificate holds")
 
         for owner, name in ((vdw, "_sector_blocks"), (vdw, "_lies_above"),
-                            (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+                            (operators, "_dense_eigh")):
             monkeypatch.setattr(owner, name, refuse)
         cfg = config_for_coupling(u)
         energy, _ = fock_ground_state(cfg, n_max)
@@ -600,29 +640,67 @@ class TestSeparableBound:
         dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))[0]
         assert energy == pytest.approx(dense, abs=1e-12)
 
-    @pytest.mark.parametrize("u, drawn_blocks", [(0.05, 0), (0.3, 0), (0.6, 0), (0.9, 4)])
+    @pytest.mark.parametrize("u, drawn_blocks", [(0.05, 0), (0.3, 0), (0.6, 0)])
     def test_certified_points_build_only_the_vacuum_block(self, monkeypatch, u, drawn_blocks):
-        # a certified point builds no block at all; at u 0.9 the odd blocks'
-        # bound lies below the ground energy, and the fallback factors the
-        # vacuum's block and both odd blocks, while the even antisymmetric
-        # block's own bound clears the energy
-        blocks, lies_above = vdw._sector_blocks, vdw._lies_above
-        drawn, factored = [], []
-
-        def counting_blocks(*terms):
-            for sector in blocks(*terms):
-                drawn.append(len(sector[2]))
-                yield sector
-
-        def counting_lies_above(block, bounds, energy):
-            factored.append(len(block))
-            return lies_above(block, bounds, energy)
-
-        monkeypatch.setattr(vdw, "_sector_blocks", counting_blocks)
-        monkeypatch.setattr(vdw, "_lies_above", counting_lies_above)
+        # a certified point builds no block at all
+        drawn, factored = counted_fallback(monkeypatch)
         fock_ground_state(config_for_coupling(u), 40)
         assert len(drawn) == drawn_blocks
-        assert len(factored) == (3 if drawn_blocks else 0)
+        assert len(factored) == 0
+
+    @pytest.mark.parametrize("u", [0.85, 0.9])
+    def test_strong_coupling_builds_and_factors_only_the_odd_blocks(self, monkeypatch, u):
+        # the odd blocks' bound lies below the ground energy, so the whole-space
+        # certificate fails; Temple's inequality on the vacuum's sector alone
+        # still certifies theta, and the even antisymmetric block's own bound
+        # clears the energy, so only the two odd blocks are built and factored
+        cfg, n_max = config_for_coupling(u), 40
+        sizes = [len(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
+        drawn, factored = counted_fallback(monkeypatch)
+        energy, psi = fock_ground_state(cfg, n_max)
+        assert drawn == [2, 3]
+        assert factored == sizes[2:]
+        monkeypatch.undo()
+
+        dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))
+        assert energy == pytest.approx(dense[0], abs=1e-12)
+        index, coef, block, _ = next(sector_blocks(cfg, n_max))
+        _, vectors = np.linalg.eigh(block)
+        assert abs((coef * vectors[index, 0]) @ psi.ravel()) == pytest.approx(1.0, abs=1e-12)
+        # with the vacuum's Temple test off, its block is factored and passes
+        separable = vdw._separable_bounds
+        monkeypatch.setattr(vdw, "_separable_bounds",
+                            lambda even, odd: (-math.inf, separable(even, odd)[1]))
+        drawn, factored = counted_fallback(monkeypatch)
+        cholesky_energy, cholesky_psi = fock_ground_state(cfg, n_max)
+        assert drawn == [0, 2, 3]
+        assert energy == cholesky_energy
+        assert np.array_equal(psi, cholesky_psi)
+
+    @pytest.mark.parametrize("n_max", [4, 13, 40])
+    @pytest.mark.parametrize("cfg", [
+        config_for_coupling(0.0), config_for_coupling(0.3), config_for_coupling(0.9),
+        VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
+    ], ids=["u0", "u0.3", "u0.9", "mass1.7-freq0.6"])
+    def test_phi_is_the_unit_ground_vector_of_the_signed_even_levels(self, cfg, n_max):
+        h_single, x, lam = fock_terms(cfg, n_max)
+        h_bound = h_single - 0.5 * abs(lam) * (x @ x)
+        t, t_odd = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
+        even, odd, phi = vdw._bound_levels(h_single, x, lam)
+        norm = np.linalg.norm(t, 2)
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(t @ phi - even[0] * phi) <= 1e-13 * norm
+        # the reference solves |T|, T with its off-diagonal made positive, by
+        # an SVD and restores T's vectors with the running products of the
+        # off-diagonal's signs
+        want_even, want_vectors = svd_eigenpairs(signless(t))
+        want_odd, _ = svd_eigenpairs(signless(t_odd))
+        assert np.max(np.abs(even - want_even)) <= 1e-13 * norm
+        assert np.max(np.abs(odd - want_odd)) <= 1e-13 * norm
+        signs = np.cumprod(np.append(1.0, np.where(np.diag(t, 1) < 0.0, -1.0, 1.0)))
+        ground = want_vectors[0] * signs
+        assert np.max(np.abs(phi - np.sign(phi @ ground) * ground)) <= 1e-12
+
 
     @pytest.mark.parametrize("n_max", [24, 40])
     @pytest.mark.parametrize("u", [0.05, 0.3, 0.6])
@@ -689,8 +767,7 @@ class TestWarmFockProbe:
 
         cfg = config_for_coupling(u)
         monkeypatch.setattr(vdw, "lanczos", recording)
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(operators, "_dense_eigh", refuse)
         assert vdw_fock_oracle(cfg, n_max=40).converged
         assert negativity_fock_oracle(cfg, n_max=40).converged
         # the oracles share one pair: n_max from the cold seed phi x phi, the
