@@ -7,9 +7,9 @@ the smallest symplectic eigenvalue of the partial transpose.  A Fock-basis
 oracle provides an independent check: it solves the truncated Hamiltonian
 by Lanczos on the n_max x n_max amplitude matrix of its ground state, which
 its parity x exchange symmetry keeps in the vacuum's sector, certifies the
-energy by a separable lower bound (per-sector Cholesky factorizations past
-coupling ~0.8), and takes E_N from the ground state's Schmidt
-coefficients.  E_N uses the natural logarithm in both routes.
+energy in one pass (separable bounds, Temple's inequality, and past coupling
+~0.8 a Cholesky factorization of each sector block they leave unsettled),
+and takes E_N from its Schmidt coefficients; both routes use natural logs.
 
 Two-qubit route: Wootters concurrence and the maximal CHSH value (the
 Horodecki criterion), quantifying the Bell-test program for verifying

@@ -185,9 +185,10 @@ def coupled_hamiltonian_fock(cfg: VdwConfig, n_max: int) -> np.ndarray:
 
     p^2/2m + m w0^2 x^2 / 2 for each oscillator plus lambda x1 x2; real
     symmetric.  The dense reference that fock_ground_state's product on the
-    amplitude matrix and its fallback's sector blocks are checked against;
-    no solver builds it.  Every term changes n1 + n2 by 0 or +-2, so H has
-    no entry between the even and odd (-1)^(n1 + n2) parity sectors.
+    amplitude matrix and its sector blocks are checked against; the solver
+    builds it only for its dense fallback, when a block certificate fails.
+    Every term changes n1 + n2 by 0 or +-2, so H has no entry between the
+    even and odd (-1)^(n1 + n2) parity sectors.
     """
     h_single, x = _single_oscillator(cfg, n_max)
     eye = np.eye(n_max)
@@ -232,12 +233,11 @@ def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float, sectors=rang
     holds the basis states bounds[j] to bounds[j + 1] - 1.  Sector 0 is the
     even symmetric one, which holds the vacuum |0, 0> as its first basis
     state, then come the even antisymmetric, the odd symmetric and the odd
-    antisymmetric sectors.  ``sectors`` is read one number at a time, after
-    the caller has had the previous block, so a generator can decide on
-    each sector as it is reached.  Each block is scattered from the nonzero
-    entries of H; no n_max^2 matrix is built.  fock_ground_state draws
-    blocks only when its separable bounds cannot certify the Lanczos energy
-    (its fallback, near coupling 0.8 and above, and at n_max 2 and 3).
+    antisymmetric sectors.  Each block is scattered from the nonzero
+    entries of H when it is drawn; no n_max^2 matrix is built.
+    fock_ground_state draws only the blocks that its Temple test and its
+    separable bounds leave unsettled (none below coupling ~0.8), to factor
+    them with _lies_above.
     """
     n_max = len(h_single)
     rows, cols, vals = _product_nonzeros(h_single, x, lam)
@@ -289,53 +289,35 @@ def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
     return True
 
 
-def _bound_levels(h_single: np.ndarray, x: np.ndarray, lam: float):
-    """The spectra of h' = h - (|lam|/2) x^2 on its even and on its odd
-    levels, and the ground vector of its even levels.
-
-    Every term of h' changes the level by 0 or 2, so its even levels 0, 2,
-    ... and its odd levels 1, 3, ... make two tridiagonal matrices T, each
-    solved as it stands by LAPACK's symmetric eigensolver: the even one with
-    vectors (np.linalg.eigh), the odd one for its values alone
-    (np.linalg.eigvalsh).
-
-    Returns ``(even, odd, phi)``: the eigenvalues of both parts, ascending,
-    and the unit ground vector phi of the even part, phi[i] the amplitude of
-    level 2 i.
-    """
-    h_bound = h_single - 0.5 * abs(lam) * (x @ x)
-    even_part, odd_part = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
-    even, vectors = np.linalg.eigh(even_part)
-    return even, np.linalg.eigvalsh(odd_part), vectors[:, 0]
-
-
-def _separable_bounds(even: np.ndarray, odd: np.ndarray):
-    """Lower bounds on the spectra of H's four sector blocks (see
-    _sector_blocks), from a separable operator below H, given the spectra
-    ``even`` and ``odd`` of h' = h - (|lam|/2) x^2 on its even and its odd
-    levels (see _bound_levels); None when either numbers fewer than two
-    values (n_max 2 and 3).
+def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
+    """Lower bounds on the spectra of H's sector blocks (see _sector_blocks)
+    from a separable operator below H, and that operator's ground vector.
 
     (x x 1 +- 1 x x)^2 >= 0 gives lam x x x >= -(|lam|/2)(x^2 x 1 + 1 x x^2),
-    so H >= B = h' x 1 + 1 x h', and with e_0 <= e_1 <= ... the values of
-    ``even`` and o_0 <= o_1 <= ... those of ``odd``, B's eigenvalues are
-    the sums of two of them.  B, like H, commutes with parity and exchange,
-    so each sector block of H lies above B's block in that sector, and by
-    Weyl's monotonicity its k-th eigenvalue above B's k-th: the vacuum's
-    block above min(2 e_0, 2 o_0) and its second eigenvalue above the second
-    smallest of 2 e_0, e_0 + e_1, 2 o_0 and o_0 + o_1, the even
-    antisymmetric block above min(e_0 + e_1, o_0 + o_1), and both odd blocks
-    above e_0 + o_0.
+    so H >= B = h' x 1 + 1 x h' with h' = h - (|lam|/2) x^2.  Every term of
+    h' changes the level by 0 or 2, so its even levels 0, 2, ... and its odd
+    levels 1, 3, ... make two tridiagonal matrices, solved by LAPACK's
+    symmetric eigensolver: the even one with vectors (np.linalg.eigh), the
+    odd one for its values alone (np.linalg.eigvalsh).  With e_0 <= e_1 the
+    two lowest even values and o_0 <= o_1 the two lowest odd ones (n_max
+    >= 4 gives both parts two levels), B's eigenvalues are the sums of two
+    values.  B, like H, commutes with parity and exchange, so by Weyl's
+    monotonicity each eigenvalue of a sector block of H lies at or above
+    the same eigenvalue of B's block in that sector: the vacuum block's
+    second eigenvalue above the second smallest of 2 e_0, e_0 + e_1, 2 o_0
+    and o_0 + o_1, the even antisymmetric block's lowest above
+    min(e_0 + e_1, o_0 + o_1), and both odd blocks' lowest above e_0 + o_0.
 
-    Returns ``(second, lowest)``: the bound on the vacuum block's second
-    eigenvalue, and the bounds on the lowest eigenvalues of the four blocks
-    in _sector_blocks order.
+    Returns ``(phi, second, lowest)``: the unit ground vector phi of the
+    even part, phi[i] the amplitude of level 2 i; the bound on the vacuum
+    block's second eigenvalue; and the bounds on the lowest eigenvalues of
+    sectors 1, 2 and 3.
     """
-    if len(even) < 2 or len(odd) < 2:
-        return None
-    (e0, e1), (o0, o1) = even[:2], odd[:2]
+    h_bound = h_single - 0.5 * abs(lam) * (x @ x)
+    even, vectors = np.linalg.eigh(h_bound[0::2, 0::2])
+    (e0, e1), (o0, o1) = even[:2], np.linalg.eigvalsh(h_bound[1::2, 1::2])[:2]
     second = sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1]
-    return second, (min(2.0 * e0, 2.0 * o0), min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
+    return vectors[:, 0], second, (min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
 
 
 def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
@@ -356,7 +338,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     odd-parity amplitudes stay exact zeros.
 
     The cold start is phi x phi, phi the ground vector of
-    h' = h - (|lambda|/2) x^2 on its even levels (_bound_levels), the
+    h' = h - (|lambda|/2) x^2 on its even levels (_separable_bounds), the
     ground state of the separable operator that bounds H below: at n_max 38
     it takes 10, 18, 30 and 34 products at coupling u 0.05, 0.3, 0.6 and
     0.75 where the vacuum takes 18, 34, 30 and 62.
@@ -366,45 +348,42 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
 
     The run gives the Ritz value theta and its residual r, and theta is the
     ground energy once H is certified to have no eigenvalue below theta -
-    margin, margin = r + FOCK_CERTIFICATE_RTOL max(1, |theta|).  The
-    separable bounds of _separable_bounds, two tridiagonal eigensolves of
-    n_max / 2 levels, give rho, a lower bound on H's second eigenvalue: the
-    least of the bound on the vacuum block's second eigenvalue and the
-    bounds on the other three blocks' lowest.  Temple's inequality puts H's
-    lowest eigenvalue at or above theta - r^2 / (rho - theta) when theta <
-    rho, on the whole amplitude space and so whichever sector holds the
-    ground state.  So theta is certified when rho exceeds theta +
-    FOCK_CERTIFICATE_RTOL max(1, |theta|) and r^2 / (rho - theta) <=
-    margin.  Then theta and its Ritz vector are returned, and no sector
-    block is built.
+    margin, margin = r + tol and tol = FOCK_CERTIFICATE_RTOL max(1, |theta|).
+    That takes one pass over the four sectors of _sector_blocks.  The
+    vacuum's sector, where the run lies, is settled by Temple's inequality
+    when theta + tol < rho, rho = the separable bound on its second
+    eigenvalue (_separable_bounds): its lowest eigenvalue then lies at or
+    above theta - r^2 / (rho - theta), and r^2 / (rho - theta) <= margin
+    certifies theta.  Each other sector is settled when its separable bound
+    exceeds theta + tol.  Every sector left unsettled has its block built
+    and factored shell by shell (_lies_above): the vacuum's against theta -
+    margin, each other one against theta.  Below coupling ~0.8 every sector
+    is settled and no block is built; from ~0.8 the odd blocks' bound
+    2 w0 sqrt(1 - u) falls below theta and both odd blocks are factored,
+    and from ~0.93 (n_max 24 to 64) all four are.  If every factorization
+    passes, theta and its Ritz vector are returned.  Otherwise the lowest
+    eigenpair of the dense coupled_hamiltonian_fock(cfg, n_max), from
+    operators._dense_eigh, is returned: about 0.8 s at n_max 40 (measured
+    on 2 cores) and, scaled as n_max^6, about 13 s at n_max 64, where H and
+    its eigenvectors take 134 MB each.  It runs only when a factorization
+    fails, which happened nowhere on a grid of n_max 4 to 64 and couplings
+    0 to 0.995.  So the result is the ground energy of
+    coupled_hamiltonian_fock(cfg, n_max) whichever sector holds it; the
+    start changes only how many Lanczos steps that takes.
 
-    The bound gives up as the coupling grows: the odd blocks' bound
-    2 w0 sqrt(1 - u) falls below theta near u = 0.8, and at n_max 2 and 3 a
-    level parity class has fewer than two levels and there is no bound.
-    Then each sector is settled on its own.  The vacuum's sector, where the
-    run lies, is certified by Temple's inequality with rho = the bound on
-    its second eigenvalue alone (it holds up to u ~0.92 at n_max 40), and
-    each other sector by its separable bound when that exceeds the energy
-    found so far plus FOCK_CERTIFICATE_RTOL max(1, |theta|).  Only a sector
-    that neither settles has its block built (_sector_blocks) and certified
-    by a shell-by-shell Cholesky factorization (_lies_above): the vacuum's
-    against theta - margin, every other one against the energy found so
-    far.  A block that fails its certificate is diagonalized by
-    operators._dense_eigh, and the lowest energy wins.  So the result is the
-    ground energy of coupled_hamiltonian_fock(cfg, n_max) whichever sector
-    holds it, and a dense eigensolve runs only when a Cholesky certificate
-    fails; the start changes only how many Lanczos steps that takes.
-
-    Raises ValueError when ``start`` is not an n_max x n_max matrix,
-    DimensionLimitError when n_max^2 exceeds the dense-matrix limit, and
-    UnstableConfigurationError, as normal_modes does, when
-    |lambda| >= m w0^2: the pair then has no ground state, and the lowest
-    level of its truncated Hamiltonian means nothing.
+    Raises ValueError when n_max < 4 (a level parity class of h' then has
+    fewer than two levels, and there is no bound) or ``start`` is not an
+    n_max x n_max matrix, DimensionLimitError when n_max^2 exceeds the
+    dense-matrix limit, and UnstableConfigurationError, as normal_modes
+    does, when |lambda| >= m w0^2: the pair then has no ground state, and
+    the lowest level of its truncated Hamiltonian means nothing.
 
     Returns ``(energy, psi)``, psi the ground state as the n_max x n_max
     amplitude matrix psi[n1, n2].
     """
     _mode_frequencies(cfg)  # raises for an unstable pair
+    if n_max < 4:
+        raise ValueError(f"n_max must be >= 4 for the separable bound, got {n_max}")
     if n_max * n_max > DEFAULT_DIM_LIMIT:
         raise DimensionLimitError(
             f"Fock dimension n_max^2 = {n_max * n_max} exceeds limit "
@@ -414,7 +393,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
                          f"matrix, got shape {np.shape(start)}")
     h_single, x = _single_oscillator(cfg, n_max)
     lam = dipole_coupling_lambda(cfg)
-    even, odd, phi = _bound_levels(h_single, x, lam)
+    phi, second, lowest = _separable_bounds(h_single, x, lam)
     seed = np.zeros((n_max, n_max))
     if start is not None:
         # the start's part in the vacuum's sector, up to a factor 2
@@ -433,47 +412,21 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     evens, odds = (n_max + 1) // 2, n_max // 2
     theta, vector, residual, _ = lanczos(matvec, seed.ravel(), "lowest",
                                          max_steps=(evens * (evens + 1) + odds * (odds + 1)) // 2)
-    energy, psi = theta, vector.reshape(n_max, n_max)
     tolerance = FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
     margin = residual + tolerance
-    separable = _separable_bounds(even, odd)
-    second, lowest = separable if separable is not None else (-math.inf, (-math.inf,) * 4)
-
-    def temple_certifies(rho):
-        # with nothing but the lowest eigenvalue below rho, that eigenvalue
-        # lies at or above theta - r^2 / (rho - theta)
-        return theta + tolerance < rho and residual * residual / (rho - theta) <= margin
-
-    # a lower bound on H's second eigenvalue, whichever sector holds it
-    if temple_certifies(min(second, *lowest[1:])):
-        return energy, psi
-
-    def sector_state(index, coef, vector):
-        # coef is 0 outside the sector, where index is -1
-        return (coef * vector[index]).reshape(n_max, n_max)
-
-    # the run lies in the vacuum's sector, whose second eigenvalue lies at or
-    # above ``second``
-    vacuum_certified = temple_certifies(second)
-
-    def uncertified():
-        # the sectors whose block a Cholesky certificate must settle, each
-        # decided as the loop below reaches it: the vacuum's unless Temple
-        # certified it, then each other one whose bound does not clear the
-        # energy found so far
-        if not vacuum_certified:
-            yield 0
-        yield from (k for k in (1, 2, 3) if lowest[k] <= energy + tolerance)
-
-    for index, coef, block, bounds in _sector_blocks(h_single, x, lam, uncertified()):
-        # the vacuum |0, 0> is basis state 0 of its own block only, whose
-        # lowest eigenvalue the run found to within the margin
-        floor = theta - margin if index[0] == 0 else energy
-        if not _lies_above(block, bounds, floor):
-            values, vectors = operators._dense_eigh(block)
-            if values[0] < energy:
-                energy, psi = float(values[0]), sector_state(index, coef, vectors[:, 0])
-    return energy, psi
+    # Temple's inequality on the vacuum's sector, whose second eigenvalue
+    # lies at or above ``second``
+    vacuum_certified = (theta + tolerance < second
+                        and residual * residual / (second - theta) <= margin)
+    unsettled = [] if vacuum_certified else [0]
+    unsettled += [k for k, bound in enumerate(lowest, 1) if bound <= theta + tolerance]
+    blocks = _sector_blocks(h_single, x, lam, unsettled) if unsettled else ()
+    for sector, (_, _, block, bounds) in zip(unsettled, blocks):
+        if not _lies_above(block, bounds, theta - margin if sector == 0 else theta):
+            values, vectors = operators._dense_eigh(coupled_hamiltonian_fock(cfg, n_max))
+            # a copy, so that a cached state does not hold all the eigenvectors
+            return float(values[0]), vectors[:, 0].reshape(n_max, n_max).copy()
+    return theta, vector.reshape(n_max, n_max)
 
 
 @lru_cache(maxsize=2)

@@ -265,8 +265,29 @@ def sector_blocks(cfg, n_max):
     return vdw._sector_blocks(*fock_terms(cfg, n_max))
 
 
-def no_separable_bound(*terms):
-    return None
+def unbounded(monkeypatch):
+    """Patch vdw's separable bounds to -inf, so that no sector is settled
+    without its block; the cold start phi is kept."""
+    separable = vdw._separable_bounds
+
+    def minus_infinity(*terms):
+        phi, _, lowest = separable(*terms)
+        return phi, -math.inf, (-math.inf,) * len(lowest)
+
+    monkeypatch.setattr(vdw, "_separable_bounds", minus_infinity)
+
+
+def counted_dense_eigh(monkeypatch):
+    """Patch the dense eigensolve to record the size of each matrix it
+    solves in the list it returns."""
+    eigh, solved = operators._dense_eigh, []
+
+    def counting_eigh(mat):
+        solved.append(len(mat))
+        return eigh(mat)
+
+    monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
+    return solved
 
 
 def counted_fallback(monkeypatch):
@@ -308,8 +329,7 @@ def svd_eigenpairs(t):
 
 
 def separable_bounds(cfg, n_max):
-    even, odd, _ = vdw._bound_levels(*fock_terms(cfg, n_max))
-    return vdw._separable_bounds(even, odd)
+    return vdw._separable_bounds(*fock_terms(cfg, n_max))
 
 
 class TestParitySectors:
@@ -333,11 +353,13 @@ class TestParitySectors:
 
     def test_odd_sector_ground_state_is_found(self, monkeypatch):
         # lowering the odd antisymmetric state (|0,1> - |1,0>)/sqrt2 by 5 moves
-        # the ground state into the last block: it fails the certificate and
-        # is solved, and its state is returned
+        # the ground state into the last block: it fails its certificate, and
+        # the dense H is solved and its ground state returned
         cfg, n_max = config_for_coupling(0.3), 10
-        blocks, eigh, lanczos = vdw._sector_blocks, operators._dense_eigh, vdw.lanczos
-        sizes = [len(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
+        blocks, lanczos = vdw._sector_blocks, vdw.lanczos
+        state = np.zeros(n_max * n_max)
+        state[1], state[n_max] = np.sqrt(0.5), -np.sqrt(0.5)
+        h = coupled_hamiltonian_fock(cfg, n_max) - 5.0 * np.outer(state, state)
 
         def lowered(*terms):
             for index, coef, block, bounds in blocks(*terms):
@@ -346,34 +368,30 @@ class TestParitySectors:
                     block[0, 0] -= 5.0
                 yield index, coef, block, bounds
 
-        solved, krylov = [], []
-
-        def counting_eigh(block):
-            solved.append(len(block))
-            return eigh(block)
+        krylov = []
 
         def recording_lanczos(matvec, start, pick, max_steps=None):
             krylov.append(len(start))
             return lanczos(matvec, start, pick, max_steps)
 
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
-        # the separable bound holds for the real H, not for the lowered block
-        monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
-        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
+        monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", lambda *args: h.copy())
+        # the separable bound holds for the real H, not for the lowered one
+        unbounded(monkeypatch)
+        solved = counted_dense_eigh(monkeypatch)
         monkeypatch.setattr(vdw, "lanczos", recording_lanczos)
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
-        # one run on the whole amplitude matrix, then the per-block fallback
+        # one run on the whole amplitude matrix, then one dense solve of H
         assert krylov == [n_max * n_max]
-        assert solved == [sizes[3]]
-        h = coupled_hamiltonian_fock(cfg, n_max)
-        state = np.zeros(n_max * n_max)
-        state[1], state[n_max] = np.sqrt(0.5), -np.sqrt(0.5)
-        h -= 5.0 * np.outer(state, state)
+        assert solved == [n_max * n_max]
+        values, vectors = np.linalg.eigh(h)
+        assert energy == values[0]
+        assert np.array_equal(psi.ravel(), vectors[:, 0])
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
-        assert np.all(psi.ravel()[~odd_parity(n_max)] == 0.0)
-        assert np.array_equal(psi, -psi.T)
+        assert np.max(np.abs(psi.ravel()[~odd_parity(n_max)])) <= 1e-12
+        assert np.max(np.abs(psi + psi.T)) <= 1e-12
         residual = h @ psi.ravel() - energy * psi.ravel()
         assert np.max(np.abs(residual)) <= 1e-12
 
@@ -499,9 +517,13 @@ class TestSectorSolve:
     def test_vacuum_certificate_finds_a_state_hidden_from_lanczos(self, monkeypatch):
         # |1,1> is cut off from the rest of the vacuum's block and put below
         # the ground energy: the vacuum's Krylov space never reaches it, so
-        # only the vacuum block's own certificate can find it
+        # only the vacuum block's own certificate can find it, and the dense
+        # H is solved
         cfg, n_max, low = config_for_coupling(0.3), 10, 0.5
         blocks = vdw._sector_blocks
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        h[n_max + 1, :] = h[:, n_max + 1] = 0.0
+        h[n_max + 1, n_max + 1] = low
 
         def hidden(*terms):
             for number, (index, coef, block, bounds) in enumerate(blocks(*terms)):
@@ -513,14 +535,17 @@ class TestSectorSolve:
                 yield index, coef, block, bounds
 
         monkeypatch.setattr(vdw, "_sector_blocks", hidden)
-        # the separable bound holds for the real H, not for the altered block
-        monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
+        monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", lambda *args: h.copy())
+        # the separable bound holds for the real H, not for the altered one
+        unbounded(monkeypatch)
+        solved = counted_dense_eigh(monkeypatch)
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
-        h = coupled_hamiltonian_fock(cfg, n_max)
-        h[n_max + 1, :] = h[:, n_max + 1] = 0.0
-        h[n_max + 1, n_max + 1] = low
+        assert solved == [n_max * n_max]
+        values, vectors = np.linalg.eigh(h)
+        assert energy == values[0]
+        assert np.array_equal(psi.ravel(), vectors[:, 0])
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
         assert energy == pytest.approx(low, abs=1e-12)
         assert abs(psi[1, 1]) == pytest.approx(1.0, abs=1e-12)
@@ -602,7 +627,7 @@ class TestAmplitudeSolve:
         assert energy == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-12)
 
     @pytest.mark.parametrize("u", [0.81, 0.9, 0.92, 0.97])
-    def test_per_block_fallback_equals_dense_eigvalsh(self, u):
+    def test_block_certificates_equal_dense_eigvalsh(self, u):
         cfg = config_for_coupling(u)
         energy, _ = fock_ground_state(cfg, 24)
         assert energy == pytest.approx(
@@ -622,20 +647,24 @@ class TestSeparableBound:
     @pytest.mark.parametrize("n_max", [4, 5, 8, 13, 40])
     @pytest.mark.parametrize("cfg", FOCK_CONFIGS, ids=FOCK_CONFIG_IDS)
     def test_bounds_lie_below_the_block_spectra(self, cfg, n_max):
-        second, lowest = separable_bounds(cfg, n_max)
+        _, second, lowest = separable_bounds(cfg, n_max)
         spectra = [np.linalg.eigvalsh(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
         # at zero coupling h' = h and the bounds are the block minima, up to rounding
         assert second <= spectra[0][1] + 1e-12
-        for bound, spectrum in zip(lowest, spectra):
+        assert len(lowest) == 3
+        for bound, spectrum in zip(lowest, spectra[1:]):
             assert bound <= spectrum[0] + 1e-12
 
     @pytest.mark.parametrize("n_max", [2, 3, 4, 5])
     @pytest.mark.parametrize("cfg", [
         config_for_coupling(0.3), VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
     ], ids=["u0.3", "mass1.7-freq0.6"])
-    def test_tiny_truncations_fall_back_where_there_is_no_bound(self, cfg, n_max):
+    def test_tiny_truncations_are_refused_where_there_is_no_bound(self, cfg, n_max):
         # at n_max 2 and 3 the odd levels number one, too few for a bound
-        assert (separable_bounds(cfg, n_max) is None) == (n_max < 4)
+        if n_max < 4:
+            with pytest.raises(ValueError, match=f"n_max .*got {n_max}"):
+                fock_ground_state(cfg, n_max)
+            return
         energy, _ = fock_ground_state(cfg, n_max)
         dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))[0]
         assert energy == pytest.approx(dense, abs=1e-12)
@@ -650,10 +679,10 @@ class TestSeparableBound:
 
     @pytest.mark.parametrize("u", [0.85, 0.9])
     def test_strong_coupling_builds_and_factors_only_the_odd_blocks(self, monkeypatch, u):
-        # the odd blocks' bound lies below the ground energy, so the whole-space
-        # certificate fails; Temple's inequality on the vacuum's sector alone
-        # still certifies theta, and the even antisymmetric block's own bound
-        # clears the energy, so only the two odd blocks are built and factored
+        # the odd blocks' bound lies below the ground energy; Temple's
+        # inequality on the vacuum's sector still certifies theta, and the even
+        # antisymmetric block's own bound clears the energy, so only the two
+        # odd blocks are built and factored
         cfg, n_max = config_for_coupling(u), 40
         sizes = [len(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
         drawn, factored = counted_fallback(monkeypatch)
@@ -669,8 +698,12 @@ class TestSeparableBound:
         assert abs((coef * vectors[index, 0]) @ psi.ravel()) == pytest.approx(1.0, abs=1e-12)
         # with the vacuum's Temple test off, its block is factored and passes
         separable = vdw._separable_bounds
-        monkeypatch.setattr(vdw, "_separable_bounds",
-                            lambda even, odd: (-math.inf, separable(even, odd)[1]))
+
+        def no_second_bound(*terms):
+            phi, _, lowest = separable(*terms)
+            return phi, -math.inf, lowest
+
+        monkeypatch.setattr(vdw, "_separable_bounds", no_second_bound)
         drawn, factored = counted_fallback(monkeypatch)
         cholesky_energy, cholesky_psi = fock_ground_state(cfg, n_max)
         assert drawn == [0, 2, 3]
@@ -686,28 +719,78 @@ class TestSeparableBound:
         h_single, x, lam = fock_terms(cfg, n_max)
         h_bound = h_single - 0.5 * abs(lam) * (x @ x)
         t, t_odd = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
-        even, odd, phi = vdw._bound_levels(h_single, x, lam)
+        phi, second, lowest = vdw._separable_bounds(h_single, x, lam)
         norm = np.linalg.norm(t, 2)
-        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(t @ phi - even[0] * phi) <= 1e-13 * norm
         # the reference solves |T|, T with its off-diagonal made positive, by
         # an SVD and restores T's vectors with the running products of the
         # off-diagonal's signs
         want_even, want_vectors = svd_eigenpairs(signless(t))
         want_odd, _ = svd_eigenpairs(signless(t_odd))
-        assert np.max(np.abs(even - want_even)) <= 1e-13 * norm
-        assert np.max(np.abs(odd - want_odd)) <= 1e-13 * norm
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(t @ phi - want_even[0] * phi) <= 1e-13 * norm
+        (e0, e1), (o0, o1) = want_even[:2], want_odd[:2]
+        want_second = sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1]
+        want_lowest = (min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
+        assert abs(second - want_second) <= 2e-13 * norm
+        assert np.max(np.abs(np.subtract(lowest, want_lowest))) <= 2e-13 * norm
         signs = np.cumprod(np.append(1.0, np.where(np.diag(t, 1) < 0.0, -1.0, 1.0)))
         ground = want_vectors[0] * signs
         assert np.max(np.abs(phi - np.sign(phi @ ground) * ground)) <= 1e-12
 
+
+    @pytest.mark.parametrize("n_max", [24, 40, 64])
+    @pytest.mark.parametrize("u, unsettled", [
+        (0.5, []), (0.79, []), (0.8, [2, 3]), (0.85, [2, 3]), (0.92, [2, 3]),
+        (0.93, [0, 1, 2, 3]), (0.97, [0, 1, 2, 3]),
+    ])
+    def test_sectors_built_per_solve(self, monkeypatch, u, unsettled, n_max):
+        # below u 0.8 every sector is settled without its block; from 0.8 the
+        # odd blocks' bound 2 w0 sqrt(1 - u) lies below theta, and from 0.93
+        # the vacuum's Temple test and the even antisymmetric bound fail too;
+        # every factorization passes, so H is never solved densely
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve although every certificate passes")
+
+        cfg = config_for_coupling(u)
+        sizes = [len(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
+        drawn, factored = counted_fallback(monkeypatch)
+        monkeypatch.setattr(operators, "_dense_eigh", refuse)
+        fock_ground_state(cfg, n_max)
+        assert drawn == unsettled
+        assert factored == [sizes[k] for k in unsettled]
+
+    @pytest.mark.parametrize("n_max", [12, 24, 40])
+    @pytest.mark.parametrize("u", [0.0, 0.05, 0.3, 0.6, 0.79, 0.8, 0.9, 0.97])
+    def test_no_block_where_the_whole_space_temple_test_holds(self, monkeypatch, u, n_max):
+        # Temple's inequality on the whole amplitude space, with rho the least
+        # bound on H's second eigenvalue in any sector, implies the vacuum's
+        # Temple test and every other sector's bound clearing theta
+        cfg = config_for_coupling(u)
+        runs, run = [], vdw.lanczos
+
+        def recording(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(vdw, "lanczos", recording)
+        drawn, _ = counted_fallback(monkeypatch)
+        fock_ground_state(cfg, n_max)
+        [(theta, _, residual, _)] = runs
+        _, second, lowest = separable_bounds(cfg, n_max)
+        rho = min(second, *lowest)
+        tolerance = vdw.FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
+        whole_space = (theta + tolerance < rho
+                       and residual * residual / (rho - theta) <= residual + tolerance)
+        assert whole_space == (u < 0.8)
+        if whole_space:
+            assert drawn == []
 
     @pytest.mark.parametrize("n_max", [24, 40])
     @pytest.mark.parametrize("u", [0.05, 0.3, 0.6])
     def test_bound_off_gives_the_same_bits(self, monkeypatch, u, n_max):
         cfg = config_for_coupling(u)
         energy, psi = fock_ground_state(cfg, n_max)
-        monkeypatch.setattr(vdw, "_separable_bounds", no_separable_bound)
+        unbounded(monkeypatch)
         cholesky_energy, cholesky_psi = fock_ground_state(cfg, n_max)
         assert energy == cholesky_energy
         assert np.array_equal(psi, cholesky_psi)
@@ -772,7 +855,7 @@ class TestWarmFockProbe:
         assert negativity_fock_oracle(cfg, n_max=40).converged
         # the oracles share one pair: n_max from the cold seed phi x phi, the
         # probe from the cut state
-        _, _, phi = vdw._bound_levels(*fock_terms(cfg, 40))
+        phi, _, _ = vdw._separable_bounds(*fock_terms(cfg, 40))
         assert len(starts) == 2
         assert starts[0] == np.count_nonzero(phi) ** 2
         assert starts[1] > 10
