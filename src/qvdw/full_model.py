@@ -34,14 +34,13 @@ qubit above a mode frequency).  If either pair fails its certificate, H is
 assembled from the same diagonal and bands and solved by dense eigh
 (operators._dense_eigh), which also raises IdentificationError when no
 eigenvector overlaps a bare state by 1/2.  That happens near a resonance,
-where the gap closes, and at strong coupling: a run stops as soon as the
-Christoffel function of its Lanczos polynomials shows no eigenvector
-overlapping the start by more than 1/2, and after LANCZOS_MAX_STEPS steps
-at the latest.  The truncation check
-at n_max + 2 runs the same Lanczos with the same certificates and the same
-dense fallback, but starts from the two n_max vectors padded with two
-empty levels per mode: at a converged truncation they are eigenvectors of
-the wider H to within its tolerance, and the runs stop after a few steps.
+where the gap closes, and at strong coupling, where no eigenvector
+overlaps a bare state by 1/2 or a run stops unconverged after
+LANCZOS_MAX_STEPS steps.  The truncation check at n_max + 2 runs the same
+Lanczos with the same certificates and the same dense fallback, but starts
+from the two n_max vectors padded with two empty levels per mode: at a
+converged truncation they are eigenvectors of the wider H to within its
+tolerance, and the runs stop after a few steps.
 dim_limit bounds the product dimension on both paths; the Lanczos basis
 takes about m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of
 steps at weak coupling), the dense fallback dim^2 * 8 bytes.
@@ -71,7 +70,8 @@ CERTIFICATE_RTOL = 1e-10
 OVERLAP_ATOL = 1e-11
 # a Lanczos run that has not converged after this many steps hands over to
 # the dense path: weakly coupled dressed states take 20 to 120 steps, and a
-# run towards the whole space would cost more than eigh
+# run towards the whole space would cost more than eigh.  It is a run's only
+# stop short of convergence
 LANCZOS_MAX_STEPS = 300
 
 
@@ -337,9 +337,8 @@ def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
     """(dressed transition, overlap_ground, overlap_excited, vectors).
 
     Lanczos from each bare state, or from the matching row of ``starts``,
-    for at most LANCZOS_MAX_STEPS steps and stopped early when no
-    eigenvector can overlap the start by 1/2, keeps the Ritz pair that
-    overlaps the start most.  The pair is certified when its residual r is
+    for at most LANCZOS_MAX_STEPS steps, keeps the Ritz pair that overlaps
+    the start most.  The pair is certified when its residual r is
     at most CERTIFICATE_RTOL max(1, |theta|), 2 r / gap at most OVERLAP_ATOL
     and its squared overlap with the bare state above 1/2: eigenvectors are
     orthonormal, so at most one overlaps the bare state that much, and it is
@@ -356,7 +355,7 @@ def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
     reports = []
     for bare, start in zip(bares, starts):
         theta, y, residual, gap = lanczos(lambda v: _add_bands(bands, v, diagonal * v), start,
-                                          "start", LANCZOS_MAX_STEPS, OVERLAP_THRESHOLD)
+                                          "start", LANCZOS_MAX_STEPS)
         overlap = float(y[bare] ** 2)
         if (residual > CERTIFICATE_RTOL * max(1.0, abs(theta))
                 or 2.0 * residual > OVERLAP_ATOL * gap or overlap <= OVERLAP_THRESHOLD):
@@ -425,28 +424,21 @@ def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float)
             f"{perturbation.DEGENERACY_TOL}; the dispersive expansion fails on resonance"
         )
     cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max=2)
-    h0 = _h0_diagonal(cfg)
     i_ground, i_excited = _bare_indices(cfg)
-    # the sums read only the columns H_int|i> of the two bare states
-    h_excited, h_ground = _bare_columns(coupling)
-    upper = perturbation.second_order_shift(h0, h_excited, i_excited)
-    lower = perturbation.second_order_shift(h0, h_ground, i_ground)
-    return upper.second_order - lower.second_order
+    return perturbation.transition_shift(_h0_diagonal(cfg), _two_level_hint(coupling),
+                                         i_excited, i_ground)
 
 
 @lru_cache(maxsize=2)
-def _bare_columns(coupling: float) -> np.ndarray:
-    """H_int|1,vac> and H_int|0,vac> of the qubit + one-mode model on the
-    levels 0 and 1, as read-only rows: its bands applied to the two bare
-    states.  They depend on the coupling only, so a sweep over either
-    frequency reads them from the cache; building them takes longer than
+def _two_level_hint(coupling: float) -> np.ndarray:
+    """H_int of the qubit + one-mode model on the levels 0 and 1, a
+    read-only 4 x 4 array.  It depends on the coupling only, so a sweep over
+    either frequency reads it from the cache; building it takes longer than
     the rest of a dispersive point."""
     cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max=2)
-    units = np.zeros((2, cfg.dim))
-    units[[0, 1], _bare_indices(cfg)[::-1]] = 1.0
-    columns = _add_bands(_hint_bands(cfg), units, np.zeros_like(units))
-    columns.setflags(write=False)
-    return columns
+    h_int = _assemble(np.zeros(cfg.dim), _hint_bands(cfg))
+    h_int.setflags(write=False)
+    return h_int
 
 
 def refractive_modulation(qubit_freq: float, index: float) -> float:

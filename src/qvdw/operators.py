@@ -167,34 +167,6 @@ def _dense_eigh(mat):
     return np.linalg.eigh(mat)
 
 
-# where the Christoffel function is sampled between neighbouring Ritz values
-_MASS_SAMPLES = np.linspace(0.0, 1.0, 17)[1:-1]
-
-
-def _largest_point_mass(alpha, beta, values):
-    """The largest mass the start's spectral measure can put on one point,
-    estimated from a Lanczos run with coefficients ``alpha``, ``beta`` and
-    Ritz values ``values`` (ascending).
-
-    The mass at x is at most the Christoffel function
-    1 / sum_m p_m(x)^2, p_m the orthonormal polynomials of the run, for
-    every x; below the lowest and above the highest Ritz value it is at most
-    the end Ritz weights, which are the function's values there.  It is
-    sampled at the Ritz values and at 15 points between each neighbouring
-    pair, so a narrow peak can be missed: on random spectra with one mass
-    between 0.5 and 0.6, 1 run in 40 stops at 1/2 although that mass is
-    above it.  A polynomial that overflows in a spectral gap gives nan,
-    which compares as no bound.
-    """
-    x = np.append(values, values[:-1, None] + np.diff(values)[:, None] * _MASS_SAMPLES)
-    p_before, p, total = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(len(values) - 1):
-            p_before, p = p, ((x - alpha[m]) * p - (beta[m - 1] if m else 0.0) * p_before) / beta[m]
-            total += p * p
-        return np.max(1.0 / total)
-
-
 class RitzPair(NamedTuple):
     """A Ritz pair of lanczos: the Rayleigh quotient ``value`` of the unit
     vector ``vector``, its residual ||H y - value y||, and ``gap``, the
@@ -207,7 +179,7 @@ class RitzPair(NamedTuple):
     gap: float
 
 
-def lanczos(matvec, start, pick, max_steps=None, weight=None) -> RitzPair:
+def lanczos(matvec, start, pick, max_steps=None) -> RitzPair:
     """One Ritz pair of a real symmetric operator in the Krylov space of
     ``start``: the lowest one (``pick="lowest"``), or the one whose vector
     overlaps ``start`` most (``pick="start"``).
@@ -227,16 +199,6 @@ def lanczos(matvec, start, pick, max_steps=None, weight=None) -> RitzPair:
     searched: an eigenvector orthogonal to it is never found, so a caller
     that needs more than the Ritz pair must certify it.
 
-    ``weight`` stops the run, unconverged, as soon as no eigenvector seems
-    to overlap the unit start by more than ``weight`` squared: the squared
-    overlaps are the point masses of the start's spectral measure, and
-    _largest_point_mass estimates the largest from the Christoffel function
-    of the run, sampled between the Ritz values.  It is checked only once
-    every Ritz weight (the squared first components of the Ritz vectors,
-    the function's values at the Ritz values) is at most ``weight``.  A
-    caller that stops this way gets an unconverged pair and must decide
-    without it.
-
     The basis is one (min(len(start), max_steps), len(start)) array, and
     only the rows a run writes take memory: m steps hold about
     m * len(start) * 8 bytes.
@@ -251,8 +213,6 @@ def lanczos(matvec, start, pick, max_steps=None, weight=None) -> RitzPair:
         "lowest" or "start".
     max_steps : int, optional
         Most steps to take; len(start) when None.
-    weight : float, optional
-        Stop once no eigenvector seems to overlap the start by more than this.
 
     Returns
     -------
@@ -283,13 +243,8 @@ def lanczos(matvec, start, pick, max_steps=None, weight=None) -> RitzPair:
         if k % LANCZOS_CHECK_EVERY == 0 or beta[k] <= tol or last:
             values, vectors = _tridiagonal_eigenpairs(alpha[:k + 1], beta[:k])
             # column 0 holds each Ritz vector's overlap with the start
-            weights = vectors[:, 0] ** 2
-            j = 0 if pick == "lowest" else int(np.argmax(weights))
+            j = 0 if pick == "lowest" else int(np.argmax(vectors[:, 0] ** 2))
             if beta[k] * abs(vectors[j, -1]) <= tol or last:
-                break
-            # a Ritz weight w_j is the Christoffel function at theta_j
-            if (weight is not None and np.max(weights) <= weight
-                    and _largest_point_mass(alpha[:k + 1], beta[:k + 1], values) <= weight):
                 break
         basis[k + 1] = w / beta[k]
     y = vectors[j] @ basis[:k + 1]

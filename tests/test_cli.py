@@ -219,6 +219,20 @@ class TestMainExitCodes:
             assert err.startswith("qvdw: model error: dipole_field_couplings too strong")
             assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("sweep, named", [([], ""),
+                                              (["--sweep", "qubit_freq=0.5:1.5:3"],
+                                               "qubit_freq=0.5: ")])
+    def test_unidentifiable_dressed_state_exit_code(self, sweep, named, capsys):
+        # g = 2 on a field mode at 1.0: no eigenvector overlaps the bare
+        # ground state by 1/2, so no dressed state can be named
+        code = main(["full", "--set", "field_freqs=[1.0]", "--set", "qubit_field_couplings=[2.0]",
+                     "--set", "n_max=12", *sweep])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"qvdw: model error: {named}largest overlap")
+        assert len(err.splitlines()) == 1
+
     def test_near_resonance_exit_code(self, capsys):
         code = main(["dispersive", "--set", "mode_freq=1.0"])
         _, err = capsys.readouterr()

@@ -352,23 +352,32 @@ class TestLanczosRoute:
         assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_excited == pytest.approx(ov_excited, abs=1e-12)
 
-    def test_strong_coupling_stops_lanczos_early(self, monkeypatch):
+    def test_strong_coupling_hands_a_capped_run_to_eigh(self, monkeypatch):
         # the bare ground state spreads over many eigenvectors, none with a
-        # squared overlap of 1/2: the run stops long before LANCZOS_MAX_STEPS
-        # and the dense route raises
+        # squared overlap of 1/2: its run takes at most LANCZOS_MAX_STEPS
+        # steps and one more product for the Ritz vector, then one dense
+        # solve of the whole H raises
         # (f = 0.5 keeps the field and dipole modes stable: 4 f^2 < 1.0 * 1.1)
         cfg = FullModelConfig(1.05, (1.0,), (1.1,), (1.5,), ((0.5,),), 20)
-        products = []
-        add_bands = full_model._add_bands
+        products, solved = [], []
+        add_bands, eigh = full_model._add_bands, operators._dense_eigh
 
         def counting(bands, psi, out):
             products.append(psi)
             return add_bands(bands, psi, out)
 
+        def counting_eigh(mat):
+            solved.append(len(mat))
+            return eigh(mat)
+
         monkeypatch.setattr(full_model, "_add_bands", counting)
-        with pytest.raises(IdentificationError):
+        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
+        with pytest.raises(IdentificationError, match=r"^largest overlap with bare state 0 "
+                           r"is 0\.122 < 0\.5; coupling too strong for dressed-state "
+                           r"labeling$"):
             full_model._diagonalize_and_identify(cfg)
-        assert len(products) <= 100 < full_model.LANCZOS_MAX_STEPS
+        assert len(products) <= full_model.LANCZOS_MAX_STEPS + 1
+        assert solved == [cfg.dim]
 
     def test_reaches_dimensions_above_the_default_limit(self):
         # one field and two dipoles at n_max 14: dim 5488, as the CI step runs it
