@@ -15,10 +15,14 @@ and ground product states, compared against the bare splitting w.
 Solver.  H is real symmetric and never assembled on the main path: apply_h
 multiplies a state by the H0 diagonal and adds each coupling term as
 shifted slices of the state times a coefficient band, O(dim) per term.
-The bands read no frequency, so a process builds them once per coupling
-set and n_max and shares them, read-only, with every later config that has
-the same couplings and n_max: a qubit_freq sweep builds two sets, one for
-the solve and one for the n_max + 2 probe.
+A term c A_j B_l on tensor slots j < l has two bands, one per step of
+slot l, and each is c times the outer product of two one-mode amplitude
+vectors, slot j's raising amplitudes and slot l's amplitudes for its step,
+with ones on every other slot.  The bands read no frequency, so a process
+builds them once per coupling set and n_max and shares them, read-only,
+with every later config that has the same couplings and n_max: a
+qubit_freq sweep builds two sets, one for the solve and one for the
+n_max + 2 probe.
 Lanczos (operators.lanczos) runs once from the bare ground state and once
 from the bare excited state and keeps, in each run, the Ritz pair whose
 vector overlaps the start most.  A pair is certified when its residual
@@ -57,8 +61,7 @@ import numpy as np
 from . import operators, perturbation
 from .errors import (DimensionLimitError, IdentificationError, NearResonanceError,
                      UnstableConfigurationError)
-from .operators import (DEFAULT_DIM_LIMIT, HermitianOperator, check_hermitian, lanczos,
-                        truncation_probe)
+from .operators import DEFAULT_DIM_LIMIT, HermitianOperator, lanczos, truncation_probe
 
 CONVERGENCE_TOL = 1e-8
 OVERLAP_THRESHOLD = 0.5
@@ -191,19 +194,9 @@ def _check_dim(cfg: FullModelConfig):
 def _h0_diagonal(cfg: FullModelConfig) -> np.ndarray:
     """Diagonal of H0 as a real vector; build_h0 wraps it."""
     _check_dim(cfg)
-    occupations = np.arange(float(cfg.n_max))
     diags = [0.5 * cfg.qubit_freq * np.array([-1.0, 1.0])]
-    diags += [w * occupations for w in cfg.field_freqs + cfg.dipole_freqs]
+    diags += [w * np.arange(float(cfg.n_max)) for w in cfg.field_freqs + cfg.dipole_freqs]
     return reduce(np.add.outer, diags).ravel()
-
-
-def _ladder_amplitudes(level: np.ndarray, step: int, n_max: int) -> np.ndarray:
-    """Amplitudes of a + a^dag taking Fock level ``level`` one ``step`` (+1
-    or -1) along: sqrt(n + 1) up, sqrt(n) down, 0 where the step would leave
-    the levels 0 ... n_max - 1."""
-    if step > 0:
-        return np.where(level < n_max - 1, np.sqrt(level + 1.0), 0.0)
-    return np.sqrt(level.astype(float))
 
 
 def _hint_bands(cfg: FullModelConfig) -> tuple:
@@ -212,11 +205,14 @@ def _hint_bands(cfg: FullModelConfig) -> tuple:
     H_int[i, i + offset] = H_int[i + offset, i] = coefficients[i].
 
     A term c A_j B_l acting on tensor slots j < l (A = s_x on the qubit, slot
-    0, or a + a^dag on a mode) moves the flat index by +-stride_j +-
-    stride_l.  Slot j steps up in the upper bands, so they are the
-    offsets stride_j + stride_l and stride_j - stride_l, and each
-    coefficient is c times the two one-slot amplitudes.  Coefficients are
-    cut after their last nonzero entry; the bare qubit has no bands.
+    0, or a + a^dag on a mode) moves slot j one level up and slot l one
+    level up or down, so it fills the two bands at offsets
+    stride_j + stride_l and stride_j - stride_l, stride_s being n_max to the
+    number of slots after s.  Each band is c times the outer product, over
+    the tensor slots, of slot j's raising amplitudes, slot l's amplitudes
+    for its step and ones on every other slot, read in the flat row-major
+    order and cut after its last nonzero entry.  Zero couplings have no
+    bands, and neither has the bare qubit.
 
     The bands read no frequency or dim_limit, so _coupling_bands builds
     them once per coupling set and n_max and every such config shares them,
@@ -231,26 +227,28 @@ def _coupling_bands(n_max: int, qubit_field: tuple, dipole_field: tuple) -> tupl
     """_hint_bands for these couplings, one qubit-field entry per field mode
     and one row per dipole mode, at n_max levels per mode."""
     n_fields = len(qubit_field)
-    dims = (2,) + (n_max,) * (n_fields + len(dipole_field))
-    strides = [int(np.prod(dims[j + 1:])) for j in range(len(dims))]
-    index = np.arange(int(np.prod(dims)))
-    terms = [(g, 0, 1 + k) for k, g in enumerate(qubit_field)]
+    n_slots = 1 + n_fields + len(dipole_field)
+    terms = [(g, 0, 1 + k) for k, g in enumerate(qubit_field) if g != 0.0]
     terms += [(f, 1 + k, 1 + n_fields + l)
-              for l, row in enumerate(dipole_field) for k, f in enumerate(row)]
+              for l, row in enumerate(dipole_field) for k, f in enumerate(row) if f != 0.0]
+    if not terms:
+        return ()
+    # a + a^dag takes level n up with sqrt(n + 1), 0 at the top level, and
+    # down with sqrt(n); s_x takes the lower qubit level up with amplitude 1
+    levels = np.arange(float(n_max))
+    up, down = np.append(np.sqrt(levels[1:]), 0.0), np.sqrt(levels)
+    qubit_up = np.array([1.0, 0.0])
+    strides = [n_max ** (n_slots - 1 - slot) for slot in range(n_slots)]
     bands = []
     for c, j, l in terms:
-        if c == 0.0:
-            continue
-        level_j, level_l = (index // strides[slot] % dims[slot] for slot in (j, l))
-        # s_x takes the lower qubit level up with amplitude 1
-        up = (level_j == 0) * 1.0 if j == 0 else _ladder_amplitudes(level_j, 1, n_max)
-        for step in (1, -1):
-            amplitude = up * _ladder_amplitudes(level_l, step, n_max)
-            nonzero = np.flatnonzero(amplitude)
-            if len(nonzero):
-                coefficients = float(c) * amplitude[:nonzero[-1] + 1]
-                coefficients.setflags(write=False)
-                bands.append((strides[j] + step * strides[l], coefficients))
+        for step, amplitudes in ((1, up), (-1, down)):
+            factors = [np.ones(2)] + [np.ones(n_max)] * (n_slots - 1)
+            factors[j] = qubit_up if j == 0 else up
+            factors[l] = amplitudes
+            amplitude = reduce(np.multiply.outer, factors).ravel()
+            coefficients = float(c) * amplitude[:np.flatnonzero(amplitude)[-1] + 1]
+            coefficients.setflags(write=False)
+            bands.append((strides[j] + step * strides[l], coefficients))
     return tuple(bands)
 
 
@@ -318,7 +316,6 @@ def _identify(cfg: FullModelConfig, h: np.ndarray):
     """Dense route: solve the assembled H by operators._dense_eigh and take,
     for each bare state, the eigenvector that overlaps it most, as (energy,
     overlap, eigenvector)."""
-    check_hermitian(h)
     values, vectors = operators._dense_eigh(h)
     reports = []
     for bare in _bare_indices(cfg):

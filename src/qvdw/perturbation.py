@@ -30,9 +30,9 @@ def second_order_shift(h0_diag, h_int, i: int) -> PerturbationResult:
 
     second_order = sum over n != i of |<n|H_int|i>|^2 / (E_i - E_n),
     first_order = <i|H_int|i>, where E are the entries of ``h0_diag``
-    (the diagonal of H0 in its eigenbasis).  ``h_int`` is the interaction
-    matrix as an array (for a HermitianOperator, its ``entries``), or only
-    its column H_int|i> as a vector: nothing else is read.
+    (the diagonal of H0 in its eigenbasis).  ``h_int`` is the square
+    interaction matrix as an array (for a HermitianOperator, its
+    ``entries``); only its column H_int|i> is read.
 
     Terms with an exactly zero numerator are skipped before the degeneracy
     check, so accidental degeneracies between uncoupled sectors do not
@@ -46,12 +46,12 @@ def second_order_shift(h0_diag, h_int, i: int) -> PerturbationResult:
     energies = np.asarray(h0_diag, dtype=float)
     mat = np.asarray(h_int)
     dim = energies.shape[0]
-    if mat.shape not in ((dim, dim), (dim,)):
+    if mat.shape != (dim, dim):
         raise ValueError(f"h_int shape {mat.shape} does not match h0_diag length {dim}")
     if not 0 <= i < dim:
         raise ValueError(f"state index {i} out of range for dimension {dim}")
 
-    column = mat[:, i] if mat.ndim == 2 else mat
+    column = mat[:, i]
     coupled = np.abs(column) > 0
     coupled[i] = False
     amplitudes = column[coupled]

@@ -828,17 +828,15 @@ class TestParameterTypes:
         assert out == ""
         assert err == f"qvdw: config error: {key!r} is an integer too large for a float\n"
 
-    def test_full_without_modes_builds_no_ladder(self, monkeypatch, capsys):
-        # the bare qubit has dimension 2 whatever n_max is; no mode operator
-        # may be applied, or any n_max-sized table built for one
-        def refuse(level, step, n_max):
-            raise AssertionError(f"ladder amplitudes at n_max {n_max} without modes")
-
-        monkeypatch.setattr(full_model, "_ladder_amplitudes", refuse)
-        code = main(["full", "--set", f"n_max={10**5}"])
-        out, _ = capsys.readouterr()
+    @pytest.mark.parametrize("n_max", [str(10**12), "1e20"])
+    def test_full_without_modes_runs_at_any_n_max(self, n_max, capsys):
+        # the bare qubit has dimension 2 whatever n_max is: nothing n_max-sized
+        # may be built for it, neither the H0 diagonal nor a coupling band
+        code = main(["full", "--set", f"n_max={n_max}"])
+        out, err = capsys.readouterr()
         assert code == 0
         assert out.splitlines()[1] == "1,1,0,1,1,1"
+        assert err == ""
 
 
 class TestDispersiveLevels:

@@ -241,7 +241,13 @@ class TestApplyH:
         block = rng.normal(size=(3, cfg.dim))
         assert np.max(np.abs(apply_h(cfg, block) - block @ h)) <= 1e-12
 
-    @pytest.mark.parametrize("cfg", MODE_CONFIGS, ids=["1-mode", "2-mode", "3-mode"])
+    @pytest.mark.parametrize("cfg", MODE_CONFIGS + list(SOLVER_CONFIGS.values()) + [
+        # negative couplings and a zero entry on two fields and two dipoles
+        FullModelConfig(2.0, (5.0, 2.6), (3.0, 3.3), (-0.1, 0.07),
+                        ((0.2, -0.1), (0.0, -0.15)), 3),
+        FullModelConfig(2.0, (5.0,), (3.0, 3.3), (0.02,), ((0.01,), (-0.02,)), 2),
+    ], ids=["1-mode", "2-mode", "3-mode", *SOLVER_CONFIGS, "2-fields-2-dipoles-n3",
+            "2-dipoles-n2"])
     def test_dense_assembly_equals_kronecker_products(self, cfg):
         # the bands set every entry exactly
         h = build_h0(cfg).entries.real + build_hint(cfg).entries.real

@@ -66,6 +66,9 @@ class TestSecondOrderShift:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             second_order_shift(np.array([0.0, 1.0]), np.zeros((3, 3)), 0)
+        # h_int is the square matrix; a single column is not accepted
+        with pytest.raises(ValueError, match=r"h_int shape \(2,\) does not match"):
+            second_order_shift(np.array([0.0, 1.0]), np.array([0.0, 0.1]), 0)
 
 
 class TestTransitionShift:
