@@ -6,7 +6,10 @@ refractive (index modulation), full (qubit + field + dipole modes).
 
 All values are in reduced units (hbar = 1); no SI conversion is applied.
 Output is deterministic: floats are printed with 17 significant digits, CSV
-uses comma separators and LF line endings, rows follow sweep order.
+uses comma separators and LF line endings, rows follow sweep order.  A
+sweep of a parameter its model broadcasts over (ModelSpec.broadcasts) runs
+in one array pass whose rows equal the one-point calls byte for byte; the
+other sweeps, and one whose array pass fails, run row by row.
 
 Exit codes: 0 success, 2 usage/config error (including non-finite numbers,
 fractional integer parameters, config values of the wrong JSON type and
@@ -127,7 +130,10 @@ class SweepSpec:
         if self.log:
             if self.start <= 0 or self.stop <= 0:
                 raise ValueError("log-spaced sweep requires positive start and stop")
-            return np.exp(np.linspace(np.log(self.start), np.log(self.stop), self.points))
+            values = np.exp(np.linspace(np.log(self.start), np.log(self.stop), self.points))
+            # exp(log x) need not round back to x: the ends are the bounds as given
+            values[[0, -1]] = self.start, self.stop
+            return values
         return np.linspace(self.start, self.stop, self.points)
 
 
@@ -284,6 +290,9 @@ class ModelSpec:
     evaluate: callable
     finalize: callable = None
     matrices: frozenset = frozenset()  # parameters that are lists of lists
+    # sweep parameters that evaluate takes as one array of every row's value,
+    # returning one array per column whose entries equal the rows' own values
+    broadcasts: frozenset = frozenset()
 
     @property
     def sweepable(self) -> frozenset:
@@ -300,6 +309,8 @@ MODELS = {
                   "separation": 1.0},
         evaluate=_eval_vdw,
         finalize=_finalize_vdw,
+        # no broadcasts: numpy's array power can differ from Python's ** in
+        # the last bit, so an array pass would change the printed rows
     ),
     "entangle": ModelSpec(
         defaults={"coupling": 0.1, "n_max": 24},
@@ -309,10 +320,13 @@ MODELS = {
     "dispersive": ModelSpec(
         defaults={"qubit_freq": 1.0, "mode_freq": 5.0, "coupling": 0.01},
         evaluate=_eval_dispersive,
+        # the engine shares one H_int across rows, and H_int holds the coupling
+        broadcasts=frozenset({"qubit_freq", "mode_freq"}),
     ),
     "refractive": ModelSpec(
         defaults={"freq": 1.0, "index": 1.0},
         evaluate=_eval_refractive,
+        broadcasts=frozenset({"freq", "index"}),
     ),
     "full": ModelSpec(
         defaults={"qubit_freq": 1.0, "field_freqs": [], "dipole_freqs": [],
@@ -324,11 +338,36 @@ MODELS = {
 }
 
 
+def _sweep_columns(spec: ModelSpec, point: dict, parameter: str, values: np.ndarray) -> dict:
+    """The sweep's columns, the swept parameter first.
+
+    A parameter in spec.broadcasts is evaluated in one array pass.  If that
+    pass raises, the rows are evaluated one by one, so an error is the first
+    failing row's own, with its value named first.
+    """
+    columns = {parameter: values.tolist()}
+    if parameter in spec.broadcasts:
+        try:
+            batch = spec.evaluate({**point, parameter: values})
+        except (ModelError, ArithmeticError, ValueError):
+            pass  # the rows below raise the first failing row's own error
+        else:
+            return {**columns, **{name: column.tolist() for name, column in batch.items()}}
+    rows = []
+    for value in columns[parameter]:
+        try:
+            rows.append(spec.evaluate({**point, parameter: value}))
+        except (ModelError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{parameter}={_fmt(value)}: {exc}") from exc
+    return {**columns, **{name: [row[name] for row in rows] for name in rows[0]}}
+
+
 def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     """Evaluate a scenario and assemble the result table.
 
     Sweep points are independent evaluations; rows are emitted in sweep
-    order.  Raises ValueError for config problems (naming the offending
+    order, and a parameter in the model's ``broadcasts`` is evaluated for
+    every row in one array pass (see _sweep_columns).  Raises ValueError for config problems (naming the offending
     key), including non-finite parameter values and values not shaped like
     the default (a number, not a boolean or a string, where the default is
     a number, and a whole one where it is an int; a list of numbers where it
@@ -370,7 +409,7 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
                 f"real-valued field of model {scenario.model!r}; "
                 f"choose from {sorted(spec.sweepable)}"
             )
-        values = sweep.values().tolist()
+        values = sweep.values()
         metadata["sweep"] = {"parameter": sweep.parameter, "start": sweep.start,
                              "stop": sweep.stop, "points": sweep.points,
                              "log": sweep.log}
@@ -381,17 +420,9 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     # a float that overflows or turns NaN inside a model raises FloatingPointError
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         if sweep is None:
-            rows = [spec.evaluate(point)]
-            columns = {}
+            columns = {name: [value] for name, value in spec.evaluate(point).items()}
         else:
-            rows = []
-            for value in values:
-                try:
-                    rows.append(spec.evaluate({**point, sweep.parameter: value}))
-                except (ModelError, ArithmeticError, np.linalg.LinAlgError) as exc:
-                    raise type(exc)(f"{sweep.parameter}={_fmt(value)}: {exc}") from exc
-            columns = {sweep.parameter: values}
-    columns.update({name: [row[name] for row in rows] for name in rows[0]})
+            columns = _sweep_columns(spec, point, sweep.parameter, values)
     for name, column in columns.items():
         if not _is_finite(column):
             raise ModelError(f"column {name!r} holds a non-finite value; "

@@ -194,9 +194,20 @@ def _check_dim(cfg: FullModelConfig):
 def _h0_diagonal(cfg: FullModelConfig) -> np.ndarray:
     """Diagonal of H0 as a real vector; build_h0 wraps it."""
     _check_dim(cfg)
-    diags = [0.5 * cfg.qubit_freq * np.array([-1.0, 1.0])]
-    diags += [w * np.arange(float(cfg.n_max)) for w in cfg.field_freqs + cfg.dipole_freqs]
-    return reduce(np.add.outer, diags).ravel()
+    return _product_diagonal(cfg.qubit_freq, cfg.field_freqs + cfg.dipole_freqs, cfg.n_max)
+
+
+def _product_diagonal(qubit_freq, mode_freqs, n_max: int) -> np.ndarray:
+    """H0's diagonal on the flat product basis of the qubit and the modes at
+    n_max levels each.  The frequencies may be arrays whose shapes
+    broadcast; their axes then lead the result's, one diagonal per entry,
+    each the one that entry's frequencies give alone."""
+    diag = 0.5 * np.asarray(qubit_freq, dtype=float)[..., None] * np.array([-1.0, 1.0])
+    for w in mode_freqs:
+        levels = np.asarray(w, dtype=float)[..., None, None] * np.arange(float(n_max))
+        outer = diag[..., :, None] + levels
+        diag = outer.reshape(*outer.shape[:-2], -1)
+    return diag
 
 
 def _hint_bands(cfg: FullModelConfig) -> tuple:
@@ -404,7 +415,7 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     )
 
 
-def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float) -> float:
+def dispersive_single_mode(qubit_freq, mode_freq, coupling: float):
     """Second-order transition shift of a qubit coupled to one mode.
 
     Delegates to the perturbation engine on the qubit + one-mode product
@@ -412,40 +423,53 @@ def dispersive_single_mode(qubit_freq: float, mode_freq: float, coupling: float)
     formula is used.  H_int takes |0,vac> and |1,vac> to one photon and no
     further, so both second-order sums read Fock level 1 only: the mode is
     truncated to the levels 0 and 1; a wider truncation gives the same bits.
+
+    The frequencies may be arrays whose shapes broadcast: the engine then
+    runs once, on one H0 diagonal per entry against the one H_int of this
+    coupling, and returns an array each entry of which equals the call at
+    that entry's frequencies, bit for bit.  Scalars give a float.
     """
-    if qubit_freq <= 0 or mode_freq <= 0:
+    # no dtype: ints are compared and subtracted exactly, as Python does
+    qubit, mode = np.asarray(qubit_freq), np.asarray(mode_freq)
+    if (qubit <= 0).any() or (mode <= 0).any():
         raise ValueError("qubit_freq and mode_freq must be positive")
-    if abs(qubit_freq - mode_freq) < perturbation.DEGENERACY_TOL:
+    detuning = np.asarray(abs(qubit - mode))
+    near = detuning < perturbation.DEGENERACY_TOL
+    if near.any():
         raise NearResonanceError(
-            f"|qubit_freq - mode_freq| = {abs(qubit_freq - mode_freq):.3e} is below "
+            f"|qubit_freq - mode_freq| = {detuning[near][0]:.3e} is below "
             f"{perturbation.DEGENERACY_TOL}; the dispersive expansion fails on resonance"
         )
-    cfg = FullModelConfig(qubit_freq, (mode_freq,), (), (coupling,), (), n_max=2)
+    cfg, h_int = _two_level_model(coupling)
     i_ground, i_excited = _bare_indices(cfg)
-    return perturbation.transition_shift(_h0_diagonal(cfg), _two_level_hint(coupling),
-                                         i_excited, i_ground)
+    return perturbation.transition_shift(_product_diagonal(qubit, (mode,), cfg.n_max),
+                                         h_int, i_excited, i_ground)
 
 
 @lru_cache(maxsize=2)
-def _two_level_hint(coupling: float) -> np.ndarray:
-    """H_int of the qubit + one-mode model on the levels 0 and 1, a
-    read-only 4 x 4 array.  It depends on the coupling only, so a sweep over
-    either frequency reads it from the cache; building it takes longer than
-    the rest of a dispersive point."""
+def _two_level_model(coupling: float) -> tuple:
+    """The qubit + one-mode config on the levels 0 and 1 (its frequencies
+    are placeholders) and its H_int, a read-only 4 x 4 array.  H_int
+    depends on the coupling only, so a sweep over either frequency reads it
+    from the cache; building it takes longer than the rest of a dispersive
+    point."""
     cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max=2)
     h_int = _assemble(np.zeros(cfg.dim), _hint_bands(cfg))
     h_int.setflags(write=False)
-    return h_int
+    return cfg, h_int
 
 
-def refractive_modulation(qubit_freq: float, index: float) -> float:
+def refractive_modulation(qubit_freq, index):
     """Qubit frequency inside a dielectric of the given refractive index.
 
     The crudest account of the observed shift: the medium rescales the
-    transition to qubit_freq / index.
+    transition to qubit_freq / index.  Either argument may be an array:
+    the quotient is then taken entry by entry, and a ValueError names the
+    first entry out of range.  Scalars give a float.
     """
-    if qubit_freq <= 0:
-        raise ValueError(f"qubit_freq must be positive, got {qubit_freq}")
-    if index < 1.0:
-        raise ValueError(f"refractive index must be >= 1, got {index}")
+    qubit, index_ = np.asarray(qubit_freq), np.asarray(index)
+    if (qubit <= 0).any():
+        raise ValueError(f"qubit_freq must be positive, got {qubit[qubit <= 0][0]}")
+    if (index_ < 1.0).any():
+        raise ValueError(f"refractive index must be >= 1, got {index_[index_ < 1.0][0]}")
     return qubit_freq / index

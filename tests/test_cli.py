@@ -673,6 +673,20 @@ class TestSweepBounds:
         spec = SweepSpec("separation", 5.0, 50.0, MAX_SWEEP_POINTS)
         assert len(spec.values()) == MAX_SWEEP_POINTS
 
+    @pytest.mark.parametrize("start,stop,points", [(5.0, 50.0, 4), (0.3, 7.0, 2),
+                                                   (2.0, 2e-7, 9), (1.1, 1.1, 3)])
+    def test_log_sweep_ends_on_its_bounds(self, start, stop, points):
+        # exp(log 5) is 4.9999999999999991 and exp(log 50) 49.999999999999993
+        values = SweepSpec("separation", start, stop, points, log=True).values()
+        assert values[0] == start and values[-1] == stop
+        inner = np.exp(np.linspace(np.log(start), np.log(stop), points))[1:-1]
+        assert values[1:-1].tobytes() == inner.tobytes()
+
+    def test_log_sweep_prints_its_bounds(self, capsys):
+        assert main(["vdw", "--sweep", "separation=5:50:4:log"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].startswith("5,") and rows[-1].startswith("50,")
+
     def test_points_above_the_bound_from_a_flag(self, capsys):
         code = main(["vdw", "--sweep", f"separation=5:50:{MAX_SWEEP_POINTS + 1}"])
         out, err = capsys.readouterr()

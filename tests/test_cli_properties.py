@@ -2,6 +2,7 @@
 serialization and argument fast paths equal their element-wise references."""
 
 import contextlib
+import dataclasses
 import decimal
 import io
 import json
@@ -9,6 +10,7 @@ import math
 import numbers
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,6 +254,82 @@ def test_any_config_document_keeps_the_contract_and_its_invariants(drawn):
                     out = fh.read()
             _check_invariants(model, _columns(out, output.get("format", "csv")
                                               if isinstance(output, dict) else "csv"))
+
+
+# --- sweeps against one-point calls ----------------------------------------
+
+# sweep bounds and parameter values reaching past each model's range: vdw's
+# instability, dispersive's exact resonance with the default mode_freq 5,
+# couplings whose square overflows, an index below 1, negative frequencies
+BOUNDS = st.floats(-1.0, 12.0) | st.sampled_from([0.0, 1.0, 4.0, 5.0, 6.0, 1e-200, 1e200])
+CLOSED_FORM = ("vdw", "dispersive", "refractive")
+
+
+@st.composite
+def closed_form_sweeps(draw):
+    model = draw(st.sampled_from(CLOSED_FORM))
+    parameter = draw(st.sampled_from(sorted(MODELS[model].sweepable)))
+    names = draw(st.lists(st.sampled_from(sorted(MODELS[model].defaults)), unique=True))
+    others = {name: draw(SOLVABLE[model][name] | BOUNDS) for name in names
+              if name != parameter}
+    bounds = (draw(BOUNDS), draw(BOUNDS), draw(st.integers(2, 9)), draw(st.booleans()))
+    return model, parameter, others, bounds, draw(st.sampled_from(["csv", "json"]))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _tokens(text, out_format):
+    """Each column's printed numbers, as the text the output holds."""
+    if out_format == "json":
+        return json.loads(text, parse_float=str, parse_int=str)["columns"]
+    header, *rows = text.splitlines()
+    return {name: [row.split(",")[i] for row in rows]
+            for i, name in enumerate(header.split(","))}
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(closed_form_sweeps())
+@hypothesis.example(("dispersive", "qubit_freq", {}, (4.0, 6.0, 3, False), "csv"))
+@hypothesis.example(("dispersive", "mode_freq", {"coupling": 1e200}, (1.0, 3.0, 4, False), "json"))
+@hypothesis.example(("dispersive", "coupling", {}, (0.1, 1e200, 3, True), "csv"))
+@hypothesis.example(("dispersive", "qubit_freq", {}, (3.0, -1.0, 5, False), "csv"))
+@hypothesis.example(("refractive", "index", {}, (2.0, 0.5, 4, False), "json"))
+@hypothesis.example(("refractive", "freq", {"index": 1.5}, (-1.0, 2.0, 5, False), "csv"))
+@hypothesis.example(("vdw", "separation", {}, (5.0, 1.0, 5, True), "json"))
+def test_sweep_rows_equal_one_point_calls(drawn):
+    model, parameter, others, (start, stop, points, log), out_format = drawn
+    argv = [model, "--format", out_format]
+    for key, value in others.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    sweep = ["--sweep", f"{parameter}={start!r}:{stop!r}:{points}" + (":log" if log else "")]
+    code, out, err = _run(argv + sweep)
+    # the same sweep evaluated row by row prints the same bytes
+    rows_only = dataclasses.replace(MODELS[model], broadcasts=frozenset())
+    with mock.patch.dict(MODELS, {model: rows_only}):
+        assert _run(argv + sweep) == (code, out, err)
+    if code != 0:
+        assert out == "" and len(err.splitlines()) == 1
+        # a model error at a row is that row's own one-point error, its value first
+        prefix = f"qvdw: model error: {parameter}="
+        if err.startswith(prefix):
+            value, message = err[len(prefix):].split(": ", 1)
+            one = _run(argv + ["--set", f"{parameter}={json.dumps(float(value))}"])
+            assert one == (3, "", "qvdw: model error: " + message)
+        return
+    swept = _tokens(out, out_format)
+    assert len(swept[parameter]) == points
+    for k, value in enumerate(swept[parameter]):
+        one_code, one_out, _ = _run(argv + ["--set", f"{parameter}={json.dumps(float(value))}"])
+        assert one_code == 0
+        assert {name: column[k] for name, column in swept.items() if name != parameter} \
+            == {name: column[0] for name, column in _tokens(one_out, out_format).items()}
+        if out_format == "csv":
+            assert out.splitlines()[k + 1] == f"{value},{one_out.splitlines()[1]}"
 
 
 # --- fast paths against their element-wise definitions ----------------------

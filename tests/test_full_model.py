@@ -593,7 +593,35 @@ class TestDispersiveSingleMode:
         assert dispersive_single_mode(omega, mode, g) == old
 
 
+    def test_arrays_equal_scalar_calls_bit_for_bit(self):
+        qubit = np.linspace(0.3, 4.9, 7)[:, None]
+        mode = np.array([0.2, 5.0, 11.0])
+        shifts = dispersive_single_mode(qubit, mode, 0.03)
+        assert shifts.shape == (7, 3)
+        for (r, c), shift in np.ndenumerate(shifts):
+            alone = dispersive_single_mode(float(qubit[r, 0]), float(mode[c]), 0.03)
+            assert type(alone) is float and shift == alone
+
+    def test_array_error_names_the_first_resonant_entry(self):
+        with pytest.raises(NearResonanceError, match=r"= 0\.000e\+00 is below"):
+            dispersive_single_mode(np.array([1.0, 5.0, 4.0]), 5.0, 0.01)
+        with pytest.raises(ValueError, match="must be positive"):
+            dispersive_single_mode(np.array([1.0, -5.0]), 5.0, 0.01)
+
+
 class TestRefractiveModulation:
+
+    def test_arrays_equal_scalar_calls_bit_for_bit(self):
+        index = np.linspace(1.0, 3.7, 9)
+        for freq in (0.7, np.full(9, 2.3)):
+            modulated = refractive_modulation(freq, index)
+            for k, value in enumerate(modulated):
+                assert value == refractive_modulation(float(np.broadcast_to(freq, 9)[k]),
+                                                      float(index[k]))
+
+    def test_array_error_names_the_first_bad_entry(self):
+        with pytest.raises(ValueError, match=r"index must be >= 1, got 0\.5$"):
+            refractive_modulation(1.0, np.array([1.5, 0.5, 0.25]))
 
     def test_vacuum(self):
         assert refractive_modulation(1.0, 1.0) == 1.0

@@ -154,3 +154,74 @@ class TestInvariants:
                          - 2.0 * eigenvalue(i, 0.0)) / eps**2
             res = second_order_shift(h0, hi, i)
             assert res.second_order == pytest.approx(curvature / 2.0, rel=1e-4)
+
+
+class TestBatch:
+    """A stack of H0 diagonals against one shared H_int."""
+
+    @staticmethod
+    def problem(seed, batch_shape, dim=13):
+        rng = np.random.default_rng(seed)
+        h0s = rng.uniform(0.0, 10.0, size=batch_shape + (dim,))
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        hi = (m + m.conj().T) / 2
+        hi[rng.random((dim, dim)) < 0.2] = 0.0  # some uncoupled states
+        return h0s, hi
+
+    # numpy sums 8 or more terms pairwise, in blocks of 128
+    @pytest.mark.parametrize("batch_shape,dim", [((1,), 13), ((7,), 13), ((2, 3), 13),
+                                                 ((5,), 200)])
+    def test_rows_equal_per_row_calls_bit_for_bit(self, batch_shape, dim):
+        h0s, hi = self.problem(11, batch_shape, dim)
+        for i in (0, 5, 12):
+            batch = second_order_shift(h0s, hi, i)
+            assert batch.second_order.shape == batch_shape
+            assert batch.min_denominator.shape == batch_shape
+            for row in np.ndindex(batch_shape):
+                alone = second_order_shift(h0s[row], hi, i)
+                assert batch.second_order[row] == alone.second_order
+                assert batch.min_denominator[row] == alone.min_denominator
+                assert batch.first_order == alone.first_order
+                assert batch.terms_used == alone.terms_used
+        shifts = transition_shift(h0s, hi, 3, 0)
+        for row in np.ndindex(batch_shape):
+            assert shifts[row] == transition_shift(h0s[row], hi, 3, 0)
+
+    def test_scalar_input_returns_floats(self):
+        h0s, hi = self.problem(12, (2,))
+        res = second_order_shift(h0s[0], hi, 4)
+        assert type(res.second_order) is float and type(res.min_denominator) is float
+        assert type(transition_shift(h0s[0], hi, 4, 0)) is float
+
+    def test_terms_used_and_min_denominator_keep_their_meaning(self):
+        # terms_used counts the states H_int couples to i, whatever the rows;
+        # min_denominator is each row's own smallest coupled gap
+        h0s = np.array([[0.0, 1.0, 3.0, 0.0], [0.0, 2.0, -0.5, 7.0]])
+        hi = np.zeros((4, 4))
+        hi[0, 1] = hi[1, 0] = 0.1
+        hi[0, 2] = hi[2, 0] = 0.2
+        res = second_order_shift(h0s, hi, 0)
+        assert res.terms_used == 2
+        assert res.min_denominator.tolist() == [1.0, 0.5]
+        assert res.second_order.tolist() == [
+            0.1**2 / -1.0 + 0.2**2 / -3.0, 0.1**2 / -2.0 + 0.2**2 / 0.5]
+        # row 0's state 3 is degenerate with state 0 but uncoupled: no abort
+        empty = second_order_shift(h0s, np.zeros((4, 4)), 0)
+        assert empty.terms_used == 0
+        assert empty.second_order.tolist() == [0.0, 0.0]
+        assert empty.min_denominator.tolist() == [np.inf, np.inf]
+
+    def test_one_degenerate_row_raises_its_own_error(self):
+        h0s, hi = self.problem(13, (5,))
+        coupled = np.flatnonzero(np.abs(hi[:, 2]) > 0)
+        n = coupled[coupled != 2][0]
+        h0s[3, n] = h0s[3, 2] + 1e-12
+        with pytest.raises(DegeneracyError) as alone:
+            second_order_shift(h0s[3], hi, 2)
+        with pytest.raises(DegeneracyError) as batch:
+            second_order_shift(h0s, hi, 2)
+        assert str(batch.value) == str(alone.value)
+        with pytest.raises(DegeneracyError):
+            transition_shift(h0s, hi, 2, 0)
+        # the other rows are regular
+        second_order_shift(np.delete(h0s, 3, axis=0), hi, 2)
