@@ -209,8 +209,9 @@ def fit_power_law(xs, ys):
     """Least-squares fit of ln|y| against ln x.
 
     Returns (slope, intercept, max_residual).  Raises FitError when the
-    fit is ill-posed: fewer than two points, nonpositive xs, zero ys or
-    all-equal xs.
+    fit is ill-posed: fewer than two points, nonpositive xs, zero ys,
+    all-equal xs, or ln x values too close for a line to be fitted
+    (numerical rank of the least-squares problem below 2).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -225,7 +226,11 @@ def fit_power_law(xs, ys):
     if (xs == xs[0]).all():
         raise FitError("power-law fit needs distinct abscissas (all xs equal)")
     lx, ly = np.log(xs), np.log(np.abs(ys))
-    slope, intercept = np.polyfit(lx, ly, 1)
+    # full=True reports the rank instead of warning of a poor conditioning
+    (slope, intercept), _, rank, _, _ = np.polyfit(lx, ly, 1, full=True)
+    if rank < 2:
+        raise FitError("power-law fit is rank deficient: the abscissas are too close "
+                       "together on a log scale")
     residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
     return float(slope), float(intercept), residual
 

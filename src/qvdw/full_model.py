@@ -34,20 +34,24 @@ values show the spectrum), and when its squared overlap with the bare
 state exceeds 1/2.  Eigenvectors are orthonormal, so at most one
 eigenvector overlaps a bare state that much, and the certified pair is the
 one the dense maximum-overlap rule picks, interior eigenvalues included (a
-qubit above a mode frequency).  If either pair fails its certificate, H is
-assembled from the same diagonal and bands and solved by dense eigh
-(operators._dense_eigh), which also raises IdentificationError when no
-eigenvector overlaps a bare state by 1/2.  That happens near a resonance,
-where the gap closes, and at strong coupling, where no eigenvector
-overlaps a bare state by 1/2 or a run stops unconverged after
+qubit above a mode frequency).  If a pair fails its certificate, H is
+assembled once from the same diagonal and bands, and the block of H on the
+bare state's parity is solved by dense eigh (operators._dense_eigh): every
+term changes the qubit level plus the mode levels by 0 or 2, so that
+block, half of H, holds every eigenvector the bare state overlaps.  The
+dense route raises IdentificationError when no eigenvector overlaps the
+bare state by 1/2; the other state keeps its certified pair.  A pair fails
+near a resonance, where the gap closes, and at strong coupling, where no
+eigenvector overlaps a bare state by 1/2 or a run stops unconverged after
 LANCZOS_MAX_STEPS steps.  The truncation check at n_max + 2 runs the same
 Lanczos with the same certificates and the same dense fallback, but starts
 from the two n_max vectors padded with two empty levels per mode: at a
 converged truncation they are eigenvectors of the wider H to within its
 tolerance, and the runs stop after a few steps.
-dim_limit bounds the product dimension on both paths; the Lanczos basis
-takes about m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of
-steps at weak coupling), the dense fallback dim^2 * 8 bytes.
+FullModelConfig refuses a product dimension above dim_limit when it is
+built, so no solver checks it again; the Lanczos basis takes about
+m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of steps at weak
+coupling), the dense fallback dim^2 * 8 bytes for the assembled H.
 Each Ritz check inside a run solves the run's small tridiagonal matrix by
 np.linalg.eigh as well; only the dense fallback passes through
 operators._dense_eigh, so that is where dense solves are counted.
@@ -91,6 +95,11 @@ class FullModelConfig:
     The coupling matrix is kept as a read-only array, and as a tuple of rows
     that equality and the hash compare in its place, so equal configs
     compare equal and hash alike.
+
+    Construction raises ValueError for malformed parameters,
+    UnstableConfigurationError when the field and dipole modes have no
+    ground state, and, checked last, DimensionLimitError when the product
+    dimension ``dim`` exceeds ``dim_limit``.
     """
 
     qubit_freq: float
@@ -152,6 +161,12 @@ class FullModelConfig:
                     "dipole_field_couplings too strong: diag(mode freqs) + 2 F is not "
                     "positive definite, so the field and dipole modes have no ground state"
                 ) from None
+        # last, so a config that also fails a check above raises that check's error
+        if self.dim > self.dim_limit:
+            raise DimensionLimitError(
+                f"product dimension {self.dim} exceeds limit {self.dim_limit}; "
+                f"reduce n_max or the number of modes"
+            )
 
     @property
     def n_modes(self) -> int:
@@ -183,17 +198,8 @@ class ShiftReport:
     converged: bool
 
 
-def _check_dim(cfg: FullModelConfig):
-    if cfg.dim > cfg.dim_limit:
-        raise DimensionLimitError(
-            f"product dimension {cfg.dim} exceeds limit {cfg.dim_limit}; "
-            f"reduce n_max or the number of modes"
-        )
-
-
 def _h0_diagonal(cfg: FullModelConfig) -> np.ndarray:
     """Diagonal of H0 as a real vector; build_h0 wraps it."""
-    _check_dim(cfg)
     return _product_diagonal(cfg.qubit_freq, cfg.field_freqs + cfg.dipole_freqs, cfg.n_max)
 
 
@@ -227,9 +233,8 @@ def _hint_bands(cfg: FullModelConfig) -> tuple:
 
     The bands read no frequency or dim_limit, so _coupling_bands builds
     them once per coupling set and n_max and every such config shares them,
-    read-only; dim_limit is checked here on every call.
+    read-only.
     """
-    _check_dim(cfg)
     return _coupling_bands(cfg.n_max, cfg.qubit_field_couplings, cfg._dipole_field_rows)
 
 
@@ -280,8 +285,8 @@ def apply_h(cfg: FullModelConfig, psi: np.ndarray) -> np.ndarray:
     f_lk x_k x_l term moves one level along two tensor slots, which in the
     flat row-major basis is a shift by fixed offsets: it adds shifted
     slices of psi times coefficient bands (_hint_bands), so a product costs
-    O(dim) per term and no matrix is built.  Raises DimensionLimitError
-    above cfg.dim_limit.
+    O(dim) per term and no matrix is built.  cfg's dimension was checked
+    against its dim_limit when cfg was built.
     """
     psi = np.asarray(psi, dtype=float)
     return _add_bands(_hint_bands(cfg), psi, _h0_diagonal(cfg) * psi)
@@ -302,7 +307,8 @@ def build_h0(cfg: FullModelConfig) -> HermitianOperator:
     """Uncoupled Hamiltonian, diagonal in the product Fock basis.
 
     Qubit term diag(-w/2, +w/2), plus w_n a_n^dag a_n per field mode and
-    W_m b_m^dag b_m per dipole mode.
+    W_m b_m^dag b_m per dipole mode.  Like every builder here it does not
+    check dim_limit: FullModelConfig refuses an oversized config.
     """
     return HermitianOperator(np.diag(_h0_diagonal(cfg)))
 
@@ -313,7 +319,8 @@ def build_hint(cfg: FullModelConfig) -> HermitianOperator:
     s_x tensor sum_k g_k (a_k + a_k^dag) plus
     sum_{l,k} f_lk (a_k + a_k^dag)(b_l + b_l^dag).  Every term changes an
     excitation number, so the matrix has an exactly zero diagonal.  The
-    dense reference of the terms apply_h applies.
+    dense reference of the terms apply_h applies; dim_limit was checked
+    when cfg was built.
     """
     return HermitianOperator(_assemble(np.zeros(cfg.dim), _hint_bands(cfg)))
 
@@ -323,22 +330,27 @@ def _bare_indices(cfg: FullModelConfig):
     return 0, cfg.n_max ** cfg.n_modes
 
 
-def _identify(cfg: FullModelConfig, h: np.ndarray):
-    """Dense route: solve the assembled H by operators._dense_eigh and take,
-    for each bare state, the eigenvector that overlaps it most, as (energy,
-    overlap, eigenvector)."""
-    values, vectors = operators._dense_eigh(h)
-    reports = []
-    for bare in _bare_indices(cfg):
-        overlaps = vectors[bare] ** 2
-        best = int(np.argmax(overlaps))
-        if overlaps[best] < OVERLAP_THRESHOLD:
-            raise IdentificationError(
-                f"largest overlap with bare state {bare} is {overlaps[best]:.3f} < "
-                f"{OVERLAP_THRESHOLD}; coupling too strong for dressed-state labeling"
-            )
-        reports.append((values[best], float(overlaps[best]), vectors[:, best]))
-    return reports
+def _identify(cfg: FullModelConfig, h: np.ndarray, bare: int):
+    """Dense route for one bare state: solve by operators._dense_eigh the
+    block of the assembled H on the basis states whose qubit level plus mode
+    levels have the bare state's parity, and take the eigenvector that
+    overlaps the bare state most, as (energy, overlap, eigenvector on the
+    whole basis).  Every term of H changes that total by 0 or 2, so H has no
+    entry between the two parities and the block, half of cfg.dim, holds
+    every eigenvector that overlaps the bare state."""
+    level_sums = np.indices(cfg.mode_dims).sum(axis=0).ravel()
+    block = np.flatnonzero(level_sums % 2 == level_sums[bare] % 2)
+    values, vectors = operators._dense_eigh(h[np.ix_(block, block)])
+    overlaps = vectors[np.searchsorted(block, bare)] ** 2
+    best = int(np.argmax(overlaps))
+    if overlaps[best] < OVERLAP_THRESHOLD:
+        raise IdentificationError(
+            f"largest overlap with bare state {bare} is {overlaps[best]:.3f} < "
+            f"{OVERLAP_THRESHOLD}; coupling too strong for dressed-state labeling"
+        )
+    vector = np.zeros(cfg.dim)
+    vector[block] = vectors[:, best]
+    return values[best], float(overlaps[best]), vector
 
 
 def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
@@ -351,24 +363,26 @@ def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
     and its squared overlap with the bare state above 1/2: eigenvectors are
     orthonormal, so at most one overlaps the bare state that much, and it is
     the one the dense max-overlap rule picks, whatever the run started from.
-    If either pair fails, the dense route (_identify) decides.  ``vectors``
-    holds the two certified Ritz vectors, or the two picked eigenvectors,
-    as rows, ground first.
+    A pair that fails is replaced by the dense route on its bare state's
+    parity block (_identify), which raises IdentificationError when no
+    eigenvector overlaps the bare state by 1/2; the other state's certified
+    pair is kept, and H is assembled at most once.  ``vectors`` holds the
+    two kept vectors as rows, ground first.
     """
     diagonal, bands = _h0_diagonal(cfg), _hint_bands(cfg)
     bares = _bare_indices(cfg)
     if starts is None:
         starts = np.zeros((2, cfg.dim))
         starts[[0, 1], bares] = 1.0
-    reports = []
+    reports, h = [], None
     for bare, start in zip(bares, starts):
         theta, y, residual, gap = lanczos(lambda v: _add_bands(bands, v, diagonal * v), start,
                                           "start", LANCZOS_MAX_STEPS)
         overlap = float(y[bare] ** 2)
         if (residual > CERTIFICATE_RTOL * max(1.0, abs(theta))
                 or 2.0 * residual > OVERLAP_ATOL * gap or overlap <= OVERLAP_THRESHOLD):
-            reports = _identify(cfg, _assemble(diagonal, bands))
-            break
+            h = _assemble(diagonal, bands) if h is None else h
+            theta, overlap, y = _identify(cfg, h, bare)
         reports.append((theta, overlap, y))
     (e_ground, ov_ground, y_ground), (e_excited, ov_excited, y_excited) = reports
     return e_excited - e_ground, ov_ground, ov_excited, np.array([y_ground, y_excited])
@@ -391,7 +405,8 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     states; an overlap below 1/2 raises IdentificationError.  They come
     from certified Lanczos runs, or from dense eigh when a certificate
     fails (see the module docstring).  The converged flag compares against
-    a run at n_max + 2 (False if that run would exceed the dimension limit).
+    a run at n_max + 2 (False if that config exceeds the dimension limit,
+    which building it reports by DimensionLimitError).
     That run starts from the two n_max vectors, padded with two empty levels
     per mode, and keeps every certificate: a converged truncation hands it
     nearly exact eigenvectors, so it takes a few Lanczos steps where a run
@@ -400,9 +415,11 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     """
     dressed, ov_g, ov_e, vectors = _diagonalize_and_identify(cfg)
     bare = cfg.qubit_freq
-    wider = replace(cfg, n_max=cfg.n_max + 2)
-    probe = (_diagonalize_and_identify(wider, _pad(cfg, vectors, wider.n_max))[0] - bare
-             if wider.dim <= wider.dim_limit else None)
+    try:  # only building the wider config checks dim_limit
+        wider = replace(cfg, n_max=cfg.n_max + 2)
+        probe = _diagonalize_and_identify(wider, _pad(cfg, vectors, wider.n_max))[0] - bare
+    except DimensionLimitError:
+        probe = None
     shift, converged = truncation_probe(dressed - bare, probe, CONVERGENCE_TOL)
 
     return ShiftReport(
@@ -415,6 +432,12 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     )
 
 
+# H_int of the qubit and one mode on the levels 0 and 1 at unit coupling: every
+# ladder amplitude there is 1, so g times it is g on each coupled pair, +-0.0 elsewhere
+_UNIT_TWO_LEVEL_HINT = _assemble(np.zeros(4), _coupling_bands(2, (1.0,), ()))
+_UNIT_TWO_LEVEL_HINT.setflags(write=False)
+
+
 def dispersive_single_mode(qubit_freq, mode_freq, coupling: float):
     """Second-order transition shift of a qubit coupled to one mode.
 
@@ -423,11 +446,16 @@ def dispersive_single_mode(qubit_freq, mode_freq, coupling: float):
     formula is used.  H_int takes |0,vac> and |1,vac> to one photon and no
     further, so both second-order sums read Fock level 1 only: the mode is
     truncated to the levels 0 and 1; a wider truncation gives the same bits.
+    There every ladder amplitude is 1, so H_int is float(coupling) times
+    the one unit-coupling H_int built at import, equal on every coupled
+    entry to the H_int the model's bands give at this coupling: nothing is
+    rebuilt per coupling.
 
-    The frequencies may be arrays whose shapes broadcast: the engine then
-    runs once, on one H0 diagonal per entry against the one H_int of this
-    coupling, and returns an array each entry of which equals the call at
-    that entry's frequencies, bit for bit.  Scalars give a float.
+    The frequencies may be arrays whose shapes broadcast (the coupling is a
+    scalar): the engine then runs once, on one H0 diagonal per entry against
+    the one H_int of this coupling, and returns an array each entry of which
+    equals the call at that entry's frequencies, bit for bit.  Scalars give
+    a float.
     """
     # no dtype: ints are compared and subtracted exactly, as Python does
     qubit, mode = np.asarray(qubit_freq), np.asarray(mode_freq)
@@ -440,23 +468,9 @@ def dispersive_single_mode(qubit_freq, mode_freq, coupling: float):
             f"|qubit_freq - mode_freq| = {detuning[near][0]:.3e} is below "
             f"{perturbation.DEGENERACY_TOL}; the dispersive expansion fails on resonance"
         )
-    cfg, h_int = _two_level_model(coupling)
-    i_ground, i_excited = _bare_indices(cfg)
-    return perturbation.transition_shift(_product_diagonal(qubit, (mode,), cfg.n_max),
-                                         h_int, i_excited, i_ground)
-
-
-@lru_cache(maxsize=2)
-def _two_level_model(coupling: float) -> tuple:
-    """The qubit + one-mode config on the levels 0 and 1 (its frequencies
-    are placeholders) and its H_int, a read-only 4 x 4 array.  H_int
-    depends on the coupling only, so a sweep over either frequency reads it
-    from the cache; building it takes longer than the rest of a dispersive
-    point."""
-    cfg = FullModelConfig(1.0, (1.0,), (), (coupling,), (), n_max=2)
-    h_int = _assemble(np.zeros(cfg.dim), _hint_bands(cfg))
-    h_int.setflags(write=False)
-    return cfg, h_int
+    # |0,0> is index 0 and |1,0> index 2 on the levels 0 and 1
+    return perturbation.transition_shift(_product_diagonal(qubit, (mode,), 2),
+                                         float(coupling) * _UNIT_TWO_LEVEL_HINT, 2, 0)
 
 
 def refractive_modulation(qubit_freq, index):

@@ -52,6 +52,27 @@ class TestFitPowerLaw:
         with pytest.raises(FitError, match="same length"):
             fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0])
 
+    def test_abscissas_too_close_on_a_log_scale(self):
+        # distinct xs a few ulps apart: the fit is rank deficient, which is
+        # an error and not a warning
+        xs = [90.0, 90.00000000000001, 90.00000000000003]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="rank deficient"):
+                fit_power_law(xs, [1.0, 2.0, 3.0])
+
+    def test_near_degenerate_sweep_is_model_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["vdw", "--sweep", "separation=90:90.00000000000003:4",
+                         "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qvdw: model error: power-law fit is rank deficient")
+        assert len(err.splitlines()) == 1
+        assert caught == []
+
 
 class TestRunScenario:
 

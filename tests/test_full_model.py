@@ -147,6 +147,21 @@ class TestConfig:
         cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.1,),), 14)
         assert cfg.dim == 2 * 14 * 14
 
+    def test_oversized_config_is_refused_when_built(self):
+        with pytest.raises(DimensionLimitError, match=r"^product dimension 392 exceeds limit "
+                           r"391; reduce n_max or the number of modes$"):
+            FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.1,),), 14, dim_limit=391)
+        FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.1,),), 14, dim_limit=392)
+        # the bare qubit has dimension 2 at any truncation
+        assert FullModelConfig(1.0, n_max=10**12, dim_limit=2).dim == 2
+
+    def test_unstable_and_oversized_config_reports_the_instability(self):
+        # the size is checked last, so the earlier checks keep their errors
+        with pytest.raises(UnstableConfigurationError):
+            FullModelConfig(3.0, (1.0,), (1.0,), (0.05,), ((1.0,),), 70)
+        with pytest.raises(ValueError, match="one qubit-field coupling per field mode"):
+            FullModelConfig(3.0, (1.0,), (1.0,), (), ((0.1,),), 70)
+
     @pytest.mark.parametrize("cfg", MODE_CONFIGS + [SOLVER_CONFIGS["two-dipoles"]])
     def test_equal_configs_compare_equal_and_hash_alike(self, cfg):
         twin = replace(cfg)
@@ -188,9 +203,9 @@ class TestBuildH0:
             np.sum(np.diag(h0.entries).real), abs=0)
 
     def test_dimension_guard(self):
-        cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.2,),), 70)
+        # the config refuses the size before any builder runs
         with pytest.raises(DimensionLimitError):
-            build_h0(cfg)
+            build_h0(FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.2,),), 70))
 
 
 class TestH0Diagonal:
@@ -258,9 +273,9 @@ class TestApplyH:
         assert np.array_equal(apply_h(cfg, np.array([1.0, 2.0])), [-1.0, 2.0])
 
     def test_dimension_guard(self):
-        cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.2,),), 70)
+        # the config refuses the size before any product runs
         with pytest.raises(DimensionLimitError):
-            apply_h(cfg, np.zeros(cfg.dim))
+            apply_h(FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.2,),), 70), np.zeros(9800))
 
 
 class TestLanczosRoute:
@@ -292,7 +307,7 @@ class TestLanczosRoute:
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
-        assert solved == [cfg.dim]
+        assert solved == [cfg.dim // 2] * 2  # each state's parity block
         shift, ov_ground, ov_excited = dense_reference(cfg)
         assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_ground == pytest.approx(ov_ground, abs=1e-12)
@@ -313,7 +328,7 @@ class TestLanczosRoute:
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
-        assert solved == [cfg.dim]
+        assert solved == [cfg.dim // 2] * 2  # each state's parity block
         shift, ov_ground, ov_excited = dense_reference(cfg)
         assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_excited == pytest.approx(ov_excited, abs=1e-12)
@@ -332,7 +347,7 @@ class TestLanczosRoute:
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         with pytest.raises(IdentificationError):
             full_model._diagonalize_and_identify(cfg)
-        assert solved == [cfg.dim]
+        assert solved == [cfg.dim // 2]  # the ground state's parity block
 
     def test_resonance_fails_the_gap_certificate(self, monkeypatch):
         # at qubit_freq = dipole frequency the dressed excited state lies
@@ -349,20 +364,45 @@ class TestLanczosRoute:
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
-        assert solved == [cfg.dim]
+        assert solved == [cfg.dim // 2]  # the excited state's parity block only
         monkeypatch.setattr(full_model, "OVERLAP_ATOL", np.inf)
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         full_model._diagonalize_and_identify(cfg)
-        assert solved == [cfg.dim]  # the residual alone would have passed
+        assert solved == [cfg.dim // 2]  # the residual alone would have passed
         shift, ov_ground, ov_excited = dense_reference(cfg)
         assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
-        assert got_excited == pytest.approx(ov_excited, abs=1e-12)
+        # a dense eigenvector is accurate to about eps ||H|| / gap, here
+        # 2.2e-16 * 57.5 / 1.3e-4 = 1e-10, so eigh of the odd block and eigh
+        # of the whole H agree on the overlap to that, not to the last bit
+        assert got_excited == pytest.approx(ov_excited, abs=1e-9)
+
+    def test_certified_state_keeps_its_lanczos_pair(self, monkeypatch):
+        # at the resonance above only the excited pair fails: the ground
+        # values are the certified Lanczos pair's own, bit for bit
+        cfg = FullModelConfig(3.0, (5.0,), (3.0,), (0.01,), ((0.01,),), 8)
+        pairs = []
+        run = full_model.lanczos
+
+        def recording(*args):
+            pairs.append(run(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(full_model, "lanczos", recording)
+        dressed, got_ground, _, vectors = full_model._diagonalize_and_identify(cfg)
+        ground, excited = pairs
+        assert np.array_equal(vectors[0], ground.vector)
+        assert got_ground == float(ground.vector[0] ** 2)
+        assert not np.array_equal(vectors[1], excited.vector)
+        # the excited energy is an eigenvalue of H
+        values = np.linalg.eigvalsh(kron_hamiltonian(cfg))
+        assert np.min(np.abs(values - (dressed + ground.value))) <= 1e-12
 
     def test_strong_coupling_hands_a_capped_run_to_eigh(self, monkeypatch):
         # the bare ground state spreads over many eigenvectors, none with a
         # squared overlap of 1/2: its run takes at most LANCZOS_MAX_STEPS
         # steps and one more product for the Ritz vector, then one dense
-        # solve of the whole H raises
+        # solve of its parity block, half of H, raises before the excited
+        # state's run
         # (f = 0.5 keeps the field and dipole modes stable: 4 f^2 < 1.0 * 1.1)
         cfg = FullModelConfig(1.05, (1.0,), (1.1,), (1.5,), ((0.5,),), 20)
         products, solved = [], []
@@ -383,7 +423,7 @@ class TestLanczosRoute:
                            r"labeling$"):
             full_model._diagonalize_and_identify(cfg)
         assert len(products) <= full_model.LANCZOS_MAX_STEPS + 1
-        assert solved == [cfg.dim]
+        assert solved == [cfg.dim // 2]
 
     def test_reaches_dimensions_above_the_default_limit(self):
         # one field and two dipoles at n_max 14: dim 5488, as the CI step runs it
@@ -475,7 +515,8 @@ class TestWarmProbe:
                              ids=["sweep-above", "two-dipoles"])
     def test_failed_warm_certificate_runs_eigh_once(self, cfg, monkeypatch):
         # the n_max runs start from a bare state (one nonzero entry) and pass;
-        # every run from a padded vector is made to fail its residual test
+        # every run from a padded vector is made to fail its residual test,
+        # so the probe solves each state's parity block of the one wider H
         run, eigh = full_model.lanczos, operators._dense_eigh
         solved = []
 
@@ -492,7 +533,7 @@ class TestWarmProbe:
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         report = dressed_transition(cfg)
         monkeypatch.undo()
-        assert solved == [replace(cfg, n_max=cfg.n_max + 2).dim]
+        assert solved == [replace(cfg, n_max=cfg.n_max + 2).dim // 2] * 2
         assert report == expected
 
 
@@ -593,6 +634,21 @@ class TestDispersiveSingleMode:
         assert dispersive_single_mode(omega, mode, g) == old
 
 
+    @pytest.mark.parametrize("g", [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 1e200, -1e200, 7])
+    def test_scaled_unit_interaction_equals_the_bands_at_this_coupling(self, g):
+        # every ladder amplitude on the levels 0 and 1 is 1, so g times the
+        # unit H_int couples the same states with g itself
+        scaled = float(g) * full_model._UNIT_TWO_LEVEL_HINT
+        built = full_model._assemble(np.zeros(4), full_model._coupling_bands(2, (float(g),), ()))
+        coupled = np.abs(built) > 0
+        assert np.array_equal(np.abs(scaled) > 0, coupled)
+        assert np.array_equal(scaled[coupled], built[coupled])
+        assert np.count_nonzero(coupled) == (0 if g == 0 else 4)
+
+    def test_unit_interaction_is_read_only(self):
+        with pytest.raises(ValueError):
+            full_model._UNIT_TWO_LEVEL_HINT[0, 1] = 1.0
+
     def test_arrays_equal_scalar_calls_bit_for_bit(self):
         qubit = np.linspace(0.3, 4.9, 7)[:, None]
         mode = np.array([0.2, 5.0, 11.0])
@@ -670,9 +726,10 @@ class TestBandCache:
                 coefficients[0] = 1.0
 
     def test_smaller_dim_limit_still_raises_on_a_cache_hit(self):
+        # the bands do not read dim_limit; the config refuses it when built
         full_model._hint_bands(BAND_CFG)
         with pytest.raises(DimensionLimitError):
-            full_model._hint_bands(replace(BAND_CFG, dim_limit=BAND_CFG.dim - 1))
+            replace(BAND_CFG, dim_limit=BAND_CFG.dim - 1)
 
     def test_qubit_sweep_builds_one_band_set_per_n_max(self):
         full_model._coupling_bands.cache_clear()
