@@ -23,9 +23,13 @@ builds them once per coupling set and n_max and shares them, read-only,
 with every later config that has the same couplings and n_max: a
 qubit_freq sweep builds two sets, one for the solve and one for the
 n_max + 2 probe.
-Lanczos (operators.lanczos) runs once from the bare ground state and once
-from the bare excited state and keeps, in each run, the Ritz pair whose
-vector overlaps the start most.  A pair is certified when its residual
+Davidson's method (operators.davidson) runs once from the bare ground
+state and once from the bare excited state, with the H0 diagonal as its
+preconditioner, and keeps, in each run, the Ritz pair whose vector
+overlaps the start most.  H0 is H's diagonal, so the correction
+r / (theta - D) of a step is the perturbative one: each step gains about
+a factor coupling / detuning, and a weakly coupled state takes a few
+products of H.  A pair is certified when its residual
 r = ||H y - theta y|| is at most CERTIFICATE_RTOL max(1, |theta|), when
 2 r / gap is at most OVERLAP_ATOL, gap the distance to the nearest other
 Ritz value (r / gap bounds the angle between y and the eigenvector, so
@@ -43,18 +47,19 @@ dense route raises IdentificationError when no eigenvector overlaps the
 bare state by 1/2; the other state keeps its certified pair.  A pair fails
 near a resonance, where the gap closes, and at strong coupling, where no
 eigenvector overlaps a bare state by 1/2 or a run stops unconverged after
-LANCZOS_MAX_STEPS steps.  The truncation check at n_max + 2 runs the same
-Lanczos with the same certificates and the same dense fallback, but starts
-from the two n_max vectors padded with two empty levels per mode: at a
-converged truncation they are eigenvectors of the wider H to within its
-tolerance, and the runs stop after a few steps.
+DAVIDSON_MAX_STEPS products.  The truncation check at n_max + 2 runs the
+same Davidson with the same certificates and the same dense fallback, but
+starts from the two n_max vectors padded with two empty levels per mode:
+at a converged truncation they are eigenvectors of the wider H to within
+its tolerance, and the runs stop after a few products.
 FullModelConfig refuses a product dimension above dim_limit when it is
-built, so no solver checks it again; the Lanczos basis takes about
-m * dim * 8 bytes for m <= LANCZOS_MAX_STEPS steps (tens of steps at weak
-coupling), the dense fallback dim^2 * 8 bytes for the assembled H.
-Each Ritz check inside a run solves the run's small tridiagonal matrix by
-np.linalg.eigh as well; only the dense fallback passes through
-operators._dense_eigh, so that is where dense solves are counted.
+built, so no solver checks it again; a Davidson run keeps its basis and
+the products of H with it, about 2 m * dim * 8 bytes for m <=
+DAVIDSON_MAX_STEPS products (about 8 at weak coupling), the dense
+fallback dim^2 * 8 bytes for the assembled H.  Each Davidson step solves
+the run's small projected matrix by np.linalg.eigh as well; only the dense
+fallback passes through operators._dense_eigh, so that is where dense
+solves are counted.
 """
 
 from dataclasses import dataclass, field, replace
@@ -65,21 +70,22 @@ import numpy as np
 from . import operators, perturbation
 from .errors import (DimensionLimitError, IdentificationError, NearResonanceError,
                      UnstableConfigurationError)
-from .operators import DEFAULT_DIM_LIMIT, HermitianOperator, lanczos, truncation_probe
+from .operators import DEFAULT_DIM_LIMIT, HermitianOperator, davidson, truncation_probe
 
 CONVERGENCE_TOL = 1e-8
 OVERLAP_THRESHOLD = 0.5
-# a Lanczos Ritz pair is accepted when ||H y - theta y|| <= this * max(1, |theta|)
+# a Davidson Ritz pair is accepted when ||H y - theta y|| <= this * max(1, |theta|)
 CERTIFICATE_RTOL = 1e-10
 # ... and when its squared overlap with the bare state is known to within
 # this: 2 ||H y - theta y|| / gap, gap the distance to the nearest other Ritz
 # value, bounds how far it can lie from the eigenvector's
 OVERLAP_ATOL = 1e-11
-# a Lanczos run that has not converged after this many steps hands over to
-# the dense path: weakly coupled dressed states take 20 to 120 steps, and a
-# run towards the whole space would cost more than eigh.  It is a run's only
-# stop short of convergence
-LANCZOS_MAX_STEPS = 300
+# a Davidson run that has not converged after this many products hands over
+# to the dense path: weakly coupled dressed states take about 8 and the
+# strongest couplings that still converge up to ~32, while each step solves
+# an eigenproblem as large as the basis, so a run far beyond that would
+# cost more than eigh.  It is a run's only stop short of convergence
+DAVIDSON_MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -350,15 +356,16 @@ def _identify(cfg: FullModelConfig, h: np.ndarray, bare: int):
         )
     vector = np.zeros(cfg.dim)
     vector[block] = vectors[:, best]
-    return values[best], float(overlaps[best]), vector
+    return float(values[best]), float(overlaps[best]), vector
 
 
 def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
     """(dressed transition, overlap_ground, overlap_excited, vectors).
 
-    Lanczos from each bare state, or from the matching row of ``starts``,
-    for at most LANCZOS_MAX_STEPS steps, keeps the Ritz pair that overlaps
-    the start most.  The pair is certified when its residual r is
+    Davidson (operators.davidson) from each bare state, or from the
+    matching row of ``starts``, preconditioned by the H0 diagonal and
+    capped at DAVIDSON_MAX_STEPS products, keeps the Ritz pair that
+    overlaps the start most.  The pair is certified when its residual r is
     at most CERTIFICATE_RTOL max(1, |theta|), 2 r / gap at most OVERLAP_ATOL
     and its squared overlap with the bare state above 1/2: eigenvectors are
     orthonormal, so at most one overlaps the bare state that much, and it is
@@ -376,8 +383,8 @@ def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
         starts[[0, 1], bares] = 1.0
     reports, h = [], None
     for bare, start in zip(bares, starts):
-        theta, y, residual, gap = lanczos(lambda v: _add_bands(bands, v, diagonal * v), start,
-                                          "start", LANCZOS_MAX_STEPS)
+        theta, y, residual, gap = davidson(lambda v: _add_bands(bands, v, diagonal * v),
+                                           diagonal, start, DAVIDSON_MAX_STEPS)
         overlap = float(y[bare] ** 2)
         if (residual > CERTIFICATE_RTOL * max(1.0, abs(theta))
                 or 2.0 * residual > OVERLAP_ATOL * gap or overlap <= OVERLAP_THRESHOLD):
@@ -403,14 +410,14 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     The dressed ground/excited states are the eigenvectors with maximum
     squared overlap against the bare |0>|vac...> and |1>|vac...> product
     states; an overlap below 1/2 raises IdentificationError.  They come
-    from certified Lanczos runs, or from dense eigh when a certificate
+    from certified Davidson runs, or from dense eigh when a certificate
     fails (see the module docstring).  The converged flag compares against
     a run at n_max + 2 (False if that config exceeds the dimension limit,
     which building it reports by DimensionLimitError).
     That run starts from the two n_max vectors, padded with two empty levels
     per mode, and keeps every certificate: a converged truncation hands it
-    nearly exact eigenvectors, so it takes a few Lanczos steps where a run
-    from the bare states takes tens.  Only the flag reads it; the reported
+    nearly exact eigenvectors, so a run takes about 3 products of H where
+    one from a bare state takes about 8.  Only the flag reads it; the reported
     numbers come from the n_max solve.
     """
     dressed, ov_g, ov_e, vectors = _diagonalize_and_identify(cfg)

@@ -1,8 +1,10 @@
-"""Finite-dimensional operator building blocks and the Lanczos kernel.
+"""Finite-dimensional operator building blocks and the eigenpair kernels.
 
 Ladder operators, Pauli matrices, position/momentum quadratures, the
-truncation probe, a Lanczos kernel for one eigenpair and the dense
-eigensolve that its callers fall back to: what the solvers use.
+truncation probe, a Lanczos kernel for the lowest eigenpair (the Fock
+oracles), a Davidson kernel for the eigenpair that overlaps a start vector
+most (the microscopic model), and the dense eigensolve that their callers
+fall back to: what the solvers use.
 HermitianOperator is the checked dense matrix that pauli,
 full_model.build_h0 and build_hint return as references for the tests.
 Everything works in reduced units (hbar = 1) on truncated Fock spaces
@@ -22,7 +24,8 @@ HERMITICITY_ATOL = 1e-12
 # largest product-space dimension a model solves unless told otherwise
 DEFAULT_DIM_LIMIT = 4096
 # a Lanczos run stops once its residual estimate is this fraction of ||T||,
-# and it takes a Ritz pair every LANCZOS_CHECK_EVERY steps
+# and it takes a Ritz pair every LANCZOS_CHECK_EVERY steps; a Davidson run
+# stops one step after its residual is this fraction of max|diagonal|
 LANCZOS_RTOL = 1e-14
 LANCZOS_CHECK_EVERY = 4
 
@@ -168,10 +171,10 @@ def _dense_eigh(mat):
 
 
 class RitzPair(NamedTuple):
-    """A Ritz pair of lanczos: the Rayleigh quotient ``value`` of the unit
-    vector ``vector``, its residual ||H y - value y||, and ``gap``, the
-    distance from its Ritz value to the nearest other Ritz value of the run
-    (inf when the run took one step)."""
+    """A Ritz pair of lanczos or davidson: the Rayleigh quotient ``value``
+    of the unit vector ``vector``, its residual ||H y - value y||, and
+    ``gap``, the distance from its Ritz value to the nearest other Ritz
+    value of the run (inf when the run's basis holds one vector)."""
 
     value: float
     vector: np.ndarray
@@ -179,23 +182,33 @@ class RitzPair(NamedTuple):
     gap: float
 
 
-def lanczos(matvec, start, pick, max_steps=None) -> RitzPair:
-    """One Ritz pair of a real symmetric operator in the Krylov space of
-    ``start``: the lowest one (``pick="lowest"``), or the one whose vector
-    overlaps ``start`` most (``pick="start"``).
+def _ritz_pair(matvec, y, values, j) -> RitzPair:
+    """RitzPair of the unit vector ``y`` from one product H y, its gap read
+    from the ascending Ritz values ``values`` of the run, ``j`` its own."""
+    hy = matvec(y)
+    theta = float(y @ hy)
+    # the Ritz values ascend, so the nearest other one is a neighbour
+    below = values[j] - values[j - 1] if j else math.inf
+    above = values[j + 1] - values[j] if j + 1 < len(values) else math.inf
+    return RitzPair(theta, y, float(np.linalg.norm(hy - theta * y)), float(min(below, above)))
+
+
+def lanczos(matvec, start, max_steps=None) -> RitzPair:
+    """The lowest Ritz pair of a real symmetric operator in the Krylov space
+    of ``start``.
 
     Lanczos with full reorthogonalization: each new direction is
     orthogonalized twice against every earlier one.  Every
     LANCZOS_CHECK_EVERY steps, at a breakdown and at the last step, the
     k x k tridiagonal T of the run is solved for its Ritz pairs by LAPACK's
     symmetric eigensolver (_tridiagonal_eigenpairs), O(k^3) a check.  The
-    run stops when the residual estimate beta_k |s_k| of the picked Ritz
+    run stops when the residual estimate beta_k |s_k| of the lowest Ritz
     pair falls to LANCZOS_RTOL times a Gershgorin bound on ||T||.
     That covers breakdown (beta_k ~ 0: the Krylov space is invariant, as
     when ``start`` is itself an eigenvector), and it happens at the latest
     after len(start) steps, when the Krylov space is the whole space and the
     Ritz pairs are exact; ``max_steps`` stops it earlier, unconverged, with
-    the picked pair of that step.  Only the Krylov space of ``start`` is
+    the lowest pair of that step.  Only the Krylov space of ``start`` is
     searched: an eigenvector orthogonal to it is never found, so a caller
     that needs more than the Ritz pair must certify it.
 
@@ -209,20 +222,16 @@ def lanczos(matvec, start, pick, max_steps=None) -> RitzPair:
         v -> H v for a real symmetric H of dimension len(start).
     start : ndarray
         Nonzero real start vector.
-    pick : str
-        "lowest" or "start".
     max_steps : int, optional
         Most steps to take; len(start) when None.
 
     Returns
     -------
     RitzPair
-        The unit Ritz vector y, its Rayleigh quotient theta = y.Hy (for
-        "lowest", theta never lies below the lowest eigenvalue of H),
-        ||H y - theta y|| and the gap to the nearest other Ritz value.
+        The unit Ritz vector y, its Rayleigh quotient theta = y.Hy, which
+        never lies below the lowest eigenvalue of H, ||H y - theta y|| and
+        the gap to the nearest other Ritz value.
     """
-    if pick not in ("lowest", "start"):
-        raise ValueError(f"pick must be 'lowest' or 'start', got {pick!r}")
     dim = len(start)
     steps = dim if max_steps is None else min(dim, max_steps)
     basis = np.empty((steps, dim))
@@ -242,17 +251,86 @@ def lanczos(matvec, start, pick, max_steps=None) -> RitzPair:
         # at a breakdown and at the last step
         if k % LANCZOS_CHECK_EVERY == 0 or beta[k] <= tol or last:
             values, vectors = _tridiagonal_eigenpairs(alpha[:k + 1], beta[:k])
-            # column 0 holds each Ritz vector's overlap with the start
-            j = 0 if pick == "lowest" else int(np.argmax(vectors[:, 0] ** 2))
-            if beta[k] * abs(vectors[j, -1]) <= tol or last:
+            if beta[k] * abs(vectors[0, -1]) <= tol or last:
                 break
         basis[k + 1] = w / beta[k]
-    y = vectors[j] @ basis[:k + 1]
-    y /= np.linalg.norm(y)
-    hy = matvec(y)
-    theta = float(y @ hy)
-    # the Ritz values ascend, so the nearest other one is a neighbour
-    below = values[j] - values[j - 1] if j else math.inf
-    above = values[j + 1] - values[j] if j + 1 < len(values) else math.inf
-    return RitzPair(theta, y, float(np.linalg.norm(hy - theta * y)), float(min(below, above)))
+    y = vectors[0] @ basis[:k + 1]
+    return _ritz_pair(matvec, y / np.linalg.norm(y), values, 0)
 
+
+def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
+    """The Ritz pair of a real symmetric operator H whose vector overlaps
+    ``start`` most, by Davidson's method with H's diagonal as the
+    preconditioner (E. R. Davidson, J. Comput. Phys. 17, 87 (1975)).
+
+    The basis starts at ``start`` and grows by one vector a step.  Each
+    basis vector is multiplied by H once and the product kept, so no product
+    is repeated; Rayleigh-Ritz on the basis, np.linalg.eigh of the k x k
+    projection of H, gives the Ritz pairs, and the one whose vector
+    overlaps the start most is picked.  Its residual r = H y - theta y,
+    divided entrywise by theta - ``diagonal`` (each |theta - D_i| held at
+    least the stop tolerance below, so that no entry divides by zero), and
+    orthogonalized twice against the basis, is the next basis vector.
+    For a diagonally dominant H that is the perturbative step: a coupling
+    c between levels a detuning Delta apart leaves an error of about c /
+    Delta of the last one.  The run stops one step after the residual
+    ||r|| first falls to LANCZOS_RTOL max|D|, a tolerance scaled to ||H||
+    (the extra step costs one product and leaves a margin below the
+    tolerance); at a breakdown, when the orthogonalized correction vanishes
+    (the basis holds an invariant subspace, as when ``start`` is itself an
+    eigenvector); or, unconverged, when the basis holds
+    min(len(start), max_steps) vectors.  Like lanczos it searches only the
+    space it builds, so a caller that needs more than the Ritz pair must
+    certify it.
+
+    The basis and its products are two (min(len(start), max_steps),
+    len(start)) arrays, of which a run touches only the rows it fills.
+
+    Parameters
+    ----------
+    matvec : callable
+        v -> H v for a real symmetric H of dimension len(start).
+    diagonal : ndarray
+        H's diagonal, or the diagonal of an operator close to H.
+    start : ndarray
+        Nonzero real start vector.
+    max_steps : int
+        Most basis vectors, each one product of H.
+
+    Returns
+    -------
+    RitzPair
+        The unit Ritz vector y, its Rayleigh quotient theta = y.Hy and
+        ||H y - theta y|| from one final product, and the gap to the
+        nearest other Ritz value of the last Rayleigh-Ritz step.
+    """
+    dim = len(start)
+    steps = min(dim, max_steps)
+    basis, images = np.empty((steps, dim)), np.empty((steps, dim))
+    projection = np.zeros((steps, steps))
+    basis[0] = start / np.linalg.norm(start)
+    tol = LANCZOS_RTOL * np.max(np.abs(diagonal))
+    passed = False
+    for k in range(steps):
+        images[k] = matvec(basis[k])
+        # eigh reads the lower triangle, row k of which this product fills
+        projection[k, :k + 1] = basis[:k + 1] @ images[k]
+        values, vectors = np.linalg.eigh(projection[:k + 1, :k + 1])
+        # row 0 holds each Ritz vector's overlap with the start
+        j = int(np.argmax(vectors[0] ** 2))
+        if passed or k == steps - 1:
+            break
+        s = vectors[:, j]
+        residual = s @ images[:k + 1] - values[j] * (s @ basis[:k + 1])
+        passed = np.linalg.norm(residual) <= tol
+        delta = values[j] - diagonal
+        correction = residual / np.copysign(np.maximum(np.abs(delta), tol), delta)
+        size = np.linalg.norm(correction)
+        for _ in range(2):
+            correction -= basis[:k + 1].T @ (basis[:k + 1] @ correction)
+        norm = np.linalg.norm(correction)
+        if norm <= LANCZOS_RTOL * size:
+            break
+        basis[k + 1] = correction / norm
+    y = vectors[:, j] @ basis[:k + 1]
+    return _ritz_pair(matvec, y / np.linalg.norm(y), values, j)

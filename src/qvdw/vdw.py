@@ -410,7 +410,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
 
     # the vacuum's sector holds the pairs n1 <= n2 of even n1 + n2
     evens, odds = (n_max + 1) // 2, n_max // 2
-    theta, vector, residual, _ = lanczos(matvec, seed.ravel(), "lowest",
+    theta, vector, residual, _ = lanczos(matvec, seed.ravel(),
                                          max_steps=(evens * (evens + 1) + odds * (odds + 1)) // 2)
     tolerance = FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
     margin = residual + tolerance

@@ -68,7 +68,7 @@ def dense_reference(cfg):
     return e_excited - e_ground - cfg.qubit_freq, ov_ground, ov_excited
 
 
-# configurations the Lanczos route is checked on against dense eigh
+# configurations the Davidson route is checked on against dense eigh
 SOLVER_CONFIGS = {
     "below-dipole": FullModelConfig(1.0, (5.0,), (3.0,), (0.01,), ((0.01,),), 10),
     "above-dipole": FullModelConfig(4.0, (5.0,), (3.0,), (0.01,), ((0.01,),), 10),
@@ -278,7 +278,7 @@ class TestApplyH:
             apply_h(FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.2,),), 70), np.zeros(9800))
 
 
-class TestLanczosRoute:
+class TestDavidsonRoute:
 
     @pytest.mark.parametrize("cfg", SOLVER_CONFIGS.values(), ids=SOLVER_CONFIGS.keys())
     def test_equals_dense_reference(self, cfg, monkeypatch):
@@ -324,7 +324,7 @@ class TestLanczosRoute:
             return eigh(mat)
 
         eigh = operators._dense_eigh
-        monkeypatch.setattr(full_model, "LANCZOS_MAX_STEPS", 2)
+        monkeypatch.setattr(full_model, "DAVIDSON_MAX_STEPS", 2)
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
         monkeypatch.undo()
@@ -376,18 +376,18 @@ class TestLanczosRoute:
         # of the whole H agree on the overlap to that, not to the last bit
         assert got_excited == pytest.approx(ov_excited, abs=1e-9)
 
-    def test_certified_state_keeps_its_lanczos_pair(self, monkeypatch):
+    def test_certified_state_keeps_its_davidson_pair(self, monkeypatch):
         # at the resonance above only the excited pair fails: the ground
-        # values are the certified Lanczos pair's own, bit for bit
+        # values are the certified Davidson pair's own, bit for bit
         cfg = FullModelConfig(3.0, (5.0,), (3.0,), (0.01,), ((0.01,),), 8)
         pairs = []
-        run = full_model.lanczos
+        run = full_model.davidson
 
         def recording(*args):
             pairs.append(run(*args))
             return pairs[-1]
 
-        monkeypatch.setattr(full_model, "lanczos", recording)
+        monkeypatch.setattr(full_model, "davidson", recording)
         dressed, got_ground, _, vectors = full_model._diagonalize_and_identify(cfg)
         ground, excited = pairs
         assert np.array_equal(vectors[0], ground.vector)
@@ -399,8 +399,8 @@ class TestLanczosRoute:
 
     def test_strong_coupling_hands_a_capped_run_to_eigh(self, monkeypatch):
         # the bare ground state spreads over many eigenvectors, none with a
-        # squared overlap of 1/2: its run takes at most LANCZOS_MAX_STEPS
-        # steps and one more product for the Ritz vector, then one dense
+        # squared overlap of 1/2: its run takes at most DAVIDSON_MAX_STEPS
+        # products and one more for the Ritz vector, then one dense
         # solve of its parity block, half of H, raises before the excited
         # state's run
         # (f = 0.5 keeps the field and dipole modes stable: 4 f^2 < 1.0 * 1.1)
@@ -422,8 +422,60 @@ class TestLanczosRoute:
                            r"is 0\.122 < 0\.5; coupling too strong for dressed-state "
                            r"labeling$"):
             full_model._diagonalize_and_identify(cfg)
-        assert len(products) <= full_model.LANCZOS_MAX_STEPS + 1
+        assert len(products) <= full_model.DAVIDSON_MAX_STEPS + 1
         assert solved == [cfg.dim // 2]
+
+    def test_bare_qubit_stops_at_the_breakdown(self, monkeypatch):
+        # no modes: each bare state is an eigenvector, so every run, two at
+        # n_max and two in the probe, stops after one product and takes one
+        # more for its residual, 0
+        cfg = SOLVER_CONFIGS["no-modes"]
+        products = []
+        add_bands = full_model._add_bands
+
+        def counting(bands, psi, out):
+            products.append(psi)
+            return add_bands(bands, psi, out)
+
+        monkeypatch.setattr(full_model, "_add_bands", counting)
+        with np.errstate(all="raise"):
+            report = dressed_transition(cfg)
+        assert len(products) == 4 * 2
+        assert report.shift == 0.0 and report.converged
+        assert report.overlap_ground == report.overlap_excited == 1.0
+
+    @pytest.mark.parametrize("n_max", [3, 4, 5, 6])
+    def test_kernel_equals_dense_eigh_across_the_qubit_range(self, n_max):
+        # one field at 4.2 and one dipole at 3.0: qubit 3.0 and 4.2 are the
+        # resonances.  From each bare state the run converges to the
+        # eigenvector that overlaps it most, as dense eigh of H finds it
+        for qubit in sorted(set(np.linspace(1.0, 4.6, 10).tolist()) | {3.0, 4.2}):
+            cfg = FullModelConfig(qubit, (4.2,), (3.0,), (0.05,), ((0.02,),), n_max)
+            diagonal, bands = full_model._h0_diagonal(cfg), full_model._hint_bands(cfg)
+            values, vectors = np.linalg.eigh(full_model._assemble(diagonal, bands))
+            for bare in full_model._bare_indices(cfg):
+                theta, y, residual, _ = operators.davidson(
+                    lambda v: full_model._add_bands(bands, v, diagonal * v), diagonal,
+                    np.eye(cfg.dim)[bare], full_model.DAVIDSON_MAX_STEPS)
+                best = int(np.argmax(vectors[bare] ** 2))
+                assert residual <= 1e-12
+                assert theta == pytest.approx(values[best], abs=1e-12)
+                assert (y @ vectors[:, best]) ** 2 == pytest.approx(1.0, abs=1e-12)
+                assert y[bare] ** 2 == pytest.approx(vectors[bare, best] ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("rtol", [full_model.CERTIFICATE_RTOL, -1.0],
+                             ids=["certified", "dense"])
+    @pytest.mark.parametrize("qubit", [1.4, 3.0], ids=["off-resonance", "resonance"])
+    def test_report_fields_are_floats_on_every_route(self, qubit, rtol, monkeypatch):
+        # off resonance both pairs are certified, at the resonance the excited
+        # pair goes dense, and with no residual passing both do: every route
+        # reports Python floats, so a repr reads the same whichever ran
+        monkeypatch.setattr(full_model, "CERTIFICATE_RTOL", rtol)
+        report = dressed_transition(FullModelConfig(qubit, (5.0,), (3.0,), (0.01,), ((0.01,),), 8))
+        for name in ("bare_transition", "dressed_transition", "shift", "overlap_ground",
+                     "overlap_excited"):
+            assert type(getattr(report, name)) is float, name
+        assert type(report.converged) is bool
 
     def test_reaches_dimensions_above_the_default_limit(self):
         # one field and two dipoles at n_max 14: dim 5488, as the CI step runs it
@@ -495,13 +547,13 @@ class TestWarmProbe:
     def test_dressed_transition_probes_from_the_padded_vectors(self, monkeypatch):
         cfg = PROBE_CONFIGS["sweep-below"]
         starts = []
-        run = full_model.lanczos
+        run = full_model.davidson
 
-        def recording(matvec, start, *args):
+        def recording(matvec, diagonal, start, max_steps):
             starts.append(start)
-            return run(matvec, start, *args)
+            return run(matvec, diagonal, start, max_steps)
 
-        monkeypatch.setattr(full_model, "lanczos", recording)
+        monkeypatch.setattr(full_model, "davidson", recording)
         report = dressed_transition(cfg)
         assert report.converged
         assert len(starts) == 4
@@ -517,11 +569,11 @@ class TestWarmProbe:
         # the n_max runs start from a bare state (one nonzero entry) and pass;
         # every run from a padded vector is made to fail its residual test,
         # so the probe solves each state's parity block of the one wider H
-        run, eigh = full_model.lanczos, operators._dense_eigh
+        run, eigh = full_model.davidson, operators._dense_eigh
         solved = []
 
-        def failing_when_warm(matvec, start, *args):
-            pair = run(matvec, start, *args)
+        def failing_when_warm(matvec, diagonal, start, max_steps):
+            pair = run(matvec, diagonal, start, max_steps)
             return pair._replace(residual=np.inf) if np.count_nonzero(start) > 1 else pair
 
         def counting_eigh(mat):
@@ -529,7 +581,7 @@ class TestWarmProbe:
             return eigh(mat)
 
         expected = dressed_transition(cfg)
-        monkeypatch.setattr(full_model, "lanczos", failing_when_warm)
+        monkeypatch.setattr(full_model, "davidson", failing_when_warm)
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
         report = dressed_transition(cfg)
         monkeypatch.undo()

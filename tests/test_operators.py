@@ -10,7 +10,7 @@ from qvdw import (
     quadratures,
 )
 from qvdw import operators
-from qvdw.operators import check_hermitian, lanczos, truncation_probe
+from qvdw.operators import check_hermitian, davidson, lanczos, truncation_probe
 
 
 class TestLadder:
@@ -159,7 +159,7 @@ class TestLanczosLowest:
         rng = np.random.default_rng(dim)
         mat = rng.normal(size=(dim, dim))
         mat += mat.T
-        theta, y, residual, _ = lanczos(mat.__matmul__, rng.normal(size=dim), "lowest")
+        theta, y, residual, _ = lanczos(mat.__matmul__, rng.normal(size=dim))
         values, vectors = np.linalg.eigh(mat)
         assert theta == pytest.approx(values[0], abs=1e-12)
         ground = vectors[:, 0] * np.sign(vectors[:, 0] @ y)
@@ -179,7 +179,7 @@ class TestLanczosLowest:
             products.append(v)
             return mat @ v
 
-        theta, _, residual, _ = lanczos(matvec, rng.normal(size=6), "lowest")
+        theta, _, residual, _ = lanczos(matvec, rng.normal(size=6))
         assert len(products) == 6 + 1  # the steps, then the residual
         assert theta == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-14)
         assert residual <= 1e-14
@@ -194,7 +194,7 @@ class TestLanczosLowest:
             products.append(v)
             return mat @ v
 
-        theta, y, residual, _ = lanczos(matvec, np.array([1.0, 1.0, 0.0, 0.0, 0.0]), "lowest")
+        theta, y, residual, _ = lanczos(matvec, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
         assert len(products) <= 3
         assert theta == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(np.abs(y) - [1.0, 0.0, 0.0, 0.0, 0.0])) <= 1e-15
@@ -204,7 +204,7 @@ class TestLanczosLowest:
         # the lowest eigenvector is orthogonal to the start: Lanczos finds the
         # lowest state it can reach, which is why callers certify the result
         mat = np.diag([0.0, 1.0, 2.0, 3.0])
-        theta, y, _, _ = lanczos(mat.__matmul__, np.array([0.0, 1.0, 1.0, 1.0]), "lowest")
+        theta, y, _, _ = lanczos(mat.__matmul__, np.array([0.0, 1.0, 1.0, 1.0]))
         assert theta == pytest.approx(1.0, abs=1e-14)
         assert y[0] == 0.0
 
@@ -218,67 +218,151 @@ class TestLanczosLowest:
             products.append(v)
             return mat @ v
 
-        theta, y, residual, _ = lanczos(matvec, rng.normal(size=30), "lowest", max_steps=3)
+        theta, y, residual, _ = lanczos(matvec, rng.normal(size=30), max_steps=3)
         assert len(products) == 3 + 1  # the steps, then the residual
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-14)
         assert residual == pytest.approx(np.linalg.norm(mat @ y - theta * y), abs=1e-14)
         assert residual > 1e-3
 
+    def test_gap_is_the_distance_to_the_nearest_other_ritz_value(self):
+        # a run over the whole space: the Ritz values are the eigenvalues
+        mat = np.diag([0.0, 1.0, 1.25, 3.0])
+        assert lanczos(mat.__matmul__, np.ones(4)).gap == pytest.approx(1.0, abs=1e-14)
 
-class TestLanczosStartOverlap:
+
+class TestDavidson:
 
     @pytest.mark.parametrize("dim", [2, 9, 50, 200])
     def test_finds_the_eigenvector_that_overlaps_the_start_most(self, dim):
         # an interior eigenvector, tilted: the start overlaps it with weight
-        # about 0.9, and no other eigenvector comes close
+        # about 0.9, and no other eigenvector comes close; H is not
+        # diagonally dominant, so its diagonal preconditions poorly, and the
+        # run may need the whole space
         rng = np.random.default_rng(dim)
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         values = np.sort(rng.uniform(-5.0, 5.0, size=dim))
         mat = (q * values) @ q.T
         target = dim // 2
         start = q[:, target] + 0.33 * rng.normal(size=dim) / np.sqrt(dim)
-        theta, y, residual, _ = lanczos(mat.__matmul__, start, "start")
+        theta, y, residual, _ = davidson(mat.__matmul__, np.diag(mat), start, dim)
         overlaps = (q.T @ start) ** 2
         best = int(np.argmax(overlaps))
         assert theta == pytest.approx(values[best], abs=1e-12)
         assert np.max(np.abs(y - q[:, best] * np.sign(q[:, best] @ y))) <= 1e-11
         assert residual <= 1e-12
 
-    def test_gap_is_the_distance_to_the_nearest_other_ritz_value(self):
-        # a run over the whole space: the Ritz values are the eigenvalues
-        mat = np.diag([0.0, 1.0, 1.25, 3.0])
-        pair = lanczos(mat.__matmul__, np.array([0.1, 0.9, 0.3, 0.2]), "start")
-        assert pair.value == pytest.approx(1.0, abs=1e-14)
-        assert pair.gap == pytest.approx(0.25, abs=1e-14)
-        assert lanczos(mat.__matmul__, np.ones(4), "lowest").gap == pytest.approx(1.0, abs=1e-14)
+    @pytest.mark.parametrize("dim", [1, 2, 7, 30, 60])
+    def test_equals_dense_eigh_on_diagonally_dominant_matrices(self, dim):
+        # levels spread over [-10, 10] and couplings of 0.05: from each basis
+        # state the run finds the eigenvector that overlaps it most, in far
+        # fewer products than the dimension once that is large
+        rng = np.random.default_rng(dim)
+        diagonal = np.sort(rng.uniform(-10.0, 10.0, size=dim))
+        mat = 0.05 * rng.normal(size=(dim, dim))
+        mat = np.diag(diagonal) + np.triu(mat, 1) + np.triu(mat, 1).T
+        values, vectors = np.linalg.eigh(mat)
+        for i in range(dim):
+            products = []
 
-    def test_gap_of_a_one_step_run_is_infinite(self):
-        pair = lanczos(np.diag([1.0, 2.0]).__matmul__, np.array([1.0, 0.0]), "start")
-        assert pair.residual == 0.0
-        assert pair.gap == np.inf
+            def matvec(v):
+                products.append(v)
+                return mat @ v
 
-    @pytest.mark.parametrize("max_steps, steps", [(40, 40), (None, 200)])
-    def test_a_start_with_no_dominant_eigenvector_runs_to_the_cap(self, max_steps, steps):
-        # the start spreads evenly over 200 eigenvectors, so none overlaps it
-        # by more than 1/200: only the step cap, or the whole space, ends the
-        # run, and one more product gives the Ritz vector's residual
-        dim = 200
+            start = np.zeros(dim)
+            start[i] = 1.0
+            theta, y, residual, _ = davidson(matvec, diagonal, start, dim)
+            best = int(np.argmax(vectors[i] ** 2))
+            assert theta == pytest.approx(values[best], abs=1e-12)
+            assert np.max(np.abs(y - vectors[:, best] * np.sign(vectors[:, best] @ y))) <= 1e-11
+            assert residual == pytest.approx(np.linalg.norm(mat @ y - theta * y), abs=1e-15)
+            assert residual <= 1e-12
+            assert len(products) <= min(dim, 24) + 1
+
+    def test_tolerance_follows_the_diagonal_not_the_ritz_value(self):
+        # a state whose eigenvalue lies near 0 among levels of +-1000: a
+        # tolerance scaled to |theta| would lie below the rounding of H y and
+        # hold the run to its cap
+        diagonal = np.array([-1000.0, -400.0, 0.0, 300.0, 1000.0])
+        mat = np.diag(diagonal) + 0.5 * (np.ones((5, 5)) - np.eye(5))
         products = []
 
         def matvec(v):
             products.append(v)
-            return np.linspace(0.0, 1.0, dim) * v
+            return mat @ v
 
-        pair = lanczos(matvec, np.ones(dim), "start", max_steps)
+        pair = davidson(matvec, diagonal, np.eye(5)[2], 50)
+        assert len(products) <= 5 + 1
+        assert pair.value == pytest.approx(np.linalg.eigvalsh(mat)[2], abs=1e-12)
+        assert pair.residual <= 1e-12
+
+    def test_breakdown_when_the_start_is_an_eigenvector(self):
+        # the bare qubit's H: the residual vanishes, so the correction does,
+        # and the run stops after its first product, with no division by
+        # zero; the final product gives the residual
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return np.array([-0.5, 0.5]) * v
+
+        with np.errstate(all="raise"):
+            pair = davidson(matvec, np.array([-0.5, 0.5]), np.array([1.0, 0.0]), 60)
+        assert len(products) == 2
+        assert pair.value == -0.5
+        assert pair.residual == 0.0
+        assert pair.gap == np.inf
+        assert np.array_equal(pair.vector, [1.0, 0.0])
+
+    def test_breakdown_in_an_invariant_subspace(self):
+        # H splits into two blocks and the start lies in the first, of
+        # dimension 2: the run never leaves it and stops once it holds it
+        mat = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        mat[0, 1] = mat[1, 0] = 0.1
+        mat[2, 3] = mat[3, 2] = 0.1
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        with np.errstate(all="raise"):
+            pair = davidson(matvec, np.diag(mat), np.eye(5)[0], 60)
+        assert len(products) <= 3 + 1
+        assert pair.value == pytest.approx(np.linalg.eigvalsh(mat[:2, :2])[0], abs=1e-14)
+        assert np.all(pair.vector[2:] == 0.0)
+        assert pair.residual <= 1e-14
+
+    def test_gap_is_the_distance_to_the_nearest_other_ritz_value(self):
+        # a run over the whole space: the Ritz values are the eigenvalues
+        mat = np.diag([0.0, 1.0, 1.25, 3.0]) + 0.01 * (np.ones((4, 4)) - np.eye(4))
+        pair = davidson(mat.__matmul__, np.diag(mat), np.array([0.1, 0.9, 0.3, 0.2]), 4)
+        values = np.linalg.eigvalsh(mat)
+        assert pair.value == pytest.approx(values[1], abs=1e-14)
+        assert pair.gap == pytest.approx(values[2] - values[1], abs=1e-14)
+
+    @pytest.mark.parametrize("max_steps, steps", [(5, 5), (40, 40), (400, 200)])
+    def test_a_start_with_no_dominant_eigenvector_runs_to_the_cap(self, max_steps, steps):
+        # the start spreads evenly over 200 eigenvectors of a dense H, so
+        # none overlaps it by more than ~1/200: only the cap, or the whole
+        # space, ends the run, and one more product gives the Ritz vector's
+        # residual
+        dim = 200
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        mat = (q * np.linspace(0.0, 1.0, dim)) @ q.T
+        start = q @ np.ones(dim)
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        pair = davidson(matvec, np.diag(mat), start, max_steps)
         assert len(products) == steps + 1
-        if max_steps is None:  # the Krylov space is the whole space: exact
+        if max_steps > dim:  # the basis spans the whole space: exact
             assert pair.residual <= 1e-12
         else:
             assert pair.residual > 1e-3
-
-    def test_unknown_pick_is_refused(self):
-        with pytest.raises(ValueError):
-            lanczos(np.eye(3).__matmul__, np.ones(3), "highest")
 
 
 def diag_built_eigenpairs(alpha, beta):
@@ -307,20 +391,13 @@ def recorded_checks(monkeypatch, run):
     return recorded
 
 
-def recorded_full_run(monkeypatch):
-    """The Ritz checks of an n_max 14 `full` point and its probe."""
-    from qvdw import FullModelConfig, full_model
-    cfg = FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14)
-    return recorded_checks(monkeypatch, lambda: full_model.dressed_transition(cfg))
-
-
-def recorded_fock_run(monkeypatch):
-    """The Ritz checks of a strong-coupling Fock pair at n_max 40."""
+def recorded_fock_run(monkeypatch, u, n_max):
+    """The Ritz checks of the Fock pair at coupling ratio u and n_max."""
     from qvdw import vdw
     vdw.fock_ground_pair.cache_clear()
     try:
         return recorded_checks(
-            monkeypatch, lambda: vdw.fock_ground_pair(vdw.config_for_coupling(0.9), 40))
+            monkeypatch, lambda: vdw.fock_ground_pair(vdw.config_for_coupling(u), n_max))
     finally:
         vdw.fock_ground_pair.cache_clear()
 
@@ -364,14 +441,14 @@ class TestTridiagonalEigenpairs:
                 beta[rng.integers(m - 1)] = 0.0  # T splits in two
             assert_eigenpairs_of(alpha, beta)
 
-    def test_equals_the_diag_build_on_a_recorded_full_run(self, monkeypatch):
-        recorded = recorded_full_run(monkeypatch)
+    def test_equals_the_diag_build_on_a_recorded_weak_fock_run(self, monkeypatch):
+        recorded = recorded_fock_run(monkeypatch, 0.3, 24)
         assert max(len(alpha) for alpha, _ in recorded) >= 10
         for alpha, beta in recorded:
             assert_eigenpairs_of(alpha, beta)
 
     def test_equals_the_diag_build_on_a_recorded_fock_run(self, monkeypatch):
-        recorded = recorded_fock_run(monkeypatch)
+        recorded = recorded_fock_run(monkeypatch, 0.9, 40)
         assert max(len(alpha) for alpha, _ in recorded) >= 40
         for alpha, beta in recorded:
             assert_eigenpairs_of(alpha, beta)

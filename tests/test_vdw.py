@@ -370,9 +370,9 @@ class TestParitySectors:
 
         krylov = []
 
-        def recording_lanczos(matvec, start, pick, max_steps=None):
+        def recording_lanczos(matvec, start, max_steps=None):
             krylov.append(len(start))
-            return lanczos(matvec, start, pick, max_steps)
+            return lanczos(matvec, start, max_steps)
 
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
         monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", lambda *args: h.copy())
@@ -449,11 +449,11 @@ def counting_lanczos(products):
     """vdw.lanczos, appending each vector it multiplies to ``products``."""
     run = vdw.lanczos
 
-    def counting(matvec, start, pick, max_steps=None):
+    def counting(matvec, start, max_steps=None):
         def counted(v):
             products.append(v)
             return matvec(v)
-        return run(counted, start, pick, max_steps)
+        return run(counted, start, max_steps)
 
     return counting
 
@@ -483,7 +483,7 @@ class TestSectorSolve:
         for number, (_, _, block, _) in enumerate(blocks):
             # the vacuum's block from the vacuum
             start = rng.normal(size=len(block)) if number else vacuum_start(len(block))
-            theta, y, residual, _ = lanczos(block.__matmul__, start, "lowest")
+            theta, y, residual, _ = lanczos(block.__matmul__, start)
             values, vectors = np.linalg.eigh(block)
             assert theta == pytest.approx(values[0], abs=1e-12)
             ground = vectors[:, 0] * np.sign(vectors[:, 0] @ y)
@@ -499,7 +499,7 @@ class TestSectorSolve:
             return block @ v
 
         start = vacuum_start(len(block))
-        theta, y, residual, _ = lanczos(matvec, start, "lowest")
+        theta, y, residual, _ = lanczos(matvec, start)
         assert len(products) == 2  # one Lanczos step, then the residual
         assert theta == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(np.abs(y) - start)) <= 1e-15
@@ -844,9 +844,9 @@ class TestWarmFockProbe:
         starts = []
         run = vdw.lanczos
 
-        def recording(matvec, start, pick, max_steps=None):
+        def recording(matvec, start, max_steps=None):
             starts.append(np.count_nonzero(start))
-            return run(matvec, start, pick, max_steps)
+            return run(matvec, start, max_steps)
 
         cfg = config_for_coupling(u)
         monkeypatch.setattr(vdw, "lanczos", recording)
