@@ -276,10 +276,10 @@ def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
     Delta of the last one.  The run stops one step after the residual
     ||r|| first falls to LANCZOS_RTOL max|D|, a tolerance scaled to ||H||
     (the extra step costs one product and leaves a margin below the
-    tolerance); at a breakdown, when the orthogonalized correction vanishes
-    (the basis holds an invariant subspace, as when ``start`` is itself an
-    eigenvector); or, unconverged, when the basis holds
-    min(len(start), max_steps) vectors.  Like lanczos it searches only the
+    tolerance); at a breakdown, when orthogonalizing leaves less than
+    LANCZOS_RTOL of the correction (the basis holds an invariant subspace,
+    as when ``start`` is itself an eigenvector and the correction is 0); or,
+    unconverged, when the basis holds min(len(start), max_steps) vectors.  Like lanczos it searches only the
     space it builds, so a caller that needs more than the Ritz pair must
     certify it.
 
@@ -291,11 +291,13 @@ def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
     matvec : callable
         v -> H v for a real symmetric H of dimension len(start).
     diagonal : ndarray
-        H's diagonal, or the diagonal of an operator close to H.
+        H's diagonal, not all zero: its largest magnitude sets the stop
+        tolerance.
     start : ndarray
         Nonzero real start vector.
     max_steps : int
-        Most basis vectors, each one product of H.
+        Most basis vectors, each one product of H; the final product makes
+        at most max_steps + 1.
 
     Returns
     -------
