@@ -258,6 +258,17 @@ def lanczos(matvec, start, max_steps=None) -> RitzPair:
     return _ritz_pair(matvec, y / np.linalg.norm(y), values, 0)
 
 
+def _new_direction(basis, v):
+    """``v`` orthogonalized twice against the orthonormal rows of ``basis``
+    and normalized, or None when less than LANCZOS_RTOL of it is left: v
+    then lies in the span of the basis."""
+    size = np.linalg.norm(v)
+    for _ in range(2):
+        v = v - basis.T @ (basis @ v)
+    norm = np.linalg.norm(v)
+    return v / norm if norm > LANCZOS_RTOL * size else None
+
+
 def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
     """The Ritz pair of a real symmetric operator H whose vector overlaps
     ``start`` most, by Davidson's method with H's diagonal as the
@@ -273,13 +284,16 @@ def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
     orthogonalized twice against the basis, is the next basis vector.
     For a diagonally dominant H that is the perturbative step: a coupling
     c between levels a detuning Delta apart leaves an error of about c /
-    Delta of the last one.  The run stops one step after the residual
-    ||r|| first falls to LANCZOS_RTOL max|D|, a tolerance scaled to ||H||
-    (the extra step costs one product and leaves a margin below the
-    tolerance); at a breakdown, when orthogonalizing leaves less than
-    LANCZOS_RTOL of the correction (the basis holds an invariant subspace,
-    as when ``start`` is itself an eigenvector and the correction is 0); or,
-    unconverged, when the basis holds min(len(start), max_steps) vectors.  Like lanczos it searches only the
+    Delta of the last one.  When that correction lies in the basis (Davidson
+    stagnates, as when theta equals the start's own diagonal entry and the
+    couplings cancel), the residual itself, orthogonal to the basis, is the
+    next vector instead.  The run stops one step after the residual ||r||
+    first falls to LANCZOS_RTOL max|D|, a tolerance scaled to ||H|| (the
+    extra step costs one product and leaves a margin below the tolerance);
+    at a breakdown, when the residual too lies in the basis (the basis
+    holds an invariant subspace, as when ``start`` is itself an eigenvector
+    and the residual is 0); or, unconverged, when the basis holds
+    min(len(start), max_steps) vectors.  Like lanczos it searches only the
     space it builds, so a caller that needs more than the Ritz pair must
     certify it.
 
@@ -326,13 +340,12 @@ def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
         residual = s @ images[:k + 1] - values[j] * (s @ basis[:k + 1])
         passed = np.linalg.norm(residual) <= tol
         delta = values[j] - diagonal
-        correction = residual / np.copysign(np.maximum(np.abs(delta), tol), delta)
-        size = np.linalg.norm(correction)
-        for _ in range(2):
-            correction -= basis[:k + 1].T @ (basis[:k + 1] @ correction)
-        norm = np.linalg.norm(correction)
-        if norm <= LANCZOS_RTOL * size:
+        direction = _new_direction(
+            basis[:k + 1], residual / np.copysign(np.maximum(np.abs(delta), tol), delta))
+        if direction is None:  # the correction lies in the basis: step along the residual
+            direction = _new_direction(basis[:k + 1], residual)
+        if direction is None:
             break
-        basis[k + 1] = correction / norm
+        basis[k + 1] = direction
     y = vectors[:, j] @ basis[:k + 1]
     return _ritz_pair(matvec, y / np.linalg.norm(y), values, j)

@@ -425,6 +425,20 @@ class TestDavidsonRoute:
         assert len(products) <= full_model.DAVIDSON_MAX_STEPS + 1
         assert solved == [cfg.dim // 2]
 
+    @pytest.mark.parametrize("qubit", [2.9, 2.925, 2.995, 3.005, 3.075, 3.1])
+    def test_rows_beside_the_dipole_resonance_certify(self, qubit, monkeypatch):
+        # within 0.1 of the dipole the gap is 5e-3 to 0.1, so 2 r / gap passes
+        # only with r well below the stop tolerance (1e-12 here): the step
+        # Davidson takes after passing it leaves that margin, and no dense
+        # solve runs, in the n_max solve or in the probe
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh ran although every certificate should pass")
+
+        monkeypatch.setattr(operators, "_dense_eigh", refuse)
+        cfg = FullModelConfig(qubit, (5.0,), (3.0,), (0.01,), ((0.01,),), 14)
+        report = dressed_transition(cfg)
+        assert report.converged and min(report.overlap_ground, report.overlap_excited) > 0.5
+
     def test_bare_qubit_stops_at_the_breakdown(self, monkeypatch):
         # no modes: each bare state is an eigenvector, so every run, two at
         # n_max and two in the probe, stops after one product and takes one

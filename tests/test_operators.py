@@ -279,21 +279,43 @@ class TestDavidson:
             assert len(products) <= min(dim, 24) + 1
 
     def test_tolerance_follows_the_diagonal_not_the_ritz_value(self):
-        # a state whose eigenvalue lies near 0 among levels of +-1000: a
-        # tolerance scaled to |theta| would lie below the rounding of H y and
-        # hold the run to its cap
-        diagonal = np.array([-1000.0, -400.0, 0.0, 300.0, 1000.0])
-        mat = np.diag(diagonal) + 0.5 * (np.ones((5, 5)) - np.eye(5))
+        # a level at 0 among 40 levels spread over +-1000: its eigenvalue lies
+        # near 0, where a tolerance scaled to |theta| would lie below the
+        # rounding of H y and hold the run until its basis spans the space
+        rng = np.random.default_rng(4)
+        diagonal = np.sort(np.append(rng.uniform(-1000.0, 1000.0, size=40), 0.0))
+        mat = np.diag(diagonal) + 0.5 * (np.ones((41, 41)) - np.eye(41))
         products = []
 
         def matvec(v):
             products.append(v)
             return mat @ v
 
-        pair = davidson(matvec, diagonal, np.eye(5)[2], 50)
-        assert len(products) <= 5 + 1
-        assert pair.value == pytest.approx(np.linalg.eigvalsh(mat)[2], abs=1e-12)
-        assert pair.residual <= 1e-12
+        start = (diagonal == 0.0).astype(float)
+        pair = davidson(matvec, diagonal, start, 60)
+        values, vectors = np.linalg.eigh(mat)
+        best = int(np.argmax((vectors.T @ start) ** 2))
+        assert len(products) <= 12
+        assert pair.value == pytest.approx(values[best], abs=1e-12)
+        assert pair.residual <= 1e-11
+
+    def test_stagnation_steps_along_the_residual(self):
+        # levels symmetric about the start's 0 and equal couplings: the first
+        # correction couples to the start by sum 0.25 / D_i = 0, so the Ritz
+        # pair does not move and the next correction lies in the basis; the
+        # run steps along the residual instead and converges
+        diagonal = np.linspace(-1000.0, 1000.0, 41)
+        mat = np.diag(diagonal) + 0.5 * (np.ones((41, 41)) - np.eye(41))
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        pair = davidson(matvec, diagonal, np.eye(41)[20], 60)
+        assert len(products) <= 12
+        assert pair.value == pytest.approx(np.linalg.eigvalsh(mat)[20], abs=1e-12)
+        assert pair.residual <= 1e-10
 
     def test_breakdown_when_the_start_is_an_eigenvector(self):
         # the bare qubit's H: the residual vanishes, so the correction does,
