@@ -10,6 +10,9 @@ its parity x exchange symmetry keeps in the vacuum's sector, certifies the
 energy in one pass (separable bounds, Temple's inequality, and past coupling
 ~0.8 a Cholesky factorization of each sector block they leave unsettled),
 and takes E_N from its Schmidt coefficients; both routes use natural logs.
+The Lanczos run starts from the Gaussian ground state cut to n_max levels,
+which sets only its number of steps: the certificates, which never read
+the Gaussian route, decide the value.
 
 Two-qubit route: Wootters concurrence and the maximal CHSH value (the
 Horodecki criterion), quantifying the Bell-test program for verifying
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidStateError, UncertaintyViolationError
 from .operators import pauli, truncation_probe
-from .vdw import FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, fock_ground_pair, normal_modes
+from .vdw import FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, fock_ground_state, normal_modes
 # not called here; perfbench's tracer wraps this binding by name
 from .vdw import coupled_hamiltonian_fock  # noqa: F401
 
@@ -137,8 +140,8 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     independent of the covariance route.
 
     The ground state psi[n1, n2] of the truncated two-mode Hamiltonian and
-    its n_max - 2 probe come from fock_ground_pair, the solve that
-    vdw_fock_oracle shares.  The state is pure, so
+    its n_max - 2 probe come from fock_ground_state, as for vdw_fock_oracle.
+    The state is pure, so
     E_N = 2 ln(sum of its Schmidt coefficients), the singular values of psi;
     this equals ln(2N + 1) with N the summed negative eigenvalues of the
     partially transposed projector.  The converged flag compares against
@@ -150,7 +153,8 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     def log_neg(psi):
         return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
 
-    (_, psi), (_, probe_psi) = fock_ground_pair(cfg, n_max)
+    _, psi = fock_ground_state(cfg, n_max)
+    _, probe_psi = fock_ground_state(cfg, n_max - 2)
     return ConvergedValue(*truncation_probe(log_neg(psi), log_neg(probe_psi),
                                             FOCK_CONVERGENCE_TOL))
 

@@ -148,13 +148,11 @@ def _tridiagonal_eigenpairs(alpha, beta):
 
     numpy has no tridiagonal eigensolver, so T's diagonal and subdiagonal
     are written into one array by flat index, every m + 1 entries from 0 and
-    from m, and np.linalg.eigh solves it from that lower triangle alone; a
-    1 x 1 T is its own eigenvalue.  It calls np.linalg.eigh directly, not
-    _dense_eigh, so that counting the dense solves does not count these.
+    from m, and np.linalg.eigh solves it from that lower triangle alone.  It
+    calls np.linalg.eigh directly, not _dense_eigh, so that counting the
+    dense solves does not count these.
     """
     m = len(alpha)
-    if m == 1:
-        return np.array(alpha, dtype=float), np.ones((1, 1))
     t = np.zeros((m, m))
     t.flat[::m + 1] = alpha
     t.flat[m::m + 1] = beta

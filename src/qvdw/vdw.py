@@ -16,7 +16,6 @@ omega_plus >= omega_minus.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -291,14 +290,13 @@ def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
 
 def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
     """Lower bounds on the spectra of H's sector blocks (see _sector_blocks)
-    from a separable operator below H, and that operator's ground vector.
+    from a separable operator below H.
 
     (x x 1 +- 1 x x)^2 >= 0 gives lam x x x >= -(|lam|/2)(x^2 x 1 + 1 x x^2),
     so H >= B = h' x 1 + 1 x h' with h' = h - (|lam|/2) x^2.  Every term of
     h' changes the level by 0 or 2, so its even levels 0, 2, ... and its odd
-    levels 1, 3, ... make two tridiagonal matrices, solved by LAPACK's
-    symmetric eigensolver: the even one with vectors (np.linalg.eigh), the
-    odd one for its values alone (np.linalg.eigvalsh).  With e_0 <= e_1 the
+    levels 1, 3, ... make two tridiagonal matrices, whose values LAPACK's
+    symmetric eigensolver gives (np.linalg.eigvalsh).  With e_0 <= e_1 the
     two lowest even values and o_0 <= o_1 the two lowest odd ones (n_max
     >= 4 gives both parts two levels), B's eigenvalues are the sums of two
     values.  B, like H, commutes with parity and exchange, so by Weyl's
@@ -308,19 +306,43 @@ def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
     and o_0 + o_1, the even antisymmetric block's lowest above
     min(e_0 + e_1, o_0 + o_1), and both odd blocks' lowest above e_0 + o_0.
 
-    Returns ``(phi, second, lowest)``: the unit ground vector phi of the
-    even part, phi[i] the amplitude of level 2 i; the bound on the vacuum
-    block's second eigenvalue; and the bounds on the lowest eigenvalues of
-    sectors 1, 2 and 3.
+    Returns ``(second, lowest)``: the bound on the vacuum block's second
+    eigenvalue, and the bounds on the lowest eigenvalues of sectors 1, 2
+    and 3.
     """
     h_bound = h_single - 0.5 * abs(lam) * (x @ x)
-    even, vectors = np.linalg.eigh(h_bound[0::2, 0::2])
-    (e0, e1), (o0, o1) = even[:2], np.linalg.eigvalsh(h_bound[1::2, 1::2])[:2]
+    (e0, e1), (o0, o1) = (np.linalg.eigvalsh(h_bound[p::2, p::2])[:2] for p in (0, 1))
     second = sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1]
-    return vectors[:, 0], second, (min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
+    return second, (min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
 
 
-def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
+def _gaussian_amplitudes(cfg: VdwConfig, n_max: int) -> np.ndarray:
+    """The untruncated ground state's amplitudes psi[n1, n2], n1, n2 < n_max,
+    unnormalized, psi[0, 0] = 1.
+
+    A mode of frequency W has the vacuum exp(z b^dag^2 / 2)|0> in the levels
+    of the bare oscillator, z = (w0 - W)/(w0 + W).  The symmetric mode
+    (omega_minus) and the relative one (omega_plus) combine to
+    exp(a^dag^T Z a^dag / 2)|0, 0> with Z11 = Z22 = (z_- + z_+)/2 and
+    Z12 = (z_- - z_+)/2.  exp(Z12 a1^dag a2^dag)|0, 0> = sum_k Z12^k |k, k>,
+    and exp(c a^dag^2)|k> = sum_j E[k + 2j, k] |k + 2j> with c = Z11/2 and
+    E[k + 2j, k] = c^j sqrt((k + 2j)!/k!) / j!, so psi = E diag(Z12^k) E^T.
+    No raising operator lowers a level, so the amplitudes below n_max are
+    exact; every odd-parity amplitude is an exact zero.  Rounding leaves psi
+    symmetric only up to an ulp.
+    """
+    omega_plus, omega_minus = _mode_frequencies(cfg)
+    z_plus, z_minus = ((cfg.freq - w) / (cfg.freq + w) for w in (omega_plus, omega_minus))
+    level = np.arange(n_max)
+    rise = level[:, None] - level  # 2 j on E's nonzero entries
+    j = np.maximum(rise, 0) // 2
+    factorial = np.cumprod(np.maximum(level, 1.0))
+    raise_pairs = np.where((rise >= 0) & (rise % 2 == 0), np.power(0.25 * (z_minus + z_plus), j)
+                           * np.sqrt(factorial[:, None] / factorial) / factorial[j], 0.0)
+    return (raise_pairs * np.power(0.5 * (z_minus - z_plus), level)) @ raise_pairs.T
+
+
+def fock_ground_state(cfg: VdwConfig, n_max: int):
     """Ground energy and state of the two-mode Fock Hamiltonian, solved
     matrix-free on its amplitude matrix.
 
@@ -337,14 +359,14 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     evaluated term by term lets it grow to 2e-14 at n_max 8, u 0.97), and
     odd-parity amplitudes stay exact zeros.
 
-    The cold start is phi x phi, phi the ground vector of
-    h' = h - (|lambda|/2) x^2 on its even levels (_separable_bounds), the
-    ground state of the separable operator that bounds H below: at n_max 38
-    it takes 10, 18, 30 and 34 products at coupling u 0.05, 0.3, 0.6 and
-    0.75 where the vacuum takes 18, 34, 30 and 62.
-    ``start``, an n_max x n_max amplitude matrix such as the ground state
-    of a wider truncation cut to n_max levels, is projected instead: its
-    even-parity part of start + start^T (the cold start if that vanishes).
+    The run starts from the untruncated ground state cut to n_max levels
+    (_gaussian_amplitudes), projected on the vacuum's sector as the
+    even-parity part of its sum with its transpose.  The projection is
+    needed: the product reads only the symmetric part, so an antisymmetric
+    part of the start, however small, lies in its null space, and Lanczos
+    would amplify it to a Ritz value near 0 below the whole spectrum.
+    Below coupling ~0.8 at n_max 40 the run stops at its first Ritz check,
+    the truncation leaving the start's residual under the stop tolerance.
 
     The run gives the Ritz value theta and its residual r, and theta is the
     ground energy once H is certified to have no eigenvalue below theta -
@@ -372,11 +394,11 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     start changes only how many Lanczos steps that takes.
 
     Raises ValueError when n_max < 4 (a level parity class of h' then has
-    fewer than two levels, and there is no bound) or ``start`` is not an
-    n_max x n_max matrix, DimensionLimitError when n_max^2 exceeds the
-    dense-matrix limit, and UnstableConfigurationError, as normal_modes
-    does, when |lambda| >= m w0^2: the pair then has no ground state, and
-    the lowest level of its truncated Hamiltonian means nothing.
+    fewer than two levels, and there is no bound), DimensionLimitError when
+    n_max^2 exceeds the dense-matrix limit, and UnstableConfigurationError,
+    as normal_modes does, when |lambda| >= m w0^2: the pair then has no
+    ground state, and the lowest level of its truncated Hamiltonian means
+    nothing.
 
     Returns ``(energy, psi)``, psi the ground state as the n_max x n_max
     amplitude matrix psi[n1, n2].
@@ -388,19 +410,13 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
         raise DimensionLimitError(
             f"Fock dimension n_max^2 = {n_max * n_max} exceeds limit "
             f"{DEFAULT_DIM_LIMIT}; reduce n_max")
-    if start is not None and np.shape(start) != (n_max, n_max):
-        raise ValueError(f"start must be an n_max x n_max = {n_max} x {n_max} amplitude "
-                         f"matrix, got shape {np.shape(start)}")
     h_single, x = _single_oscillator(cfg, n_max)
     lam = dipole_coupling_lambda(cfg)
-    phi, second, lowest = _separable_bounds(h_single, x, lam)
-    seed = np.zeros((n_max, n_max))
-    if start is not None:
-        # the start's part in the vacuum's sector, up to a factor 2
-        level = np.arange(n_max)
-        seed = np.where((level[:, None] + level) % 2 == 0, start + np.transpose(start), 0.0)
-    if not seed.any():
-        seed[0::2, 0::2] = np.outer(phi, phi)
+    second, lowest = _separable_bounds(h_single, x, lam)
+    gaussian = _gaussian_amplitudes(cfg, n_max)
+    level = np.arange(n_max)
+    # the start's part in the vacuum's sector, up to a factor 2
+    start = np.where((level[:, None] + level) % 2 == 0, gaussian + gaussian.T, 0.0)
 
     def matvec(v):
         psi = v.reshape(n_max, n_max)
@@ -410,7 +426,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
 
     # the vacuum's sector holds the pairs n1 <= n2 of even n1 + n2
     evens, odds = (n_max + 1) // 2, n_max // 2
-    theta, vector, residual, _ = lanczos(matvec, seed.ravel(),
+    theta, vector, residual, _ = lanczos(matvec, start.ravel(),
                                          max_steps=(evens * (evens + 1) + odds * (odds + 1)) // 2)
     tolerance = FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
     margin = residual + tolerance
@@ -424,31 +440,8 @@ def fock_ground_state(cfg: VdwConfig, n_max: int, start=None):
     for sector, (_, _, block, bounds) in zip(unsettled, blocks):
         if not _lies_above(block, bounds, theta - margin if sector == 0 else theta):
             values, vectors = operators._dense_eigh(coupled_hamiltonian_fock(cfg, n_max))
-            # a copy, so that a cached state does not hold all the eigenvectors
-            return float(values[0]), vectors[:, 0].reshape(n_max, n_max).copy()
+            return float(values[0]), vectors[:, 0].reshape(n_max, n_max)
     return theta, vector.reshape(n_max, n_max)
-
-
-@lru_cache(maxsize=2)
-def fock_ground_pair(cfg: VdwConfig, n_max: int):
-    """The Fock ground state at n_max and its n_max - 2 truncation probe.
-
-    Both Fock oracles read the same pair: vdw_fock_oracle its energies and
-    negativity_fock_oracle its states.  The n_max state comes from
-    fock_ground_state from its cold start, the probe from fock_ground_state
-    started at that state cut to n_max - 2 levels per oscillator, with the
-    same certificates.  The last two pairs are cached, so ``qvdw entangle``
-    and vdw_fock_oracle at one coupling share one solve, and a sweep, whose
-    points differ, gets no hits.  A raised error is not cached.
-
-    Returns ``((energy, psi), (probe_energy, probe_psi))``, both psi
-    read-only n x n amplitude matrices (see fock_ground_state).
-    """
-    energy, psi = fock_ground_state(cfg, n_max)
-    psi.setflags(write=False)
-    probe_energy, probe_psi = fock_ground_state(cfg, n_max - 2, psi[:-2, :-2])
-    probe_psi.setflags(write=False)
-    return (energy, psi), (probe_energy, probe_psi)
 
 
 def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
@@ -457,11 +450,12 @@ def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
     Independent check of exact_ground_shift: the ground energy of the
     truncated two-mode Hamiltonian, solved on its amplitude matrix and
     certified (fock_ground_state), minus the uncoupled ground energy w0.
-    The converged flag compares against the n_max - 2 truncation.  Both
-    solves come from fock_ground_pair, which negativity_fock_oracle shares.
+    The converged flag compares against the n_max - 2 truncation, solved
+    the same way.
     """
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
-    (energy, _), (probe_energy, _) = fock_ground_pair(cfg, n_max)
+    energy, _ = fock_ground_state(cfg, n_max)
+    probe_energy, _ = fock_ground_state(cfg, n_max - 2)
     return ConvergedValue(*truncation_probe(energy - cfg.freq, probe_energy - cfg.freq,
                                             FOCK_CONVERGENCE_TOL))
