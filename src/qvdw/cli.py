@@ -343,6 +343,15 @@ MODELS = {
 }
 
 
+def _evaluate(spec: ModelSpec, point: dict) -> dict:
+    """spec.evaluate(point), with a Python float overflow, whose message is
+    an errno tuple, raised again with a message that reads like numpy's."""
+    try:
+        return spec.evaluate(point)
+    except OverflowError as exc:
+        raise OverflowError("overflow encountered in float arithmetic") from exc
+
+
 def _sweep_columns(spec: ModelSpec, point: dict, parameter: str, values: np.ndarray) -> dict:
     """The sweep's columns, the swept parameter first.
 
@@ -361,7 +370,7 @@ def _sweep_columns(spec: ModelSpec, point: dict, parameter: str, values: np.ndar
     rows = []
     for value in columns[parameter]:
         try:
-            rows.append(spec.evaluate({**point, parameter: value}))
+            rows.append(_evaluate(spec, {**point, parameter: value}))
         except (ModelError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise type(exc)(f"{parameter}={_fmt(value)}: {exc}") from exc
     return {**columns, **{name: [row[name] for row in rows] for name in rows[0]}}
@@ -379,7 +388,9 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     is a list; a list of lists of numbers for the model's matrices), and lets
     ModelError propagate for physics-level failures; a result column holding
     a NaN or an infinity is one too, as are FloatingPointError (numpy float
-    overflow, division by zero or NaN inside a model) and LinAlgError.
+    overflow, division by zero or NaN inside a model), OverflowError (a
+    Python float overflow, its message starting "overflow" as numpy's do)
+    and LinAlgError.
     """
     if scenario.model not in MODELS:
         raise ValueError(f"unknown model {scenario.model!r}; "
@@ -425,7 +436,7 @@ def run_scenario(scenario: ScenarioConfig) -> ResultTable:
     # a float that overflows or turns NaN inside a model raises FloatingPointError
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         if sweep is None:
-            columns = {name: [value] for name, value in spec.evaluate(point).items()}
+            columns = {name: [value] for name, value in _evaluate(spec, point).items()}
         else:
             columns = _sweep_columns(spec, point, sweep.parameter, values)
     for name, column in columns.items():

@@ -37,8 +37,7 @@ EIGENVALUE_FLOOR = -1e-10
 SYMPLECTIC_FORM = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 # _PAULI_PRODUCTS[a, b] = sigma_a x sigma_b for a, b in x, y, z
-_PAULI_PRODUCTS = np.array([[np.kron(pauli(a).entries, pauli(b).entries) for b in "xyz"]
-                            for a in "xyz"])
+_PAULI_PRODUCTS = np.array([[np.kron(pauli(a), pauli(b)) for b in "xyz"] for a in "xyz"])
 
 
 @dataclass(frozen=True)

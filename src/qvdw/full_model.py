@@ -62,7 +62,7 @@ fallback passes through operators._dense_eigh, so that is where dense
 solves are counted.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -98,9 +98,9 @@ class FullModelConfig:
     one dipole talking to one field mode, but nothing forces that).
     ``n_max`` is the per-mode Fock truncation.
 
-    The coupling matrix is kept as a read-only array, and as a tuple of rows
-    that equality and the hash compare in its place, so equal configs
-    compare equal and hash alike.
+    Each list is stored as a tuple of floats and the coupling matrix as a
+    tuple of float rows, however they were given, so equal configs compare
+    equal and hash alike, and the coupling bands are cached by their values.
 
     Construction raises ValueError for malformed parameters,
     UnstableConfigurationError when the field and dipole modes have no
@@ -112,10 +112,9 @@ class FullModelConfig:
     field_freqs: tuple = ()
     dipole_freqs: tuple = ()
     qubit_field_couplings: tuple = ()
-    dipole_field_couplings: tuple = field(default=(), compare=False)
+    dipole_field_couplings: tuple = ()
     n_max: int = 8
     dim_limit: int = DEFAULT_DIM_LIMIT
-    _dipole_field_rows: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "field_freqs", tuple(float(w) for w in self.field_freqs))
@@ -133,9 +132,7 @@ class FullModelConfig:
             raise ValueError(f"dipole_field_couplings must have shape {shape}, one row per "
                              f"dipole mode and one column per field mode, got {got}")
         f = f.reshape(shape)
-        f.setflags(write=False)
-        object.__setattr__(self, "dipole_field_couplings", f)
-        object.__setattr__(self, "_dipole_field_rows", tuple(map(tuple, f.tolist())))
+        object.__setattr__(self, "dipole_field_couplings", tuple(map(tuple, f.tolist())))
 
         if self.qubit_freq <= 0:
             raise ValueError(f"qubit_freq must be positive, got {self.qubit_freq}")
@@ -241,7 +238,7 @@ def _hint_bands(cfg: FullModelConfig) -> tuple:
     them once per coupling set and n_max and every such config shares them,
     read-only.
     """
-    return _coupling_bands(cfg.n_max, cfg.qubit_field_couplings, cfg._dipole_field_rows)
+    return _coupling_bands(cfg.n_max, cfg.qubit_field_couplings, cfg.dipole_field_couplings)
 
 
 @lru_cache(maxsize=4)

@@ -5,8 +5,8 @@ truncation probe, a Lanczos kernel for the lowest eigenpair (the Fock
 oracles), a Davidson kernel for the eigenpair that overlaps a start vector
 most (the microscopic model), and the dense eigensolve that their callers
 fall back to: what the solvers use.
-HermitianOperator is the checked dense matrix that pauli,
-full_model.build_h0 and build_hint return as references for the tests.
+HermitianOperator is the checked dense matrix that full_model.build_h0 and
+build_hint return as references for the tests.
 Everything works in reduced units (hbar = 1) on truncated Fock spaces
 represented as dense numpy arrays.
 """
@@ -34,6 +34,8 @@ _PAULI = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+for _matrix in _PAULI.values():
+    _matrix.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,13 @@ def ladder(n_max: int) -> np.ndarray:
     return a
 
 
-def pauli(axis: str) -> HermitianOperator:
-    """Standard 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
+def pauli(axis: str) -> np.ndarray:
+    """Standard 2x2 Pauli matrix for axis 'x', 'y' or 'z', as a read-only
+    complex array that every call shares."""
     try:
-        mat = _PAULI[axis]
+        return _PAULI[axis]
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return HermitianOperator(mat)
 
 
 def quadratures(n_max: int, mass: float, freq: float):

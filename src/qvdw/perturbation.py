@@ -41,8 +41,9 @@ def second_order_shift(h0_diag, h_int, i: int) -> PerturbationResult:
     second_order = sum over n != i of |<n|H_int|i>|^2 / (E_i - E_n),
     first_order = <i|H_int|i>, where E are the entries of ``h0_diag``
     (the diagonal of H0 in its eigenbasis).  ``h_int`` is the square
-    interaction matrix as an array (for a HermitianOperator, its
-    ``entries``); only its column H_int|i> is read.
+    interaction matrix as a real or complex array, such as g times
+    pauli("x") or build_hint(cfg).entries; only its column H_int|i> is
+    read.
 
     ``h0_diag`` may have shape (..., dim): its leading axes are a batch of
     diagonals against the one ``h_int``, and the result holds one

@@ -360,11 +360,13 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     odd-parity amplitudes stay exact zeros.
 
     The run starts from the untruncated ground state cut to n_max levels
-    (_gaussian_amplitudes), projected on the vacuum's sector as the
-    even-parity part of its sum with its transpose.  The projection is
-    needed: the product reads only the symmetric part, so an antisymmetric
-    part of the start, however small, lies in its null space, and Lanczos
-    would amplify it to a Ritz value near 0 below the whole spectrum.
+    (_gaussian_amplitudes) plus its transpose.  Its odd-parity amplitudes
+    are exact zeros, so that sum lies in the vacuum's sector.  The exchange
+    projection is needed: rounding leaves the amplitudes symmetric only up
+    to an ulp, and the product reads only the symmetric part, so an
+    antisymmetric part of the start, however small, lies in its null space,
+    and Lanczos would amplify it to a Ritz value near 0 below the whole
+    spectrum.
     Below coupling ~0.8 at n_max 40 the run stops at its first Ritz check,
     the truncation leaving the start's residual under the stop tolerance.
 
@@ -414,9 +416,8 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     lam = dipole_coupling_lambda(cfg)
     second, lowest = _separable_bounds(h_single, x, lam)
     gaussian = _gaussian_amplitudes(cfg, n_max)
-    level = np.arange(n_max)
-    # the start's part in the vacuum's sector, up to a factor 2
-    start = np.where((level[:, None] + level) % 2 == 0, gaussian + gaussian.T, 0.0)
+    # its exchange-symmetric part, up to a factor 2; its odd-parity part is 0
+    start = gaussian + gaussian.T
 
     def matvec(v):
         psi = v.reshape(n_max, n_max)

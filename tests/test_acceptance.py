@@ -180,7 +180,7 @@ def test_criterion_8_invariant_suites():
     with criterion("8: cross-module invariant checks"):
         # Hermiticity of built operators
         for axis in ("x", "y", "z"):
-            m = pauli(axis).entries
+            m = pauli(axis)
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
         cfg = FullModelConfig(1.0, (5.0,), (3.0,), (0.1,), ((0.2,),), 5)
         h = build_h0(cfg).entries + build_hint(cfg).entries

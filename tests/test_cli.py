@@ -757,6 +757,8 @@ OVERFLOW_ARGV = {
                   "--set", "qubit_field_couplings=[0.01]",
                   "--set", "dipole_field_couplings=[[1e299]]"],
     "dispersive": ["dispersive", "--set", "coupling=1e300"],
+    # freq**2 in Python floats raises OverflowError, whose message is an errno tuple
+    "vdw": ["vdw", "--set", "freq=1e200"],
 }
 
 
@@ -784,6 +786,17 @@ class TestFloatingPointFailures:
         assert out == ""
         point, message = err.removeprefix("qvdw: model error: coupling=").split(": ", 1)
         assert float(point) == 1e200
+        assert message.startswith("overflow")
+        assert len(err.splitlines()) == 1
+
+    def test_python_float_overflow_at_a_sweep_point_names_the_point(self, capsys):
+        # freq**2 overflows a Python float from the second point, freq = 5e199
+        code = main(["vdw", "--sweep", "freq=1e100:1e200:3"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        point, message = err.removeprefix("qvdw: model error: freq=").split(": ", 1)
+        assert float(point) == 5e199
         assert message.startswith("overflow")
         assert len(err.splitlines()) == 1
 

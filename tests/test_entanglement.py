@@ -3,6 +3,7 @@ import pytest
 
 from qvdw import (
     GaussianTwoModeState,
+    HermitianOperator,
     InvalidStateError,
     TwoQubitState,
     UncertaintyViolationError,
@@ -16,8 +17,10 @@ from qvdw import (
     log_negativity_gaussian,
     negativity_fock_oracle,
     normal_modes,
+    pauli,
     symplectic_eigenvalues,
 )
+from qvdw import entanglement
 from qvdw.vdw import coupled_hamiltonian_fock
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -179,6 +182,13 @@ class TestNegativityFockOracle:
     def test_truncation_flag_at_strong_coupling(self):
         # at u = 0.9 the n_max 12 and 10 truncations still differ by ~1e-4
         assert not negativity_fock_oracle(config_for_coupling(0.9), n_max=12).converged
+
+
+def test_pauli_products_are_the_checked_operators_products():
+    checked = {axis: HermitianOperator(pauli(axis)).entries for axis in "xyz"}
+    products = np.array([[np.kron(checked[a], checked[b]) for b in "xyz"] for a in "xyz"])
+    assert entanglement._PAULI_PRODUCTS.tobytes() == products.tobytes()
+    assert np.array_equal(entanglement._PAULI_PRODUCTS[1, 1], np.fliplr(np.diag([-1, 1, 1, -1])))
 
 
 class TestConcurrence:

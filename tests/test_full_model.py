@@ -51,7 +51,7 @@ def kron_hamiltonian(cfg):
         h += g * term({0: sx, 1 + k: x})
     for l in range(len(cfg.dipole_freqs)):
         for k in range(n_fields):
-            h += cfg.dipole_field_couplings[l, k] * term({1 + k: x, 1 + n_fields + l: x})
+            h += cfg.dipole_field_couplings[l][k] * term({1 + k: x, 1 + n_fields + l: x})
     return h
 
 
@@ -107,7 +107,7 @@ class TestConfig:
                                                            couplings):
         cfg = FullModelConfig(1.0, field_freqs, dipole_freqs, (0.01,) * len(field_freqs),
                               couplings, 4)
-        assert cfg.dipole_field_couplings.shape == (len(dipole_freqs), len(field_freqs))
+        assert cfg.dipole_field_couplings == ((),) * len(dipole_freqs)
 
     def test_nonpositive_frequency(self):
         with pytest.raises(ValueError):
@@ -176,11 +176,22 @@ class TestConfig:
         assert cfg != replace(cfg, dipole_field_couplings=((0.01,), (0.03,)))
         assert len({cfg, replace(cfg, dipole_field_couplings=((0.01,), (0.03,)))}) == 2
 
-    def test_coupling_matrix_stays_a_read_only_array(self):
-        couplings = SOLVER_CONFIGS["two-dipoles"].dipole_field_couplings
-        assert np.array_equal(couplings, [[0.01], [0.02]])
-        with pytest.raises(ValueError):
-            couplings[0, 0] = 1.0
+    @pytest.mark.parametrize("couplings", [
+        [[0.01], [0.02]], ((0.01,), (0.02,)), ([0.01], (0.02,)), np.array([[0.01], [0.02]])],
+        ids=["lists", "tuples", "mixed", "ndarray"])
+    def test_coupling_matrix_is_stored_as_float_rows(self, couplings):
+        given = SOLVER_CONFIGS["two-dipoles"]
+        cfg = replace(given, dipole_field_couplings=couplings)
+        assert cfg.dipole_field_couplings == ((0.01,), (0.02,))
+        assert all(type(f) is float for row in cfg.dipole_field_couplings for f in row)
+        assert cfg == given
+        assert hash(cfg) == hash(given)
+        # the band cache keys on the rows: a qubit_freq change reads the same set
+        full_model._coupling_bands.cache_clear()
+        full_model._hint_bands(given)
+        full_model._hint_bands(replace(cfg, qubit_freq=2.5))
+        info = full_model._coupling_bands.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestBuildH0:

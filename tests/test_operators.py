@@ -63,20 +63,29 @@ class TestLadder:
 class TestPauli:
 
     def test_z(self):
-        assert np.array_equal(pauli("z").entries, np.diag([1.0, -1.0]))
+        assert np.array_equal(pauli("z"), np.diag([1.0, -1.0]))
 
     def test_x(self):
-        assert np.array_equal(pauli("x").entries, np.array([[0, 1], [1, 0]], dtype=complex))
+        assert np.array_equal(pauli("x"), np.array([[0, 1], [1, 0]], dtype=complex))
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_spectrum(self, axis):
-        values = np.linalg.eigvalsh(pauli(axis).entries)
+        values = np.linalg.eigvalsh(pauli(axis))
         assert np.allclose(values, [-1.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_hermiticity(self, axis):
-        m = pauli(axis).entries
+        m = pauli(axis)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_read_only_array_equal_to_the_checked_operator(self, axis):
+        m = pauli(axis)
+        assert m.dtype == complex
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        # the checked operator's complex copy, bit for bit
+        assert m.tobytes() == HermitianOperator(m).entries.tobytes()
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):

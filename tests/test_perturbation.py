@@ -11,7 +11,7 @@ from qvdw import (
     transition_shift,
 )
 
-SX = pauli("x").entries.real
+SX = pauli("x").real
 
 
 def two_level(omega, g):

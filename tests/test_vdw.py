@@ -799,7 +799,7 @@ class TestGaussianSeed:
     """The solve starts from the untruncated Gaussian ground state cut to
     n_max levels; the start sets the number of steps, never the value."""
 
-    @pytest.mark.parametrize("n_max", [4, 13, 40])
+    @pytest.mark.parametrize("n_max", [4, 13, 40, 64])
     @pytest.mark.parametrize("cfg", FOCK_CONFIGS, ids=FOCK_CONFIG_IDS)
     def test_lanczos_starts_exactly_symmetric_and_even(self, monkeypatch, cfg, n_max):
         products = []
@@ -808,6 +808,7 @@ class TestGaussianSeed:
         seed = products[0].reshape(n_max, n_max)
         assert np.array_equal(seed, seed.T)
         assert np.all(seed.ravel()[odd_parity(n_max)] == 0.0)
+        # exact zeros, so the start needs no parity mask beside its exchange projection
         amplitudes = vdw._gaussian_amplitudes(cfg, n_max)
         assert np.all(amplitudes.ravel()[odd_parity(n_max)] == 0.0)
         assert np.array_equal(seed, (amplitudes + amplitudes.T) / np.linalg.norm(
@@ -843,9 +844,10 @@ class TestGaussianSeed:
         # the product reads only the symmetric part of Psi, so an antisymmetric
         # part of the start has eigenvalue 0, below the whole spectrum; left in,
         # 1e-16 of it grows under Lanczos into a Ritz value near 0 that every
-        # certificate passes.  The start is projected on the vacuum's sector,
-        # so each of these starts gives the dense ground energy and, through
-        # the oracles, the same converged flags
+        # certificate passes.  The start is summed with its transpose, which
+        # puts each of these even starts in the vacuum's sector, so each gives
+        # the dense ground energy and, through the oracles, the same converged
+        # flags
         cfg = config_for_coupling(u)
         dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))[0]
         flags = (vdw_fock_oracle(cfg, n_max).converged,
