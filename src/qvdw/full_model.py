@@ -21,8 +21,8 @@ vectors, slot j's raising amplitudes and slot l's amplitudes for its step,
 with ones on every other slot.  The bands read no frequency, so a process
 builds them once per coupling set and n_max and shares them, read-only,
 with every later config that has the same couplings and n_max: a
-qubit_freq sweep builds two sets, one for the solve and one for the
-n_max + 2 probe.
+qubit_freq sweep builds two sets, one for the solve and one at n_max + 1
+for the truncation check.
 Davidson's method (operators.davidson) runs once from the bare ground
 state and once from the bare excited state, with the H0 diagonal as its
 preconditioner, and keeps, in each run, the Ritz pair whose vector
@@ -47,11 +47,11 @@ dense route raises IdentificationError when no eigenvector overlaps the
 bare state by 1/2; the other state keeps its certified pair.  A pair fails
 near a resonance, where the gap closes, and at strong coupling, where no
 eigenvector overlaps a bare state by 1/2 or a run stops unconverged after
-DAVIDSON_MAX_STEPS products.  The truncation check at n_max + 2 runs the
-same Davidson with the same certificates and the same dense fallback, but
-starts from the two n_max vectors padded with two empty levels per mode:
-at a converged truncation they are eigenvectors of the wider H to within
-its tolerance, and the runs stop after a few products.
+DAVIDSON_MAX_STEPS products.  The truncation check solves nothing again:
+H at n_max is the principal block of H at n_max + 1, so one product of
+that H with the two kept vectors, padded by a level, gives their leak past
+the box, and second order turns it into how far the next level moves each
+energy (_next_level_moves).
 FullModelConfig refuses a product dimension above dim_limit when it is
 built, so no solver checks it again; a Davidson run keeps its basis and
 the products of H with it, about 2 m * dim * 8 bytes for m <=
@@ -62,7 +62,7 @@ fallback passes through operators._dense_eigh, so that is where dense
 solves are counted.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -70,7 +70,7 @@ import numpy as np
 from . import operators, perturbation
 from .errors import (DimensionLimitError, IdentificationError, NearResonanceError,
                      UnstableConfigurationError)
-from .operators import DEFAULT_DIM_LIMIT, HermitianOperator, davidson, truncation_probe
+from .operators import DEFAULT_DIM_LIMIT, HermitianOperator, davidson
 
 CONVERGENCE_TOL = 1e-8
 OVERLAP_THRESHOLD = 0.5
@@ -189,8 +189,8 @@ class ShiftReport:
     """Dressed vs bare qubit transition.
 
     ``shift`` is dressed - bare.  The overlaps are |<bare|dressed>|^2 of the
-    two identified eigenstates; ``converged`` records whether repeating the
-    diagonalization with n_max + 2 moves the shift by at most 1e-8.
+    two identified eigenstates; ``converged`` records whether one more Fock
+    level per mode moves the shift by at most 1e-8 (_next_level_moves).
     """
 
     bare_transition: float
@@ -328,11 +328,6 @@ def build_hint(cfg: FullModelConfig) -> HermitianOperator:
     return HermitianOperator(_assemble(np.zeros(cfg.dim), _hint_bands(cfg)))
 
 
-def _bare_indices(cfg: FullModelConfig):
-    # |0>|vac>|vac> is flat index 0; flipping the qubit moves by the qubit stride
-    return 0, cfg.n_max ** cfg.n_modes
-
-
 def _identify(cfg: FullModelConfig, h: np.ndarray, bare: int):
     """Dense route for one bare state: solve by operators._dense_eigh the
     block of the assembled H on the basis states whose qubit level plus mode
@@ -356,30 +351,24 @@ def _identify(cfg: FullModelConfig, h: np.ndarray, bare: int):
     return float(values[best]), float(overlaps[best]), vector
 
 
-def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
-    """(dressed transition, overlap_ground, overlap_excited, vectors).
+def _diagonalize_and_identify(cfg: FullModelConfig):
+    """((e_ground, overlap_ground, y_ground), (e_excited, ...)): energy,
+    squared overlap with the bare state and vector of each dressed state.
 
-    Davidson (operators.davidson) from each bare state, or from the
-    matching row of ``starts``, preconditioned by the H0 diagonal and
-    capped at DAVIDSON_MAX_STEPS products, keeps the Ritz pair that
-    overlaps the start most.  The pair is certified when its residual r is
-    at most CERTIFICATE_RTOL max(1, |theta|), 2 r / gap at most OVERLAP_ATOL
-    and its squared overlap with the bare state above 1/2: eigenvectors are
-    orthonormal, so at most one overlaps the bare state that much, and it is
-    the one the dense max-overlap rule picks, whatever the run started from.
-    A pair that fails is replaced by the dense route on its bare state's
-    parity block (_identify), which raises IdentificationError when no
-    eigenvector overlaps the bare state by 1/2; the other state's certified
-    pair is kept, and H is assembled at most once.  ``vectors`` holds the
-    two kept vectors as rows, ground first.
+    Davidson (operators.davidson) from each bare state, preconditioned by
+    the H0 diagonal and capped at DAVIDSON_MAX_STEPS products, keeps the
+    Ritz pair that overlaps the start most, certified as the module
+    docstring says.  A pair that fails is replaced by the dense route on
+    its bare state's parity block (_identify), which raises
+    IdentificationError when no eigenvector overlaps the bare state by 1/2;
+    the other state's certified pair is kept, and H is assembled at most
+    once.
     """
     diagonal, bands = _h0_diagonal(cfg), _hint_bands(cfg)
-    bares = _bare_indices(cfg)
-    if starts is None:
-        starts = np.zeros((2, cfg.dim))
-        starts[[0, 1], bares] = 1.0
     reports, h = [], None
-    for bare, start in zip(bares, starts):
+    # |0>|vac>|vac> is flat index 0; flipping the qubit moves by the qubit stride
+    for bare in (0, cfg.n_max ** cfg.n_modes):
+        start = (np.arange(cfg.dim) == bare).astype(float)
         theta, y, residual, gap = davidson(lambda v: _add_bands(bands, v, diagonal * v),
                                            diagonal, start, DAVIDSON_MAX_STEPS)
         overlap = float(y[bare] ** 2)
@@ -388,8 +377,7 @@ def _diagonalize_and_identify(cfg: FullModelConfig, starts=None):
             h = _assemble(diagonal, bands) if h is None else h
             theta, overlap, y = _identify(cfg, h, bare)
         reports.append((theta, overlap, y))
-    (e_ground, ov_ground, y_ground), (e_excited, ov_excited, y_excited) = reports
-    return e_excited - e_ground, ov_ground, ov_excited, np.array([y_ground, y_excited])
+    return tuple(reports)
 
 
 def _pad(cfg: FullModelConfig, vectors: np.ndarray, n_max: int) -> np.ndarray:
@@ -401,6 +389,29 @@ def _pad(cfg: FullModelConfig, vectors: np.ndarray, n_max: int) -> np.ndarray:
     return padded.reshape(len(vectors), -1)
 
 
+def _next_level_moves(cfg: FullModelConfig, energies, vectors: np.ndarray) -> np.ndarray:
+    """How far one more level per mode moves each energy, to second order.
+
+    With each row y padded by a level, H at n_max + 1 gives H y inside the
+    box and the leak l outside it.  t = l / (theta - D), D that H's
+    diagonal, is the first-order correction, and theta moves by
+    (l.t)^2 / t.(theta - H)t: sum_i l_i^2 / (theta - D_i), corrected for
+    the couplings among the new levels.  0 when nothing leaks.
+    """
+    wider = cfg.n_max + 1
+    diagonal = _product_diagonal(cfg.qubit_freq, cfg.field_freqs + cfg.dipole_freqs, wider)
+    bands = _coupling_bands(wider, cfg.qubit_field_couplings, cfg.dipole_field_couplings)
+    outside = _pad(cfg, np.ones((1, cfg.dim)), wider)[0] == 0.0
+    padded, theta = _pad(cfg, vectors, wider), np.asarray(energies)[:, None]
+    leaks = np.where(outside, _add_bands(bands, padded, diagonal * padded), 0.0)
+    # theta on a new level's D: 0 / 0 where nothing leaks, an infinite move where it does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(leaks != 0.0, leaks / (theta - diagonal), 0.0)
+        first = np.sum(leaks * t, axis=1)
+        moves = first**2 / np.sum(t * (theta * t - _add_bands(bands, t, diagonal * t)), axis=1)
+    return np.where(first != 0.0, moves, 0.0)
+
+
 def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     """Dressed qubit transition by exact diagonalization.
 
@@ -408,32 +419,16 @@ def dressed_transition(cfg: FullModelConfig) -> ShiftReport:
     squared overlap against the bare |0>|vac...> and |1>|vac...> product
     states; an overlap below 1/2 raises IdentificationError.  They come
     from certified Davidson runs, or from dense eigh when a certificate
-    fails (see the module docstring).  The converged flag compares against
-    a run at n_max + 2 (False if that config exceeds the dimension limit,
-    which building it reports by DimensionLimitError).
-    That run starts from the two n_max vectors, padded with two empty levels
-    per mode, and keeps every certificate: a converged truncation hands it
-    nearly exact eigenvectors, so a run takes about 3 products of H where
-    one from a bare state takes about 8.  Only the flag reads it; the reported
-    numbers come from the n_max solve.
+    fails (see the module docstring).  The converged flag is set when the
+    two states' moves under one more level per mode (_next_level_moves)
+    differ by at most CONVERGENCE_TOL; no second solve runs.
     """
-    dressed, ov_g, ov_e, vectors = _diagonalize_and_identify(cfg)
-    bare = cfg.qubit_freq
-    try:  # only building the wider config checks dim_limit
-        wider = replace(cfg, n_max=cfg.n_max + 2)
-        probe = _diagonalize_and_identify(wider, _pad(cfg, vectors, wider.n_max))[0] - bare
-    except DimensionLimitError:
-        probe = None
-    shift, converged = truncation_probe(dressed - bare, probe, CONVERGENCE_TOL)
-
-    return ShiftReport(
-        bare_transition=bare,
-        dressed_transition=dressed,
-        shift=shift,
-        overlap_ground=ov_g,
-        overlap_excited=ov_e,
-        converged=converged,
-    )
+    (e_ground, ov_g, y_ground), (e_excited, ov_e, y_excited) = _diagonalize_and_identify(cfg)
+    move_g, move_e = _next_level_moves(cfg, (e_ground, e_excited),
+                                       np.array([y_ground, y_excited]))
+    dressed = e_excited - e_ground
+    return ShiftReport(cfg.qubit_freq, dressed, dressed - cfg.qubit_freq, ov_g, ov_e,
+                       bool(abs(move_e - move_g) <= CONVERGENCE_TOL))
 
 
 # H_int of the qubit and one mode on the levels 0 and 1 at unit coupling: every

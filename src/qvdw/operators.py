@@ -131,16 +131,15 @@ def quadratures(n_max: int, mass: float, freq: float):
 def truncation_probe(value: float, probe, tol: float):
     """Check a truncated-space result against a second truncation.
 
-    ``probe`` is the same quantity computed at another n_max, or None when
-    that run cannot be made (say, it would exceed a dimension limit), which
-    counts as not converged.
+    ``probe`` is the same quantity computed at another n_max; a NaN on
+    either side counts as not converged.
 
     Returns
     -------
     (value, converged) : tuple
         ``value`` unchanged, and whether the probe lies within ``tol`` of it.
     """
-    return value, probe is not None and bool(abs(probe - value) <= tol)
+    return value, bool(abs(probe - value) <= tol)
 
 
 def _tridiagonal_eigenpairs(alpha, beta):

@@ -98,14 +98,20 @@ def dipole_coupling_lambda(cfg: VdwConfig) -> float:
     """Coefficient of x1*x2 in the bilinear expansion of the Coulomb term.
 
     lambda = -2 k e^2 / R^3, negative: aligned dipole fluctuations lower
-    the energy.
+    the energy.  Raises OverflowError when R^3 underflows to 0.
     """
-    return -2.0 * cfg.coulomb_k * cfg.charge**2 / cfg.separation**3
+    cube = cfg.separation**3
+    if cube == 0.0:
+        raise OverflowError(f"overflow: separation**3 underflows to 0 at {cfg.separation!r}")
+    return -2.0 * cfg.coulomb_k * cfg.charge**2 / cube
 
 
 def coupling_ratio(cfg: VdwConfig) -> float:
-    """Dimensionless lambda / (m w0^2); |ratio| < 1 is the stable regime."""
-    return dipole_coupling_lambda(cfg) / (cfg.mass * cfg.freq**2)
+    """Dimensionless lambda / (m w0^2), stable for |ratio| < 1; OverflowError if m w0^2 is 0."""
+    stiffness = cfg.mass * cfg.freq**2
+    if stiffness == 0.0:
+        raise OverflowError(f"overflow: mass * freq**2 underflows to 0 at freq {cfg.freq!r}")
+    return dipole_coupling_lambda(cfg) / stiffness
 
 
 def _mode_frequencies(cfg: VdwConfig) -> tuple:

@@ -120,7 +120,7 @@ def test_criterion_5_full_model_smoke():
             qubit_field_couplings=(0.01,), dipole_field_couplings=((0.01,),),
             n_max=14)
         assert cfg.dim == 392
-        report = dressed_transition(cfg)  # convergence probe runs n_max=16
+        report = dressed_transition(cfg)  # its leak check reads n_max=15
         h0 = np.diag(build_h0(cfg).entries).real
         pert = transition_shift(h0, build_hint(cfg).entries, cfg.n_max**2, 0)
         elapsed = time.perf_counter() - start

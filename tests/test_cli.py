@@ -396,7 +396,7 @@ class TestMainBehavior:
 class TestBoundaryRejections:
 
     def test_arithmetic_failure_is_model_error(self, capsys):
-        # separation**3 underflows to 0 and the coupling divides by it
+        # separation**3 underflows to 0, so the coupling it divides overflows
         code = main(["vdw", "--set", "separation=1e-200"])
         out, err = capsys.readouterr()
         assert code == 3
@@ -759,6 +759,9 @@ OVERFLOW_ARGV = {
     "dispersive": ["dispersive", "--set", "coupling=1e300"],
     # freq**2 in Python floats raises OverflowError, whose message is an errno tuple
     "vdw": ["vdw", "--set", "freq=1e200"],
+    # separation**3 and freq**2 underflow to 0, so the quotients they divide overflow
+    "vdw-separation-underflow": ["vdw", "--set", "separation=1e-200"],
+    "vdw-freq-underflow": ["vdw", "--set", "freq=1e-200"],
 }
 
 
@@ -797,6 +800,17 @@ class TestFloatingPointFailures:
         assert out == ""
         point, message = err.removeprefix("qvdw: model error: freq=").split(": ", 1)
         assert float(point) == 5e199
+        assert message.startswith("overflow")
+        assert len(err.splitlines()) == 1
+
+    def test_underflow_at_a_sweep_point_names_the_point(self, capsys):
+        # separation**3 underflows to 0 already at the first point, 1e-300
+        code = main(["vdw", "--sweep", "separation=1e-300:1e-200:3"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        point, message = err.removeprefix("qvdw: model error: separation=").split(": ", 1)
+        assert float(point) == 1e-300
         assert message.startswith("overflow")
         assert len(err.splitlines()) == 1
 

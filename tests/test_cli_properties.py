@@ -104,7 +104,7 @@ SOLVABLE = {
 }
 # full builds one mode per item of a mode list, so every list, string and
 # dict drawn for one holds at most one item: at most one field and one dipole
-# mode, which with n_max <= 6 keeps the n_max + 2 probe at dimension 128
+# mode, which with n_max <= 6 keeps the n_max + 1 leak check at dimension 98
 ONE_ITEM = (st.lists(PARAMETER_VALUES, max_size=1) | st.text(max_size=1)
             | st.dictionaries(st.text(max_size=1), JSON_VALUES, max_size=1)
             | st.none() | st.booleans() | st.integers() | st.floats())

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from functools import reduce
 
@@ -298,8 +299,9 @@ class TestDavidsonRoute:
 
         shift, ov_ground, ov_excited = dense_reference(cfg)
         monkeypatch.setattr(operators, "_dense_eigh", refuse)
-        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
-        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        (e_ground, got_ground, _), (e_excited, got_excited, _) = (
+            full_model._diagonalize_and_identify(cfg))
+        assert e_excited - e_ground - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_ground == pytest.approx(ov_ground, abs=1e-12)
         assert got_excited == pytest.approx(ov_excited, abs=1e-12)
 
@@ -316,11 +318,12 @@ class TestDavidsonRoute:
         eigh = operators._dense_eigh
         monkeypatch.setattr(full_model, "CERTIFICATE_RTOL", -1.0)  # no residual passes
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
-        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
+        (e_ground, got_ground, _), (e_excited, got_excited, _) = (
+            full_model._diagonalize_and_identify(cfg))
         monkeypatch.undo()
         assert solved == [cfg.dim // 2] * 2  # each state's parity block
         shift, ov_ground, ov_excited = dense_reference(cfg)
-        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        assert e_excited - e_ground - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_ground == pytest.approx(ov_ground, abs=1e-12)
         assert got_excited == pytest.approx(ov_excited, abs=1e-12)
 
@@ -337,11 +340,12 @@ class TestDavidsonRoute:
         eigh = operators._dense_eigh
         monkeypatch.setattr(full_model, "DAVIDSON_MAX_STEPS", 2)
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
-        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
+        (e_ground, got_ground, _), (e_excited, got_excited, _) = (
+            full_model._diagonalize_and_identify(cfg))
         monkeypatch.undo()
         assert solved == [cfg.dim // 2] * 2  # each state's parity block
         shift, ov_ground, ov_excited = dense_reference(cfg)
-        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        assert e_excited - e_ground - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         assert got_excited == pytest.approx(ov_excited, abs=1e-12)
 
     def test_low_overlap_takes_the_dense_path(self, monkeypatch):
@@ -373,7 +377,8 @@ class TestDavidsonRoute:
 
         eigh = operators._dense_eigh
         monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
-        dressed, got_ground, got_excited, _ = full_model._diagonalize_and_identify(cfg)
+        (e_ground, got_ground, _), (e_excited, got_excited, _) = (
+            full_model._diagonalize_and_identify(cfg))
         monkeypatch.undo()
         assert solved == [cfg.dim // 2]  # the excited state's parity block only
         monkeypatch.setattr(full_model, "OVERLAP_ATOL", np.inf)
@@ -381,7 +386,7 @@ class TestDavidsonRoute:
         full_model._diagonalize_and_identify(cfg)
         assert solved == [cfg.dim // 2]  # the residual alone would have passed
         shift, ov_ground, ov_excited = dense_reference(cfg)
-        assert dressed - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
+        assert e_excited - e_ground - cfg.qubit_freq == pytest.approx(shift, abs=1e-12)
         # a dense eigenvector is accurate to about eps ||H|| / gap, here
         # 2.2e-16 * 57.5 / 1.3e-4 = 1e-10, so eigh of the odd block and eigh
         # of the whole H agree on the overlap to that, not to the last bit
@@ -399,14 +404,16 @@ class TestDavidsonRoute:
             return pairs[-1]
 
         monkeypatch.setattr(full_model, "davidson", recording)
-        dressed, got_ground, _, vectors = full_model._diagonalize_and_identify(cfg)
+        (e_ground, got_ground, y_ground), (e_excited, _, y_excited) = (
+            full_model._diagonalize_and_identify(cfg))
         ground, excited = pairs
-        assert np.array_equal(vectors[0], ground.vector)
+        assert np.array_equal(y_ground, ground.vector)
+        assert e_ground == ground.value
         assert got_ground == float(ground.vector[0] ** 2)
-        assert not np.array_equal(vectors[1], excited.vector)
+        assert not np.array_equal(y_excited, excited.vector)
         # the excited energy is an eigenvalue of H
         values = np.linalg.eigvalsh(kron_hamiltonian(cfg))
-        assert np.min(np.abs(values - (dressed + ground.value))) <= 1e-12
+        assert np.min(np.abs(values - e_excited)) <= 1e-12
 
     def test_strong_coupling_hands_a_capped_run_to_eigh(self, monkeypatch):
         # the bare ground state spreads over many eigenvectors, none with a
@@ -441,7 +448,7 @@ class TestDavidsonRoute:
         # within 0.1 of the dipole the gap is 5e-3 to 0.1, so 2 r / gap passes
         # only with r well below the stop tolerance (1e-12 here): the step
         # Davidson takes after passing it leaves that margin, and no dense
-        # solve runs, in the n_max solve or in the probe
+        # solve runs
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigh ran although every certificate should pass")
 
@@ -451,9 +458,9 @@ class TestDavidsonRoute:
         assert report.converged and min(report.overlap_ground, report.overlap_excited) > 0.5
 
     def test_bare_qubit_stops_at_the_breakdown(self, monkeypatch):
-        # no modes: each bare state is an eigenvector, so every run, two at
-        # n_max and two in the probe, stops after one product and takes one
-        # more for its residual, 0
+        # no modes: each bare state is an eigenvector, so each of the two runs
+        # stops after one product and takes one more for its residual, 0; the
+        # leak check takes two products of both vectors
         cfg = SOLVER_CONFIGS["no-modes"]
         products = []
         add_bands = full_model._add_bands
@@ -465,7 +472,7 @@ class TestDavidsonRoute:
         monkeypatch.setattr(full_model, "_add_bands", counting)
         with np.errstate(all="raise"):
             report = dressed_transition(cfg)
-        assert len(products) == 4 * 2
+        assert len(products) == 2 * 2 + 2
         assert report.shift == 0.0 and report.converged
         assert report.overlap_ground == report.overlap_excited == 1.0
 
@@ -478,7 +485,7 @@ class TestDavidsonRoute:
             cfg = FullModelConfig(qubit, (4.2,), (3.0,), (0.05,), ((0.02,),), n_max)
             diagonal, bands = full_model._h0_diagonal(cfg), full_model._hint_bands(cfg)
             values, vectors = np.linalg.eigh(full_model._assemble(diagonal, bands))
-            for bare in full_model._bare_indices(cfg):
+            for bare in (0, cfg.n_max ** cfg.n_modes):
                 theta, y, residual, _ = operators.davidson(
                     lambda v: full_model._add_bands(bands, v, diagonal * v), diagonal,
                     np.eye(cfg.dim)[bare], full_model.DAVIDSON_MAX_STEPS)
@@ -513,36 +520,18 @@ class TestDavidsonRoute:
             0.01**2 * (1.0 / (1.0 - 5.0) + 1.0 / (1.0 + 5.0)), rel=1e-2)
 
 
-# the full-dressed benchmark's kinds of point: n_max 14 below and above the
-# dipole frequency, n_max 30, and one field with two dipoles at n_max 9
-PROBE_CONFIGS = {
-    "sweep-below": FullModelConfig(1.4, (5.0,), (3.0,), (0.01,), ((0.01,),), 14),
-    "sweep-above": FullModelConfig(4.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14),
-    "single": FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 30),
-    "three-mode": FullModelConfig(2.2, (5.0,), (3.0, 3.0), (0.01,), ((0.01,), (0.01,)), 9),
-}
+def leak_moves(cfg):
+    """The moves _next_level_moves estimates for cfg's two dressed states."""
+    (e_ground, _, y_ground), (e_excited, _, y_excited) = full_model._diagonalize_and_identify(cfg)
+    return full_model._next_level_moves(cfg, (e_ground, e_excited),
+                                        np.array([y_ground, y_excited]))
 
 
-def probe_runs(cfg, monkeypatch):
-    """The n_max + 2 solve from the bare states and from the padded n_max
-    vectors, as (result, products H_int psi taken) each."""
-    *_, vectors = full_model._diagonalize_and_identify(cfg)
-    wider = replace(cfg, n_max=cfg.n_max + 2)
-    products = []
-    add_bands = full_model._add_bands
-
-    def counting(bands, psi, out):
-        products.append(len(psi))
-        return add_bands(bands, psi, out)
-
-    monkeypatch.setattr(full_model, "_add_bands", counting)
-    cold = full_model._diagonalize_and_identify(wider)
-    cold_products = len(products)
-    warm = full_model._diagonalize_and_identify(wider, full_model._pad(cfg, vectors, wider.n_max))
-    return (cold, cold_products), (warm, len(products) - cold_products)
+def strong_cfg(n_max, qubit=3.0, dim_limit=operators.DEFAULT_DIM_LIMIT):
+    return FullModelConfig(qubit, (5.0,), (3.0,), (0.3,), ((0.5,),), n_max, dim_limit)
 
 
-class TestWarmProbe:
+class TestNextLevelMoves:
 
     def test_padding_keeps_every_amplitude_in_place(self):
         cfg = MODE_CONFIGS[2]  # two fields and a dipole at n_max 5
@@ -551,67 +540,103 @@ class TestWarmProbe:
         assert np.array_equal(padded[..., :5, :5, :5], vectors.reshape((2,) + cfg.mode_dims))
         assert np.count_nonzero(padded) == np.count_nonzero(vectors)
 
-    @pytest.mark.parametrize("cfg", list(SOLVER_CONFIGS.values()) + list(PROBE_CONFIGS.values()),
-                             ids=list(SOLVER_CONFIGS) + list(PROBE_CONFIGS))
-    def test_warm_probe_equals_cold_probe(self, cfg, monkeypatch):
-        (cold, cold_products), (warm, warm_products) = probe_runs(cfg, monkeypatch)
-        for got, want in zip(warm[:3], cold[:3]):
-            assert got == pytest.approx(want, abs=1e-12)
-        assert abs(warm[3][0] @ cold[3][0]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(warm[3][1] @ cold[3][1]) == pytest.approx(1.0, abs=1e-12)
-        assert warm_products <= cold_products
+    @pytest.mark.parametrize("cfg", [SOLVER_CONFIGS["no-modes"], SOLVER_CONFIGS["zero-coupling"],
+                                     # the excited level sits on an empty top-level state
+                                     FullModelConfig(1.0, (0.5,), (), (0.0,), (), 2)],
+                             ids=["no-modes", "zero-coupling", "zero-coupling-on-a-level"])
+    def test_no_leak_without_couplings(self, cfg):
+        with np.errstate(all="raise"):
+            assert np.array_equal(leak_moves(cfg), [0.0, 0.0])
+            assert dressed_transition(cfg).converged
 
-    @pytest.mark.parametrize("cfg", PROBE_CONFIGS.values(), ids=PROBE_CONFIGS.keys())
-    def test_warm_probe_takes_at_most_half_the_products(self, cfg, monkeypatch):
-        # at a converged truncation the padded n_max vectors are eigenvectors
-        # of the wider H to within its tolerance; a truncation far from
-        # converged (two-fields at n_max 5) saves less
-        (_, cold_products), (_, warm_products) = probe_runs(cfg, monkeypatch)
-        assert 2 * warm_products <= cold_products
+    @pytest.mark.parametrize("cfg", MODE_CONFIGS, ids=["1-mode", "2-mode", "3-mode"])
+    def test_no_leak_from_below_the_top_level(self, cfg):
+        # a state with no amplitude on any mode's top level stays inside the
+        # box under H at n_max + 1, however strong the couplings
+        below = np.random.default_rng(5).normal(size=(2,) + cfg.mode_dims)
+        for axis in range(1, 1 + cfg.n_modes):
+            below[(slice(None),) * (axis + 1) + (-1,)] = 0.0
+        moves = full_model._next_level_moves(cfg, (-7.0, 7.0), below.reshape(2, -1))
+        assert np.array_equal(moves, [0.0, 0.0])
 
-    def test_dressed_transition_probes_from_the_padded_vectors(self, monkeypatch):
-        cfg = PROBE_CONFIGS["sweep-below"]
-        starts = []
-        run = full_model.davidson
+    @pytest.mark.parametrize("cfg", [
+        # g 0.3 and f 0.5 at the dipole resonance: the shift lies 4.5e-9 from
+        # a wide solve at n_max 6 and 1.6e-12 at n_max 8
+        strong_cfg(6), strong_cfg(8),
+        MODE_CONFIGS[2],
+        single_mode_cfg(omega=1.0, mode=1.3, g=0.5, n_max=6),
+        single_mode_cfg(omega=1.0, mode=1.3, g=0.5, n_max=8),
+    ], ids=["strong-6", "strong-8", "two-fields-5", "single-6", "single-8"])
+    def test_tracks_the_measured_move(self, cfg):
+        # the estimate finds what one more level moves the shift by to within
+        # a few per cent (0.4-3.2 % on each of these)
+        move_ground, move_excited = leak_moves(cfg)
+        shifts = [dressed_transition(replace(cfg, n_max=n)).shift
+                  for n in (cfg.n_max, cfg.n_max + 1)]
+        assert abs(shifts[1] - shifts[0]) > 1e-12
+        assert move_excited - move_ground == pytest.approx(shifts[1] - shifts[0], rel=0.05)
 
-        def recording(matvec, diagonal, start, max_steps):
-            starts.append(start)
-            return run(matvec, diagonal, start, max_steps)
-
-        monkeypatch.setattr(full_model, "davidson", recording)
+    @pytest.mark.parametrize("cfg", [
+        FullModelConfig(1.4, (5.0,), (3.0,), (0.01,), ((0.01,),), 14),
+        FullModelConfig(4.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 14),
+        FullModelConfig(2.2, (5.0,), (3.0,), (0.01,), ((0.01,),), 30),
+        FullModelConfig(2.2, (5.0,), (3.0, 3.0), (0.01,), ((0.01,), (0.01,)), 9),
+    ], ids=["sweep-below", "sweep-above", "single", "three-mode"])
+    def test_benchmark_kinds_converge(self, cfg):
+        # the full-dressed benchmark's kinds of point: weakly coupled states
+        # that Davidson resolves in a few products, with no amplitude worth
+        # a rounding error on the top level
         report = dressed_transition(cfg)
+        move_ground, move_excited = leak_moves(cfg)
+        assert report.converged and abs(move_excited - move_ground) <= 1e-15
+        wider = replace(cfg, n_max=cfg.n_max + 2, dim_limit=10_000)
+        assert report.shift == pytest.approx(dressed_transition(wider).shift, abs=1e-12)
+
+    def test_vanishes_below_rounding_at_a_converged_truncation(self):
+        move_ground, move_excited = leak_moves(strong_cfg(10))
+        wide = dressed_transition(strong_cfg(24)).shift
+        assert abs(move_excited - move_ground) <= 1e-15
+        assert dressed_transition(strong_cfg(10)).shift == pytest.approx(wide, abs=1e-15)
+
+    def test_counts_the_couplings_among_the_new_levels(self):
+        # a field at 1.17 and a dipole at 1.24 coupled by f 0.37: the new
+        # levels mix among themselves, and the sum over the diagonal alone
+        # reads a move of -6.2e-9 at n_max 6, where the shift lies 4.1e-8
+        # from a wide solve; the corrected move reads 2.5e-8
+        cfg = FullModelConfig(4.7, (1.17, 4.27), (1.24,), (0.03, 0.25), ((0.37, 0.06),), 6)
+        wide = dressed_transition(replace(cfg, n_max=11)).shift
+        report = dressed_transition(cfg)
+        assert abs(report.shift - wide) > 1e-8 and not report.converged
+        move_ground, move_excited = leak_moves(cfg)
+        assert move_excited - move_ground == pytest.approx(2.5e-8, rel=0.05)
+        report = dressed_transition(replace(cfg, n_max=7))
+        assert abs(report.shift - wide) <= 1e-8 and report.converged
+
+    def test_checks_a_truncation_whose_next_level_exceeds_dim_limit(self):
+        # dim 3872 at n_max 44; the old re-solve at n_max 46 (dim 4232) was
+        # refused by dim_limit 4096 and read as not converged
+        report = dressed_transition(strong_cfg(44, qubit=2.0))
         assert report.converged
-        assert len(starts) == 4
-        # the n_max runs start from the bare states, the probe's from states
-        # spread over many levels
-        assert [np.count_nonzero(start) for start in starts[:2]] == [1, 1]
-        assert min(np.count_nonzero(start) for start in starts[2:]) > 10
-        assert all(len(start) == 2 * 16 ** 2 for start in starts[2:])
+        wide = dressed_transition(strong_cfg(50, qubit=2.0, dim_limit=5000))
+        assert report.shift == pytest.approx(wide.shift, abs=1e-8)
 
-    @pytest.mark.parametrize("cfg", [PROBE_CONFIGS["sweep-above"], SOLVER_CONFIGS["two-dipoles"]],
-                             ids=["sweep-above", "two-dipoles"])
-    def test_failed_warm_certificate_runs_eigh_once(self, cfg, monkeypatch):
-        # the n_max runs start from a bare state (one nonzero entry) and pass;
-        # every run from a padded vector is made to fail its residual test,
-        # so the probe solves each state's parity block of the one wider H
-        run, eigh = full_model.davidson, operators._dense_eigh
-        solved = []
-
-        def failing_when_warm(matvec, diagonal, start, max_steps):
-            pair = run(matvec, diagonal, start, max_steps)
-            return pair._replace(residual=np.inf) if np.count_nonzero(start) > 1 else pair
-
-        def counting_eigh(mat):
-            solved.append(len(mat))
-            return eigh(mat)
-
-        expected = dressed_transition(cfg)
-        monkeypatch.setattr(full_model, "davidson", failing_when_warm)
-        monkeypatch.setattr(operators, "_dense_eigh", counting_eigh)
-        report = dressed_transition(cfg)
-        monkeypatch.undo()
-        assert solved == [replace(cfg, n_max=cfg.n_max + 2).dim // 2] * 2
-        assert report == expected
+    def test_agrees_with_the_re_solve(self):
+        # the flag equals the one a re-solve at n_max + 2 gives, and a flag of
+        # 1 means the shift lies within 1e-8 of an n_max + 16 solve; the
+        # grid reads both flags (64 of its 108 points converge)
+        flags = []
+        for g, f, qubit, n_max in itertools.product((0.01, 0.1, 0.3, 0.6), (0.05, 0.5, 1.0),
+                                                    (1.5, 3.0, 5.5), (4, 6, 8)):
+            def shift(n):
+                return dressed_transition(FullModelConfig(qubit, (5.0,), (3.0,), (g,),
+                                                          ((f,),), n))
+            report = shift(n_max)
+            re_solved = abs(shift(n_max + 2).shift - report.shift) <= full_model.CONVERGENCE_TOL
+            assert report.converged == re_solved, (g, f, qubit, n_max)
+            if report.converged:
+                assert report.shift == pytest.approx(shift(n_max + 16).shift, abs=1e-8)
+            flags.append(report.converged)
+        assert flags.count(True) == 64
 
 
 class TestDressedTransition:
@@ -813,5 +838,5 @@ class TestBandCache:
         for q in np.linspace(1.0, 2.6, 9):
             assert dressed_transition(replace(BAND_CFG, qubit_freq=q)).converged
         info = full_model._coupling_bands.cache_info()
-        # n_max and the n_max + 2 probe
+        # n_max and the n_max + 1 leak check
         assert (info.misses, info.hits) == (2, 16)

@@ -157,8 +157,8 @@ class TestTruncationProbe:
     def test_distant_probe_does_not_converge(self):
         assert truncation_probe(1.0, 1.0 + 1e-7, 1e-8) == (1.0, False)
 
-    def test_missing_probe_does_not_converge(self):
-        assert truncation_probe(1.0, None, 1e-8) == (1.0, False)
+    def test_nan_probe_does_not_converge(self):
+        assert truncation_probe(1.0, np.nan, 1e-8) == (1.0, False)
 
 
 class TestLanczosLowest:

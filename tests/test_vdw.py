@@ -56,6 +56,13 @@ class TestDipoleCoupling:
     def test_neutral(self):
         assert dipole_coupling_lambda(VdwConfig(charge=0.0, separation=2.0)) == 0.0
 
+    def test_underflowed_denominators_overflow(self):
+        # 1e-200 cubed and squared round to 0 in double precision
+        with pytest.raises(OverflowError, match=r"^overflow: separation\*\*3 underflows"):
+            dipole_coupling_lambda(VdwConfig(separation=1e-200))
+        with pytest.raises(OverflowError, match=r"^overflow: mass \* freq\*\*2 underflows"):
+            coupling_ratio(VdwConfig(freq=1e-200))
+
 
 class TestNormalModes:
 
