@@ -7,12 +7,14 @@ the smallest symplectic eigenvalue of the partial transpose.  A Fock-basis
 oracle provides an independent check: it solves the truncated Hamiltonian
 by Lanczos on the n_max x n_max amplitude matrix of its ground state, which
 its parity x exchange symmetry keeps in the vacuum's sector, certifies the
-energy in one pass (separable bounds, Temple's inequality, and past coupling
-~0.8 a Cholesky factorization of each sector block they leave unsettled),
-and takes E_N from its Schmidt coefficients; both routes use natural logs.
-The Lanczos run starts from the Gaussian ground state cut to n_max levels,
-which sets only its number of steps: the certificates, which never read
-the Gaussian route, decide the value.
+energy on the even and odd exchange-symmetric sectors (separable bounds,
+Temple's inequality, and past coupling ~0.8 a Cholesky factorization of
+each block they leave unsettled), and takes E_N from its Schmidt
+coefficients; both routes use natural logs.  The dipole coupling is never
+positive, so by Perron-Frobenius no antisymmetric level lies below the
+symmetric ones.  The Lanczos run starts from the Gaussian ground state cut
+to n_max levels, which sets only its number of steps: the certificates,
+which never read the Gaussian route, decide the value.
 
 Two-qubit route: Wootters concurrence and the maximal CHSH value (the
 Horodecki criterion), quantifying the Bell-test program for verifying
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, UncertaintyViolationError
-from .operators import pauli, truncation_probe
+from .operators import pauli
 from .vdw import FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, fock_ground_state, normal_modes
 # not called here; perfbench's tracer wraps this binding by name
 from .vdw import coupled_hamiltonian_fock  # noqa: F401
@@ -154,8 +156,8 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
 
     _, psi = fock_ground_state(cfg, n_max)
     _, probe_psi = fock_ground_state(cfg, n_max - 2)
-    return ConvergedValue(*truncation_probe(log_neg(psi), log_neg(probe_psi),
-                                            FOCK_CONVERGENCE_TOL))
+    value, probe = log_neg(psi), log_neg(probe_psi)
+    return ConvergedValue(value, bool(abs(probe - value) <= FOCK_CONVERGENCE_TOL))
 
 
 def concurrence(state: TwoQubitState) -> float:

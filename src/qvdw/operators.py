@@ -1,10 +1,10 @@
 """Finite-dimensional operator building blocks and the eigenpair kernels.
 
-Ladder operators, Pauli matrices, position/momentum quadratures, the
-truncation probe, a Lanczos kernel for the lowest eigenpair (the Fock
-oracles), a Davidson kernel for the eigenpair that overlaps a start vector
-most (the microscopic model), and the dense eigensolve that their callers
-fall back to: what the solvers use.
+Ladder operators, Pauli matrices, position/momentum quadratures, a Lanczos
+kernel for the lowest eigenpair (the Fock oracles), a Davidson kernel for
+the eigenpair that overlaps a start vector most (the microscopic model),
+and the dense eigensolve that their callers fall back to: what the solvers
+use.
 HermitianOperator is the checked dense matrix that full_model.build_h0 and
 build_hint return as references for the tests.
 Everything works in reduced units (hbar = 1) on truncated Fock spaces
@@ -126,20 +126,6 @@ def quadratures(n_max: int, mass: float, freq: float):
     x = np.sqrt(1.0 / (2.0 * mass * freq)) * (a + a.T)
     p = 1.0j * np.sqrt(mass * freq / 2.0) * (a.T - a)
     return x, p
-
-
-def truncation_probe(value: float, probe, tol: float):
-    """Check a truncated-space result against a second truncation.
-
-    ``probe`` is the same quantity computed at another n_max; a NaN on
-    either side counts as not converged.
-
-    Returns
-    -------
-    (value, converged) : tuple
-        ``value`` unchanged, and whether the probe lies within ``tol`` of it.
-    """
-    return value, bool(abs(probe - value) <= tol)
 
 
 def _tridiagonal_eigenpairs(alpha, beta):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import operators
 from .errors import DimensionLimitError, UnstableConfigurationError
-from .operators import DEFAULT_DIM_LIMIT, lanczos, quadratures, truncation_probe
+from .operators import DEFAULT_DIM_LIMIT, lanczos, quadratures
 
 FOCK_CONVERGENCE_TOL = 1e-8
 # the Lanczos energy of the Fock ground state is certified to lie within its
@@ -106,12 +106,17 @@ def dipole_coupling_lambda(cfg: VdwConfig) -> float:
     return -2.0 * cfg.coulomb_k * cfg.charge**2 / cube
 
 
-def coupling_ratio(cfg: VdwConfig) -> float:
-    """Dimensionless lambda / (m w0^2), stable for |ratio| < 1; OverflowError if m w0^2 is 0."""
+def _stiffness(cfg: VdwConfig) -> float:
+    """m w0^2; OverflowError when it underflows to 0, as its quotients overflow."""
     stiffness = cfg.mass * cfg.freq**2
     if stiffness == 0.0:
         raise OverflowError(f"overflow: mass * freq**2 underflows to 0 at freq {cfg.freq!r}")
-    return dipole_coupling_lambda(cfg) / stiffness
+    return stiffness
+
+
+def coupling_ratio(cfg: VdwConfig) -> float:
+    """Dimensionless lambda / (m w0^2), stable for |ratio| < 1; OverflowError if m w0^2 is 0."""
+    return dipole_coupling_lambda(cfg) / _stiffness(cfg)
 
 
 def _mode_frequencies(cfg: VdwConfig) -> tuple:
@@ -140,10 +145,14 @@ def exact_ground_shift(cfg: VdwConfig) -> float:
 def perturbative_ground_shift(cfg: VdwConfig) -> float:
     """Second-order ground shift -lambda^2 / (8 m^2 w0^3).
 
-    Equals -e^4 k^2 / (2 m^2 w0^3 R^6), the R^-6 dispersion law.
+    Equals -e^4 k^2 / (2 m^2 w0^3 R^6), the R^-6 dispersion law;
+    OverflowError if 8 m^2 w0^3 underflows to 0.
     """
     lam = dipole_coupling_lambda(cfg)
-    return -(lam * lam) / (8.0 * cfg.mass**2 * cfg.freq**3)
+    denominator = 8.0 * cfg.mass**2 * cfg.freq**3
+    if denominator == 0.0:
+        raise OverflowError(f"overflow: 8 * mass**2 * freq**3 underflows to 0 at freq {cfg.freq!r}")
+    return -(lam * lam) / denominator
 
 
 def matrix_element_x1x2(cfg: VdwConfig) -> float:
@@ -174,8 +183,8 @@ def excited_state_shift(cfg: VdwConfig) -> ExcitedStateShift:
 
 
 def polarizability(cfg: VdwConfig) -> float:
-    """Static polarizability 2 e^2 / (m w0^2) of one charged oscillator."""
-    return 2.0 * cfg.charge**2 / (cfg.mass * cfg.freq**2)
+    """Static polarizability 2 e^2 / (m w0^2); OverflowError if m w0^2 is 0."""
+    return 2.0 * cfg.charge**2 / _stiffness(cfg)
 
 
 def _single_oscillator(cfg: VdwConfig, n_max: int):
@@ -218,31 +227,31 @@ def _product_nonzeros(h_single: np.ndarray, x: np.ndarray, lam: float):
                  for parts in (rows, cols, vals))
 
 
-def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float, sectors=range(4)):
-    """The four parity x exchange blocks of H = h x 1 + 1 x h + lam x x, h
-    and x the n_max-level matrices of _single_oscillator: the blocks of
-    coupled_hamiltonian_fock(cfg, n_max) for lam = dipole_coupling_lambda(cfg).
+def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float, sectors=range(2)):
+    """The exchange-symmetric block of each parity of H = h x 1 + 1 x h +
+    lam x x, h and x the n_max-level matrices of _single_oscillator: blocks
+    of coupled_hamiltonian_fock(cfg, n_max) for lam = dipole_coupling_lambda(cfg).
 
     Both oscillators are identical, so H commutes with the exchange
     n1 <-> n2 as well as with (-1)^(n1 + n2).  Basis state i of a sector is
-    N_i (|a_i, b_i> + sign |b_i, a_i>) with a_i <= b_i, N_i = 1/sqrt2 for
-    a_i < b_i and 1/2 for a_i == b_i (the state |a_i, a_i>, symmetric
-    sectors only).  The states are ordered by shell a_i + b_i, then by a_i.
-    Every term changes n1 + n2 by 0 or +-2 and a sector holds every other
-    shell, so each block is block-tridiagonal over its shells.
+    N_i (|a_i, b_i> + |b_i, a_i>) with a_i <= b_i, N_i = 1/sqrt2 for
+    a_i < b_i and 1/2 for a_i == b_i.  The states are ordered by shell
+    a_i + b_i, then by a_i.  Every term changes n1 + n2 by 0 or +-2 and a
+    sector holds every other shell, so each block is block-tridiagonal over
+    its shells.  The antisymmetric states need no block (Perron-Frobenius,
+    see fock_ground_state).
 
     Yields ``(index, coef, block, bounds)`` for each sector that
     ``sectors`` names, in its order: for every product state s = |n1, n2>,
     flat index n1 n_max + n2, index[s] is the basis state it belongs to (-1
-    outside the sector) and coef[s] = <S_index[s]|s> (0 outside); shell j
-    holds the basis states bounds[j] to bounds[j + 1] - 1.  Sector 0 is the
-    even symmetric one, which holds the vacuum |0, 0> as its first basis
-    state, then come the even antisymmetric, the odd symmetric and the odd
-    antisymmetric sectors.  Each block is scattered from the nonzero
-    entries of H when it is drawn; no n_max^2 matrix is built.
-    fock_ground_state draws only the blocks that its Temple test and its
-    separable bounds leave unsettled (none below coupling ~0.8), to factor
-    them with _lies_above.
+    outside the sector) and coef[s] = <S_index[s]|s>, the normalization
+    (0 outside); shell j holds the basis states bounds[j] to
+    bounds[j + 1] - 1.  Sector 0 is the even one, which holds the vacuum
+    |0, 0> as its first basis state, and sector 1 the odd one.  Each block
+    is scattered from the nonzero entries of H when it is drawn; no n_max^2
+    matrix is built.  fock_ground_state draws only the blocks that its
+    Temple test and its separable bound leave unsettled (none below
+    coupling ~0.8), to factor them with _lies_above.
     """
     n_max = len(h_single)
     rows, cols, vals = _product_nonzeros(h_single, x, lam)
@@ -250,19 +259,14 @@ def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float, sectors=rang
     order = np.lexsort((a_all, a_all + b_all))
     a_all, b_all = a_all[order], b_all[order]
     shell = a_all + b_all
-    even = shell % 2 == 0
-    pair = a_all < b_all
-    signed_masks = ((even, 1.0), (even & pair, -1.0), (~even, 1.0), (~even, -1.0))
     for sector in sectors:
-        mask, sign = signed_masks[sector]
+        mask = shell % 2 == sector
         a, b = a_all[mask], b_all[mask]
         dim = len(a)
         index = np.full(n_max * n_max, -1)
         index[b * n_max + a] = index[a * n_max + b] = np.arange(dim)
         coef = np.zeros(n_max * n_max)
-        norm = np.where(a == b, 1.0, np.sqrt(0.5))
-        coef[b * n_max + a] = sign * norm
-        coef[a * n_max + b] = norm
+        coef[b * n_max + a] = coef[a * n_max + b] = np.where(a == b, 1.0, np.sqrt(0.5))
         inside = (index[rows] >= 0) & (index[cols] >= 0)
         r, c = rows[inside], cols[inside]
         block = np.bincount(index[r] * dim + index[c], weights=coef[r] * vals[inside] * coef[c],
@@ -295,8 +299,8 @@ def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
 
 
 def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
-    """Lower bounds on the spectra of H's sector blocks (see _sector_blocks)
-    from a separable operator below H.
+    """Lower bounds on the spectra of H's two sector blocks (see
+    _sector_blocks) from a separable operator below H.
 
     (x x 1 +- 1 x x)^2 >= 0 gives lam x x x >= -(|lam|/2)(x^2 x 1 + 1 x x^2),
     so H >= B = h' x 1 + 1 x h' with h' = h - (|lam|/2) x^2.  Every term of
@@ -306,20 +310,17 @@ def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
     two lowest even values and o_0 <= o_1 the two lowest odd ones (n_max
     >= 4 gives both parts two levels), B's eigenvalues are the sums of two
     values.  B, like H, commutes with parity and exchange, so by Weyl's
-    monotonicity each eigenvalue of a sector block of H lies at or above
-    the same eigenvalue of B's block in that sector: the vacuum block's
-    second eigenvalue above the second smallest of 2 e_0, e_0 + e_1, 2 o_0
-    and o_0 + o_1, the even antisymmetric block's lowest above
-    min(e_0 + e_1, o_0 + o_1), and both odd blocks' lowest above e_0 + o_0.
+    monotonicity and Cauchy's interlacing each eigenvalue of a sector block
+    of H lies at or above the same eigenvalue of B in that parity: the
+    vacuum block's second eigenvalue above the second smallest of 2 e_0,
+    e_0 + e_1, 2 o_0 and o_0 + o_1, and the odd block's lowest above e_0 + o_0.
 
-    Returns ``(second, lowest)``: the bound on the vacuum block's second
-    eigenvalue, and the bounds on the lowest eigenvalues of sectors 1, 2
-    and 3.
+    Returns ``(second, odd)``: the bound on the vacuum block's second
+    eigenvalue, and the bound on the odd block's lowest.
     """
     h_bound = h_single - 0.5 * abs(lam) * (x @ x)
     (e0, e1), (o0, o1) = (np.linalg.eigvalsh(h_bound[p::2, p::2])[:2] for p in (0, 1))
-    second = sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1]
-    return second, (min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
+    return sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1], e0 + o0
 
 
 def _gaussian_amplitudes(cfg: VdwConfig, n_max: int) -> np.ndarray:
@@ -379,20 +380,29 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     The run gives the Ritz value theta and its residual r, and theta is the
     ground energy once H is certified to have no eigenvalue below theta -
     margin, margin = r + tol and tol = FOCK_CERTIFICATE_RTOL max(1, |theta|).
-    That takes one pass over the four sectors of _sector_blocks.  The
-    vacuum's sector, where the run lies, is settled by Temple's inequality
-    when theta + tol < rho, rho = the separable bound on its second
-    eigenvalue (_separable_bounds): its lowest eigenvalue then lies at or
-    above theta - r^2 / (rho - theta), and r^2 / (rho - theta) <= margin
-    certifies theta.  Each other sector is settled when its separable bound
-    exceeds theta + tol.  Every sector left unsettled has its block built
-    and factored shell by shell (_lies_above): the vacuum's against theta -
-    margin, each other one against theta.  Below coupling ~0.8 every sector
-    is settled and no block is built; from ~0.8 the odd blocks' bound
-    2 w0 sqrt(1 - u) falls below theta and both odd blocks are factored,
-    and from ~0.93 (n_max 24 to 64) all four are.  If every factorization
-    passes, theta and its Ritz vector are returned.  Otherwise the lowest
-    eigenpair of the dense coupled_hamiltonian_fock(cfg, n_max), from
+    Only the two exchange-symmetric sectors of _sector_blocks need it.  x >= 0
+    entrywise, lambda = -2 k e^2 / R^3 <= 0, and h = (w0/2)(A A^T + A^T A),
+    A the truncated lowering matrix, is diagonal, so no off-diagonal entry
+    of H is positive: each parity block is a Z-matrix, whose lowest
+    eigenvalue has an entrywise nonnegative eigenvector v (Perron-Frobenius;
+    Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    ch. 6).  With P the exchange, v + Pv is a symmetric eigenvector of that
+    eigenvalue, so no antisymmetric eigenvalue lies below the lowest
+    symmetric one of its parity.  Rounding leaves h a residue off its
+    diagonal; its part E of H moves this by at most 2 ||E|| (Weyl), far
+    inside tol.  A test, not a run-time check, pins the premise.  The vacuum's sector, where the run
+    lies, is settled by Temple's inequality when theta + tol < rho, rho =
+    the separable bound on its second eigenvalue (_separable_bounds): its
+    lowest eigenvalue then lies at or above theta - r^2 / (rho - theta), and
+    r^2 / (rho - theta) <= margin certifies theta.  The odd sector is
+    settled when its separable bound exceeds theta + tol.  A sector left
+    unsettled has its block built and factored shell by shell (_lies_above):
+    the vacuum's against theta - margin, the odd one against theta.  Below
+    coupling ~0.8 no block is built; from ~0.8 the odd bound
+    2 w0 sqrt(1 - u) falls below theta and the odd block is factored, and
+    from ~0.93 (n_max 24 to 64) both are.  If every factorization passes,
+    theta and its Ritz vector are returned.  Otherwise the lowest eigenpair
+    of the dense coupled_hamiltonian_fock(cfg, n_max), from
     operators._dense_eigh, is returned: about 0.8 s at n_max 40 (measured
     on 2 cores) and, scaled as n_max^6, about 13 s at n_max 64, where H and
     its eigenvectors take 134 MB each.  It runs only when a factorization
@@ -420,7 +430,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
             f"{DEFAULT_DIM_LIMIT}; reduce n_max")
     h_single, x = _single_oscillator(cfg, n_max)
     lam = dipole_coupling_lambda(cfg)
-    second, lowest = _separable_bounds(h_single, x, lam)
+    second, odd_bound = _separable_bounds(h_single, x, lam)
     gaussian = _gaussian_amplitudes(cfg, n_max)
     # its exchange-symmetric part, up to a factor 2; its odd-parity part is 0
     start = gaussian + gaussian.T
@@ -442,7 +452,8 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     vacuum_certified = (theta + tolerance < second
                         and residual * residual / (second - theta) <= margin)
     unsettled = [] if vacuum_certified else [0]
-    unsettled += [k for k, bound in enumerate(lowest, 1) if bound <= theta + tolerance]
+    if odd_bound <= theta + tolerance:
+        unsettled.append(1)
     blocks = _sector_blocks(h_single, x, lam, unsettled) if unsettled else ()
     for sector, (_, _, block, bounds) in zip(unsettled, blocks):
         if not _lies_above(block, bounds, theta - margin if sector == 0 else theta):
@@ -464,5 +475,5 @@ def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
     energy, _ = fock_ground_state(cfg, n_max)
     probe_energy, _ = fock_ground_state(cfg, n_max - 2)
-    return ConvergedValue(*truncation_probe(energy - cfg.freq, probe_energy - cfg.freq,
-                                            FOCK_CONVERGENCE_TOL))
+    value, probe = energy - cfg.freq, probe_energy - cfg.freq
+    return ConvergedValue(value, bool(abs(probe - value) <= FOCK_CONVERGENCE_TOL))

@@ -762,6 +762,9 @@ OVERFLOW_ARGV = {
     # separation**3 and freq**2 underflow to 0, so the quotients they divide overflow
     "vdw-separation-underflow": ["vdw", "--set", "separation=1e-200"],
     "vdw-freq-underflow": ["vdw", "--set", "freq=1e-200"],
+    # freq**3 underflows to 0 where freq**2 does not, and the neutral pair's
+    # lambda**2 is 0, so the second-order shift divides 0 by 0
+    "vdw-freq-cube-underflow": ["vdw", "--set", "charge=1e-200", "--set", "freq=1e-110"],
 }
 
 
@@ -811,6 +814,17 @@ class TestFloatingPointFailures:
         assert out == ""
         point, message = err.removeprefix("qvdw: model error: separation=").split(": ", 1)
         assert float(point) == 1e-300
+        assert message.startswith("overflow")
+        assert len(err.splitlines()) == 1
+
+    def test_cube_underflow_at_a_sweep_point_names_the_point(self, capsys):
+        # freq**3 underflows to 0 already at the first point, 1e-120
+        code = main(["vdw", "--sweep", "freq=1e-120:1e-100:3", "--set", "charge=1e-200"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        point, message = err.removeprefix("qvdw: model error: freq=").split(": ", 1)
+        assert float(point) == 1e-120
         assert message.startswith("overflow")
         assert len(err.splitlines()) == 1
 

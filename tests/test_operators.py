@@ -10,7 +10,7 @@ from qvdw import (
     quadratures,
 )
 from qvdw import operators
-from qvdw.operators import check_hermitian, davidson, lanczos, truncation_probe
+from qvdw.operators import check_hermitian, davidson, lanczos
 
 
 class TestLadder:
@@ -147,18 +147,6 @@ class TestHermitianOperator:
         m[0, 1] = 1e-13
         op = HermitianOperator(m)
         assert op.dim == 2
-
-
-class TestTruncationProbe:
-
-    def test_agreeing_probe_converges(self):
-        assert truncation_probe(1.0, 1.0 + 1e-9, 1e-8) == (1.0, True)
-
-    def test_distant_probe_does_not_converge(self):
-        assert truncation_probe(1.0, 1.0 + 1e-7, 1e-8) == (1.0, False)
-
-    def test_nan_probe_does_not_converge(self):
-        assert truncation_probe(1.0, np.nan, 1e-8) == (1.0, False)
 
 
 class TestLanczosLowest:

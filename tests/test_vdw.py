@@ -62,6 +62,11 @@ class TestDipoleCoupling:
             dipole_coupling_lambda(VdwConfig(separation=1e-200))
         with pytest.raises(OverflowError, match=r"^overflow: mass \* freq\*\*2 underflows"):
             coupling_ratio(VdwConfig(freq=1e-200))
+        with pytest.raises(OverflowError, match=r"^overflow: mass \* freq\*\*2 underflows"):
+            polarizability(VdwConfig(freq=1e-200))
+        # 1e-110 cubed underflows, squared does not
+        with pytest.raises(OverflowError, match=r"^overflow: 8 \* mass\*\*2 \* freq\*\*3 under"):
+            perturbative_ground_shift(VdwConfig(charge=1e-200, freq=1e-110))
 
 
 class TestNormalModes:
@@ -265,13 +270,7 @@ def sector_blocks(cfg, n_max):
 def unbounded(monkeypatch):
     """Patch vdw's separable bounds to -inf, so that no sector is settled
     without its block."""
-    separable = vdw._separable_bounds
-
-    def minus_infinity(*terms):
-        _, lowest = separable(*terms)
-        return -math.inf, (-math.inf,) * len(lowest)
-
-    monkeypatch.setattr(vdw, "_separable_bounds", minus_infinity)
+    monkeypatch.setattr(vdw, "_separable_bounds", lambda *terms: (-math.inf, -math.inf))
 
 
 def counted_dense_eigh(monkeypatch):
@@ -294,7 +293,7 @@ def counted_fallback(monkeypatch):
     blocks, lies_above = vdw._sector_blocks, vdw._lies_above
     drawn, factored = [], []
 
-    def counting_blocks(h_single, x, lam, sectors=range(4)):
+    def counting_blocks(h_single, x, lam, sectors=range(2)):
         def recorded():
             for sector in sectors:
                 drawn.append(sector)
@@ -329,6 +328,18 @@ def separable_bounds(cfg, n_max):
     return vdw._separable_bounds(*fock_terms(cfg, n_max))
 
 
+def exchange_basis(n_max, sign):
+    """Orthonormal columns spanning the range of the projector (1 + sign P)/2,
+    P the exchange n1 <-> n2, and the parity n1 + n2 mod 2 of each column:
+    the projector's columns for the pairs a <= b (a < b for sign -1),
+    normalized."""
+    dim = n_max * n_max
+    exchange = np.eye(dim)[np.arange(dim).reshape(n_max, n_max).T.ravel()]
+    a, b = np.triu_indices(n_max, 0 if sign > 0 else 1)
+    columns = (0.5 * (np.eye(dim) + sign * exchange))[:, a * n_max + b]
+    return columns / np.linalg.norm(columns, axis=0), (a + b) % 2
+
+
 class TestParitySectors:
 
     @pytest.mark.parametrize("n_max", [8, 12, 13])
@@ -349,19 +360,21 @@ class TestParitySectors:
         assert np.max(np.abs(residual)) <= 1e-12
 
     def test_odd_sector_ground_state_is_found(self, monkeypatch):
-        # lowering the odd antisymmetric state (|0,1> - |1,0>)/sqrt2 by 5 moves
-        # the ground state into the last block: it fails its certificate, and
-        # the dense H is solved and its ground state returned
+        # lowering the odd symmetric state (|0,1> + |1,0>)/sqrt2 by 5 moves the
+        # ground state into the odd block: it fails its certificate, and the
+        # dense H is solved and its ground state returned.  The lowering adds
+        # -5/2 off the diagonal, so H stays a Z-matrix
         cfg, n_max = config_for_coupling(0.3), 10
         blocks, lanczos = vdw._sector_blocks, vdw.lanczos
         state = np.zeros(n_max * n_max)
-        state[1], state[n_max] = np.sqrt(0.5), -np.sqrt(0.5)
+        state[1] = state[n_max] = np.sqrt(0.5)
         h = coupled_hamiltonian_fock(cfg, n_max) - 5.0 * np.outer(state, state)
 
         def lowered(*terms):
             for index, coef, block, bounds in blocks(*terms):
-                if coef[n_max] < 0:  # the sign of |1,0> in (|0,1> - |1,0>)/sqrt2
+                if index[1] >= 0:  # the odd block, whose first state is (|0,1> + |1,0>)/sqrt2
                     assert index[1] == index[n_max] == 0
+                    assert coef[1] == coef[n_max] == np.sqrt(0.5)
                     block[0, 0] -= 5.0
                 yield index, coef, block, bounds
 
@@ -388,7 +401,7 @@ class TestParitySectors:
         assert np.array_equal(psi.ravel(), vectors[:, 0])
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
         assert np.max(np.abs(psi.ravel()[~odd_parity(n_max)])) <= 1e-12
-        assert np.max(np.abs(psi + psi.T)) <= 1e-12
+        assert np.max(np.abs(psi - psi.T)) <= 1e-12
         residual = h @ psi.ravel() - energy * psi.ravel()
         assert np.max(np.abs(residual)) <= 1e-12
 
@@ -398,9 +411,11 @@ class TestParitySectors:
         VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
     ], ids=["u0", "u0.3", "u0.9", "mass1.7-freq0.6"])
     def test_sector_spectra_make_up_the_dense_spectrum(self, cfg, n_max):
+        # the two blocks together are H on the exchange-symmetric subspace
         sectors = [np.linalg.eigvalsh(block)
                    for _, _, block, _ in sector_blocks(cfg, n_max)]
-        dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))
+        basis, _ = exchange_basis(n_max, 1)
+        dense = np.linalg.eigvalsh(basis.T @ coupled_hamiltonian_fock(cfg, n_max) @ basis)
         assert np.max(np.abs(np.sort(np.concatenate(sectors)) - dense)) <= 1e-12
 
     @pytest.mark.parametrize("u", [0.0, 0.5])
@@ -642,13 +657,12 @@ class TestSeparableBound:
     @pytest.mark.parametrize("n_max", [4, 5, 8, 13, 40])
     @pytest.mark.parametrize("cfg", FOCK_CONFIGS, ids=FOCK_CONFIG_IDS)
     def test_bounds_lie_below_the_block_spectra(self, cfg, n_max):
-        second, lowest = separable_bounds(cfg, n_max)
-        spectra = [np.linalg.eigvalsh(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
+        second, odd = separable_bounds(cfg, n_max)
+        vacuum, odd_spectrum = (np.linalg.eigvalsh(block)
+                                for _, _, block, _ in sector_blocks(cfg, n_max))
         # at zero coupling h' = h and the bounds are the block minima, up to rounding
-        assert second <= spectra[0][1] + 1e-12
-        assert len(lowest) == 3
-        for bound, spectrum in zip(lowest, spectra[1:]):
-            assert bound <= spectrum[0] + 1e-12
+        assert second <= vacuum[1] + 1e-12
+        assert odd <= odd_spectrum[0] + 1e-12
 
     @pytest.mark.parametrize("n_max", [2, 3, 4, 5])
     @pytest.mark.parametrize("cfg", [
@@ -673,17 +687,16 @@ class TestSeparableBound:
         assert len(factored) == 0
 
     @pytest.mark.parametrize("u", [0.85, 0.9])
-    def test_strong_coupling_builds_and_factors_only_the_odd_blocks(self, monkeypatch, u):
-        # the odd blocks' bound lies below the ground energy; Temple's
-        # inequality on the vacuum's sector still certifies theta, and the even
-        # antisymmetric block's own bound clears the energy, so only the two
-        # odd blocks are built and factored
+    def test_strong_coupling_builds_and_factors_only_the_odd_block(self, monkeypatch, u):
+        # the odd block's bound lies below the ground energy, and Temple's
+        # inequality on the vacuum's sector still certifies theta, so only the
+        # odd block is built and factored
         cfg, n_max = config_for_coupling(u), 40
         sizes = [len(block) for _, _, block, _ in sector_blocks(cfg, n_max)]
         drawn, factored = counted_fallback(monkeypatch)
         energy, psi = fock_ground_state(cfg, n_max)
-        assert drawn == [2, 3]
-        assert factored == sizes[2:]
+        assert drawn == [1]
+        assert factored == sizes[1:]
         monkeypatch.undo()
 
         dense = np.linalg.eigvalsh(coupled_hamiltonian_fock(cfg, n_max))
@@ -695,13 +708,13 @@ class TestSeparableBound:
         separable = vdw._separable_bounds
 
         def no_second_bound(*terms):
-            _, lowest = separable(*terms)
-            return -math.inf, lowest
+            _, odd = separable(*terms)
+            return -math.inf, odd
 
         monkeypatch.setattr(vdw, "_separable_bounds", no_second_bound)
         drawn, factored = counted_fallback(monkeypatch)
         cholesky_energy, cholesky_psi = fock_ground_state(cfg, n_max)
-        assert drawn == [0, 2, 3]
+        assert drawn == [0, 1]
         assert energy == cholesky_energy
         assert np.array_equal(psi, cholesky_psi)
 
@@ -714,7 +727,7 @@ class TestSeparableBound:
         h_single, x, lam = fock_terms(cfg, n_max)
         h_bound = h_single - 0.5 * abs(lam) * (x @ x)
         t, t_odd = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
-        second, lowest = vdw._separable_bounds(h_single, x, lam)
+        second, odd = vdw._separable_bounds(h_single, x, lam)
         norm = np.linalg.norm(t, 2)
         # the reference solves |T|, T with its off-diagonal made positive and
         # so of the same spectrum, by an SVD
@@ -722,20 +735,19 @@ class TestSeparableBound:
         want_odd, _ = svd_eigenpairs(signless(t_odd))
         (e0, e1), (o0, o1) = want_even[:2], want_odd[:2]
         want_second = sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1]
-        want_lowest = (min(e0 + e1, o0 + o1), e0 + o0, e0 + o0)
         assert abs(second - want_second) <= 2e-13 * norm
-        assert np.max(np.abs(np.subtract(lowest, want_lowest))) <= 2e-13 * norm
+        assert abs(odd - (e0 + o0)) <= 2e-13 * norm
 
     @pytest.mark.parametrize("n_max", [24, 40, 64])
     @pytest.mark.parametrize("u, unsettled", [
-        (0.5, []), (0.79, []), (0.8, [2, 3]), (0.85, [2, 3]), (0.92, [2, 3]),
-        (0.93, [0, 1, 2, 3]), (0.97, [0, 1, 2, 3]),
+        (0.5, []), (0.79, []), (0.8, [1]), (0.85, [1]), (0.92, [1]),
+        (0.93, [0, 1]), (0.97, [0, 1]),
     ])
     def test_sectors_built_per_solve(self, monkeypatch, u, unsettled, n_max):
-        # below u 0.8 every sector is settled without its block; from 0.8 the
-        # odd blocks' bound 2 w0 sqrt(1 - u) lies below theta, and from 0.93
-        # the vacuum's Temple test and the even antisymmetric bound fail too;
-        # every factorization passes, so H is never solved densely
+        # below u 0.8 both sectors are settled without their blocks; from 0.8
+        # the odd block's bound 2 w0 sqrt(1 - u) lies below theta, and from
+        # 0.93 the vacuum's Temple test fails too; every factorization
+        # passes, so H is never solved densely
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigensolve although every certificate passes")
 
@@ -750,9 +762,10 @@ class TestSeparableBound:
     @pytest.mark.parametrize("n_max", [12, 24, 40])
     @pytest.mark.parametrize("u", [0.0, 0.05, 0.3, 0.6, 0.79, 0.8, 0.9, 0.97])
     def test_no_block_where_the_whole_space_temple_test_holds(self, monkeypatch, u, n_max):
-        # Temple's inequality on the whole amplitude space, with rho the least
-        # bound on H's second eigenvalue in any sector, implies the vacuum's
-        # Temple test and every other sector's bound clearing theta
+        # Temple's inequality on the whole amplitude space, with rho the lesser
+        # of the separable bounds, which bound the second eigenvalue of H's
+        # even parity and the lowest of its odd one, implies the vacuum's
+        # Temple test and the odd bound clearing theta
         cfg = config_for_coupling(u)
         runs, run = [], vdw.lanczos
 
@@ -764,8 +777,7 @@ class TestSeparableBound:
         drawn, _ = counted_fallback(monkeypatch)
         fock_ground_state(cfg, n_max)
         [(theta, _, residual, _)] = runs
-        second, lowest = separable_bounds(cfg, n_max)
-        rho = min(second, *lowest)
+        rho = min(separable_bounds(cfg, n_max))
         tolerance = vdw.FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta))
         whole_space = (theta + tolerance < rho
                        and residual * residual / (rho - theta) <= residual + tolerance)
@@ -782,6 +794,37 @@ class TestSeparableBound:
         cholesky_energy, cholesky_psi = fock_ground_state(cfg, n_max)
         assert energy == cholesky_energy
         assert np.array_equal(psi, cholesky_psi)
+
+
+PREMISE_CONFIGS = [*FOCK_CONFIGS, config_for_coupling(0.995)]
+PREMISE_CONFIG_IDS = [*FOCK_CONFIG_IDS, "u0.995"]
+
+
+@pytest.mark.parametrize("n_max", [4, 5, 8, 13, 24, 40])
+@pytest.mark.parametrize("cfg", PREMISE_CONFIGS, ids=PREMISE_CONFIG_IDS)
+class TestPerronFrobeniusPremise:
+    """fock_ground_state certifies only the exchange-symmetric sectors: H has
+    no positive off-diagonal entry beyond rounding, so the lowest level of
+    each parity is exchange-symmetric."""
+
+    def test_no_off_diagonal_entry_is_positive_beyond_rounding(self, cfg, n_max):
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        diagonal = np.diag(h)
+        assert np.max(h - np.diag(diagonal)) <= 1e-14 * np.max(np.abs(diagonal))
+        assert dipole_coupling_lambda(cfg) <= 0.0
+
+    def test_antisymmetric_levels_lie_above_the_symmetric_ground_level(self, cfg, n_max):
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        odd = odd_parity(n_max)
+        bases = [exchange_basis(n_max, sign) for sign in (1, -1)]
+        for parity, rows in enumerate((~odd, odd)):
+            block = h[np.ix_(rows, rows)]
+            lowest = []
+            for basis, column_parity in bases:
+                q = basis[np.ix_(rows, column_parity == parity)]
+                lowest.append(np.linalg.eigvalsh(q.T @ block @ q)[0])
+            symmetric, antisymmetric = lowest
+            assert antisymmetric >= symmetric - 1e-13
 
 
 def log_negativity(psi):
