@@ -345,10 +345,14 @@ MODELS = {
 
 def _evaluate(spec: ModelSpec, point: dict) -> dict:
     """spec.evaluate(point), with a Python float overflow, whose message is
-    an errno tuple, raised again with a message that reads like numpy's."""
+    an errno tuple, raised again with a message that reads like numpy's; an
+    OverflowError whose message already starts with "overflow", such as the
+    one naming an underflowed divisor, passes through."""
     try:
         return spec.evaluate(point)
     except OverflowError as exc:
+        if str(exc).startswith("overflow"):
+            raise
         raise OverflowError("overflow encountered in float arithmetic") from exc
 
 

@@ -141,7 +141,8 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     independent of the covariance route.
 
     The ground state psi[n1, n2] of the truncated two-mode Hamiltonian and
-    its n_max - 2 probe come from fock_ground_state, as for vdw_fock_oracle.
+    its n_max - 2 probe both come from fock_ground_state; E_N has no
+    enclosure from one state like vdw_fock_oracle's, so the probe stays.
     The state is pure, so
     E_N = 2 ln(sum of its Schmidt coefficients), the singular values of psi;
     this equals ln(2N + 1) with N the summed negative eigenvalues of the

@@ -462,18 +462,68 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     return theta, vector.reshape(n_max, n_max)
 
 
+def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
+    """An interval holding the ground energy E of the untruncated two-mode
+    Hamiltonian, from a unit truncated amplitude matrix psi[n1, n2]; None
+    where no enclosure is certified.
+
+    phi is psi's part in the vacuum's sector (exchange-symmetric, even
+    n1 + n2), renormalized and padded with a zero level n_max.  None is
+    returned when that part holds less than half of psi's weight: psi then
+    lies outside the sector, as the dense fallback's vector of an odd ground
+    state does.  The untruncated H = h x 1 + 1 x h + lambda x x, with the
+    exact h = w0 (n + 1/2) and x on n_max + 1 levels, maps phi into those
+    levels exactly, so theta = <phi|H|phi> >= E and r = ||H phi - theta phi||
+    are H's own.  H >= h' x 1 + 1 x h' with h' the oscillator of frequency
+    w' = w0 sqrt(1 - |u|), the softer normal mode (see _separable_bounds),
+    and this bound commutes with parity and exchange, so every level of H
+    outside the vacuum's sector lies at or above 2 w', and the sector's own
+    second level at or above 3 w'.  When theta + tol < 2 w', tol =
+    FOCK_CERTIFICATE_RTOL max(1, |theta|), E is the sector's lowest level,
+    and Temple's inequality (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 10) gives E >= theta - r^2 / (3 w' - theta).  Past coupling 0.8,
+    2 w' falls below E, and None is returned.
+
+    Returns ``(low, high)`` with low <= E <= high, or None.
+    """
+    n_max = len(psi)
+    phi = np.zeros((n_max + 1, n_max + 1))
+    phi[:n_max, :n_max] = 0.5 * (psi + psi.T)
+    # zero the odd-parity amplitudes, those of n1 and n2 of opposite parity
+    phi[::2, 1::2] = phi[1::2, ::2] = 0.0
+    weight = np.vdot(phi, phi)
+    if weight < 0.5:
+        return None
+    phi /= math.sqrt(weight)
+    x, _ = quadratures(n_max + 1, cfg.mass, cfg.freq)
+    diagonal = cfg.freq * (np.arange(n_max + 1) + 0.5)
+    h_phi = (diagonal[:, None] * phi + phi * diagonal
+             + dipole_coupling_lambda(cfg) * (x @ phi @ x))
+    theta = float(np.vdot(phi, h_phi))
+    soft = min(_mode_frequencies(cfg))
+    if theta + FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta)) >= 2.0 * soft:
+        return None
+    residual = float(np.linalg.norm(h_phi - theta * phi))
+    return theta - residual * residual / (3.0 * soft - theta), theta
+
+
 def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
     """Ground shift by diagonalizing the truncated Fock^2 Hamiltonian.
 
     Independent check of exact_ground_shift: the ground energy of the
     truncated two-mode Hamiltonian, solved on its amplitude matrix and
     certified (fock_ground_state), minus the uncoupled ground energy w0.
-    The converged flag compares against the n_max - 2 truncation, solved
-    the same way.
+    The converged flag reads whether both ends of an enclosure of the
+    untruncated ground energy, built from the solved state alone
+    (_untruncated_enclosure), lie within FOCK_CONVERGENCE_TOL of the
+    truncated energy.  Where no enclosure is certified (past coupling 0.8,
+    or a ground state outside the vacuum's sector) it compares against the
+    n_max - 2 truncation instead, solved the same way.
     """
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
-    energy, _ = fock_ground_state(cfg, n_max)
-    probe_energy, _ = fock_ground_state(cfg, n_max - 2)
-    value, probe = energy - cfg.freq, probe_energy - cfg.freq
-    return ConvergedValue(value, bool(abs(probe - value) <= FOCK_CONVERGENCE_TOL))
+    energy, psi = fock_ground_state(cfg, n_max)
+    ends = _untruncated_enclosure(cfg, psi) or (fock_ground_state(cfg, n_max - 2)[0],)
+    value = energy - cfg.freq
+    return ConvergedValue(value, all(abs((end - cfg.freq) - value) <= FOCK_CONVERGENCE_TOL
+                                     for end in ends))

@@ -766,6 +766,12 @@ OVERFLOW_ARGV = {
     # lambda**2 is 0, so the second-order shift divides 0 by 0
     "vdw-freq-cube-underflow": ["vdw", "--set", "charge=1e-200", "--set", "freq=1e-110"],
 }
+# what each underflow case of OVERFLOW_ARGV writes after "qvdw: model error: "
+UNDERFLOW_MESSAGES = {
+    "vdw-separation-underflow": "overflow: separation**3 underflows to 0 at 1e-200",
+    "vdw-freq-underflow": "overflow: mass * freq**2 underflows to 0 at freq 1e-200",
+    "vdw-freq-cube-underflow": "overflow: 8 * mass**2 * freq**3 underflows to 0 at freq 1e-110",
+}
 
 
 class TestFloatingPointFailures:
@@ -827,6 +833,26 @@ class TestFloatingPointFailures:
         assert float(point) == 1e-120
         assert message.startswith("overflow")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    @pytest.mark.parametrize("case", UNDERFLOW_MESSAGES, ids=UNDERFLOW_MESSAGES.keys())
+    def test_underflow_message_names_the_divisor_and_its_value(self, case, sweep, capsys):
+        argv = OVERFLOW_ARGV[case]
+        expected = UNDERFLOW_MESSAGES[case]
+        name, value = argv[-1].split("=")
+        if sweep:
+            # a two-point sweep of the underflowing value fails at its first point
+            argv = [*argv[:-2], "--sweep", f"{name}={value}:{value}:2"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        if sweep:
+            point, message = err.removeprefix(f"qvdw: model error: {name}=").split(": ", 1)
+            assert float(point) == float(value)
+            assert message == f"{expected}\n"
+        else:
+            assert err == f"qvdw: model error: {expected}\n"
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "qubit_freq=1:2:2"]])
     def test_linear_algebra_failure_is_model_error(self, sweep, monkeypatch, capsys):

@@ -913,11 +913,128 @@ class TestGaussianSeed:
         assert solved == []
 
 
-class TestFockOracleSolves:
-    """Each Fock oracle solves its n_max and its n_max - 2 truncation itself."""
+def probe_flag(cfg, n_max):
+    """The converged flag of the n_max - 2 comparison: whether the n_max - 2
+    shift lies within FOCK_CONVERGENCE_TOL of the n_max one."""
+    value = fock_ground_state(cfg, n_max)[0] - cfg.freq
+    probe = fock_ground_state(cfg, n_max - 2)[0] - cfg.freq
+    return bool(abs(probe - value) <= vdw.FOCK_CONVERGENCE_TOL)
 
-    @pytest.mark.parametrize("oracle", [vdw_fock_oracle, negativity_fock_oracle])
-    def test_an_oracle_solves_n_max_then_its_probe(self, monkeypatch, oracle):
+
+def enclosure(cfg, n_max):
+    return vdw._untruncated_enclosure(cfg, fock_ground_state(cfg, n_max)[1])
+
+
+ENCLOSURE_N_MAX = [8, 10, 12, 16, 20, 24, 32, 40, 64]
+# the couplings below 0.8 where the enclosure applies
+ENCLOSED_COUPLINGS = np.round(np.arange(0.0, 0.8, 0.01), 2)
+# the couplings of ENCLOSED_COUPLINGS where the enclosure reads 1 and the
+# n_max - 2 comparison 0: at these small n_max the n_max - 2 solve is the
+# poorer one
+MOVED_FLAGS = {8: list(np.round(np.arange(0.33, 0.475, 0.01), 2)),
+               10: list(np.round(np.arange(0.54, 0.605, 0.01), 2)),
+               12: [0.69, 0.70]}
+
+
+class TestUntruncatedEnclosure:
+    """vdw_fock_oracle's flag from a Temple enclosure of the untruncated
+    ground energy, built from the n_max solve alone."""
+
+    @pytest.mark.parametrize("n_max", ENCLOSURE_N_MAX)
+    def test_encloses_the_exact_ground_energy(self, n_max):
+        for u in ENCLOSED_COUPLINGS:
+            cfg = config_for_coupling(u)
+            exact = exact_ground_shift(cfg) + cfg.freq
+            low, high = enclosure(cfg, n_max)
+            # up to rounding, a few ulps of the energy
+            assert low - 1e-15 <= exact <= high + 1e-15, (u, low - exact, high - exact)
+
+    @pytest.mark.parametrize("cfg", [VdwConfig(mass=1.7, freq=0.6, separation=2.0),
+                                     VdwConfig(mass=0.4, freq=2.5, charge=1.3, separation=1.5)],
+                             ids=["mass1.7-freq0.6", "mass0.4-freq2.5"])
+    @pytest.mark.parametrize("n_max", [12, 24, 40])
+    def test_encloses_the_exact_ground_energy_in_physical_units(self, cfg, n_max):
+        exact = exact_ground_shift(cfg) + cfg.freq
+        low, high = enclosure(cfg, n_max)
+        slack = 1e-15 * max(1.0, exact)
+        assert low - slack <= exact <= high + slack
+        assert vdw_fock_oracle(cfg, n_max).converged
+
+    def test_upper_end_is_variational_where_the_truncated_energy_is_not(self):
+        below = 0
+        for n_max in ENCLOSURE_N_MAX:
+            for u in ENCLOSED_COUPLINGS:
+                cfg = config_for_coupling(u)
+                exact = exact_ground_shift(cfg) + cfg.freq
+                energy, psi = fock_ground_state(cfg, n_max)
+                assert vdw._untruncated_enclosure(cfg, psi)[1] >= exact - 1e-15, (n_max, u)
+                below += energy < exact - 1e-12
+        # the truncation lowers the top level, so the truncated energy can
+        # lie below the untruncated one
+        assert below > 0
+
+    @pytest.mark.parametrize("n_max", ENCLOSURE_N_MAX)
+    def test_flags_move_only_from_0_to_1_and_only_within_tolerance(self, n_max):
+        moved = []
+        for u in ENCLOSED_COUPLINGS:
+            cfg = config_for_coupling(u)
+            result = vdw_fock_oracle(cfg, n_max)
+            if result.converged != probe_flag(cfg, n_max):
+                assert result.converged, u
+                moved.append(u)
+            if result.converged:
+                assert abs(result.value - exact_ground_shift(cfg)) < vdw.FOCK_CONVERGENCE_TOL, u
+        assert moved == MOVED_FLAGS.get(n_max, [])
+
+    @pytest.mark.parametrize("u", [0.8, 0.85, 0.9, 0.95])
+    @pytest.mark.parametrize("n_max", [12, 24, 40])
+    def test_past_coupling_0_8_the_flag_is_the_probe_flag(self, u, n_max):
+        # the exact energy (w+ + w-)/2 reaches 2 w0 sqrt(1 - u), the bound on
+        # the odd levels, at u 0.8
+        cfg = config_for_coupling(u)
+        assert enclosure(cfg, n_max) is None
+        assert vdw_fock_oracle(cfg, n_max).converged is probe_flag(cfg, n_max)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_state_outside_the_vacuum_sector_falls_back_to_the_probe(self, monkeypatch, sign):
+        # the dense fallback's vector of the lowest odd level (sign 1), or an
+        # antisymmetric even state (sign -1)
+        cfg, n_max = config_for_coupling(0.3), 12
+        values, vectors = np.linalg.eigh(coupled_hamiltonian_fock(cfg, n_max))
+        if sign > 0:
+            energy, psi = values[1], vectors[:, 1].reshape(n_max, n_max)
+            assert np.abs(psi.ravel()[~odd_parity(n_max)]).max() <= 1e-12
+        else:
+            energy, psi = values[0], np.zeros((n_max, n_max))
+            psi[0, 2], psi[2, 0] = math.sqrt(0.5), -math.sqrt(0.5)
+        assert vdw._untruncated_enclosure(cfg, psi) is None
+        calls, solve = [], vdw.fock_ground_state
+
+        def outside(cfg, n):
+            calls.append(n)
+            return (energy, psi) if n == n_max else solve(cfg, n)
+
+        monkeypatch.setattr(vdw, "fock_ground_state", outside)
+        vdw_fock_oracle(cfg, n_max)
+        assert calls == [n_max, n_max - 2]
+
+    def test_zero_coupling_encloses_the_vacuum_exactly(self):
+        cfg = config_for_coupling(0.0)
+        assert enclosure(cfg, 8) == (cfg.freq, cfg.freq)
+
+
+class TestFockOracleSolves:
+    """vdw_fock_oracle solves n_max, and n_max - 2 only where the enclosure
+    does not apply; negativity_fock_oracle solves both."""
+
+    @pytest.mark.parametrize("oracle, u, per_call", [
+        (vdw_fock_oracle, 0.3, [40]),
+        (vdw_fock_oracle, 0.9, [40, 38]),
+        (negativity_fock_oracle, 0.3, [40, 38]),
+        (negativity_fock_oracle, 0.9, [40, 38]),
+    ])
+    def test_an_oracle_call_solves_n_max_and_its_probe_where_needed(self, monkeypatch, oracle,
+                                                                     u, per_call):
         calls, solve = [], vdw.fock_ground_state
 
         def recording(cfg, n_max):
@@ -926,18 +1043,24 @@ class TestFockOracleSolves:
 
         monkeypatch.setattr(vdw, "fock_ground_state", recording)
         monkeypatch.setattr(entanglement, "fock_ground_state", recording)
-        oracle(config_for_coupling(0.3), n_max=40)
-        oracle(config_for_coupling(0.3), n_max=40)
-        assert calls == [40, 38, 40, 38]
+        oracle(config_for_coupling(u), n_max=40)
+        oracle(config_for_coupling(u), n_max=40)
+        assert calls == per_call * 2
 
     @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
-    def test_values_equal_the_two_solves_bit_for_bit(self, u):
+    def test_values_and_flags_follow_from_the_solves_bit_for_bit(self, u):
         cfg = config_for_coupling(u)
         shift, log_neg = vdw_fock_oracle(cfg, n_max=24), negativity_fock_oracle(cfg, n_max=24)
         energy, psi = fock_ground_state(cfg, 24)
-        probe_energy, probe_psi = fock_ground_state(cfg, 22)
+        _, probe_psi = fock_ground_state(cfg, 22)
+        ends = vdw._untruncated_enclosure(cfg, psi)
+        assert (ends is None) == (u >= 0.8)
         assert shift.value == energy - cfg.freq
-        assert shift.converged == (abs(probe_energy - energy) <= vdw.FOCK_CONVERGENCE_TOL)
+        if ends is None:
+            assert shift.converged == probe_flag(cfg, 24)
+        else:
+            assert shift.converged == all(abs((end - cfg.freq) - shift.value)
+                                          <= vdw.FOCK_CONVERGENCE_TOL for end in ends)
         assert log_neg.value == log_negativity(psi)
         assert log_neg.converged == (abs(log_negativity(probe_psi) - log_negativity(psi))
                                      <= vdw.FOCK_CONVERGENCE_TOL)
