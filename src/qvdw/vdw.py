@@ -188,49 +188,62 @@ def polarizability(cfg: VdwConfig) -> float:
 
 
 def _single_oscillator(cfg: VdwConfig, n_max: int):
-    """One oscillator's truncated p^2/2m + m w0^2 x^2 / 2 and its x matrix."""
-    x, p = quadratures(n_max, cfg.mass, cfg.freq)
-    p_sq = np.real(p @ p)  # imaginary parts are exact zeros
-    return p_sq / (2.0 * cfg.mass) + 0.5 * cfg.mass * cfg.freq**2 * (x @ x), x
+    """The diagonal d of one oscillator's truncated h = p^2/2m + m w0^2 x^2/2,
+    and its x matrix: on the truncated quadratures h = (w0/2)(A A^T + A^T A),
+    A the truncated lowering matrix, so d[k] = w0 (k + 1/2), except that
+    A A^T drops the top level's n + 1: d[n_max - 1] = w0 (n_max - 1)/2."""
+    a = operators.ladder(n_max)
+    diagonal = cfg.freq * (np.arange(n_max) + 0.5)
+    diagonal[-1] = cfg.freq * (n_max - 1) / 2
+    return diagonal, np.sqrt(1.0 / (2.0 * cfg.mass * cfg.freq)) * (a + a.T)
 
 
 def coupled_hamiltonian_fock(cfg: VdwConfig, n_max: int) -> np.ndarray:
     """Dense H on the two-mode truncated Fock space, built from quadratures.
 
-    p^2/2m + m w0^2 x^2 / 2 for each oscillator plus lambda x1 x2; real
-    symmetric.  The dense reference that fock_ground_state's product on the
-    amplitude matrix and its sector blocks are checked against; the solver
-    builds it only for its dense fallback, when a block certificate fails.
+    p^2/2m + m w0^2 x^2 / 2 for each oscillator, the imaginary parts of
+    p @ p exact zeros, plus lambda x1 x2; real symmetric.  The independent
+    dense reference, squaring the quadratures where _single_oscillator
+    reads h's diagonal: fock_ground_state's product and sector blocks are
+    checked against it, and it is built there only for the dense fallback.
     Every term changes n1 + n2 by 0 or +-2, so H has no entry between the
     even and odd (-1)^(n1 + n2) parity sectors.
     """
-    h_single, x = _single_oscillator(cfg, n_max)
+    x, p = quadratures(n_max, cfg.mass, cfg.freq)
+    h_single = np.real(p @ p) / (2.0 * cfg.mass) + 0.5 * cfg.mass * cfg.freq**2 * (x @ x)
     eye = np.eye(n_max)
     lam = dipole_coupling_lambda(cfg)
     return np.kron(h_single, eye) + np.kron(eye, h_single) + lam * np.kron(x, x)
 
 
-def _product_nonzeros(h_single: np.ndarray, x: np.ndarray, lam: float):
-    """Nonzero entries of h x 1 + 1 x h + lam x x as flat (row, column,
-    value) arrays, the state |n1, n2> having flat index n1 n_max + n2."""
-    n = len(h_single)
-    k = np.arange(n)
-    hr, hc = np.nonzero(h_single)
+def _product(diagonal: np.ndarray, x: np.ndarray, lam: float, s: np.ndarray) -> np.ndarray:
+    """H s for a symmetric amplitude matrix s[n1, n2], H = h x 1 + 1 x h +
+    lam x x with h = diag(diagonal): A + A^T with A = h s + (lam/2) x s x."""
+    a = diagonal[:, None] * s + (0.5 * lam) * (x @ s @ x)
+    return a + a.T
+
+
+def _product_nonzeros(diagonal: np.ndarray, x: np.ndarray, lam: float):
+    """Nonzero entries of h x 1 + 1 x h + lam x x, h = diag(diagonal), as flat
+    (row, column, value) arrays, |n1, n2> having flat index n1 n_max + n2:
+    d[n1] + d[n2] on the diagonal and, x's diagonal being zero, lam x[a, c]
+    x[b, d] <= 0 coupling |a, b> to |c, d> off it (lam <= 0, x >= 0)."""
+    n = len(diagonal)
     xr, xc = np.nonzero(x)
-    h_vals, x_vals = h_single[hr, hc], x[xr, xc]
-    # h x 1 couples |a, k> to |c, k>, 1 x h couples |k, a> to |k, c>, and
-    # x x couples |a, b> to |c, d>
-    rows = (np.add.outer(hr * n, k), np.add.outer(k * n, hr), np.add.outer(xr * n, xr))
-    cols = (np.add.outer(hc * n, k), np.add.outer(k * n, hc), np.add.outer(xc * n, xc))
-    vals = (np.repeat(h_vals, n), np.tile(h_vals, n), lam * np.outer(x_vals, x_vals))
+    x_vals = x[xr, xc]
+    rows = (np.arange(n * n), np.add.outer(xr * n, xr))
+    cols = (np.arange(n * n), np.add.outer(xc * n, xc))
+    vals = (np.add.outer(diagonal, diagonal), lam * np.outer(x_vals, x_vals))
     return tuple(np.concatenate([part.ravel() for part in parts])
                  for parts in (rows, cols, vals))
 
 
-def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float, sectors=range(2)):
+def _sector_blocks(diagonal: np.ndarray, x: np.ndarray, lam: float, sectors=range(2)):
     """The exchange-symmetric block of each parity of H = h x 1 + 1 x h +
-    lam x x, h and x the n_max-level matrices of _single_oscillator: blocks
-    of coupled_hamiltonian_fock(cfg, n_max) for lam = dipole_coupling_lambda(cfg).
+    lam x x, h = diag(diagonal) and x the n_max-level terms of
+    _single_oscillator, with no positive entry off the diagonal: for
+    lam = dipole_coupling_lambda(cfg), the blocks of
+    coupled_hamiltonian_fock(cfg, n_max) up to the rounding of its p @ p.
 
     Both oscillators are identical, so H commutes with the exchange
     n1 <-> n2 as well as with (-1)^(n1 + n2).  Basis state i of a sector is
@@ -249,12 +262,10 @@ def _sector_blocks(h_single: np.ndarray, x: np.ndarray, lam: float, sectors=rang
     bounds[j + 1] - 1.  Sector 0 is the even one, which holds the vacuum
     |0, 0> as its first basis state, and sector 1 the odd one.  Each block
     is scattered from the nonzero entries of H when it is drawn; no n_max^2
-    matrix is built.  fock_ground_state draws only the blocks that its
-    Temple test and its separable bound leave unsettled (none below
-    coupling ~0.8), to factor them with _lies_above.
+    matrix is built; fock_ground_state draws only those it leaves unsettled.
     """
-    n_max = len(h_single)
-    rows, cols, vals = _product_nonzeros(h_single, x, lam)
+    n_max = len(diagonal)
+    rows, cols, vals = _product_nonzeros(diagonal, x, lam)
     a_all, b_all = np.triu_indices(n_max)
     order = np.lexsort((a_all, a_all + b_all))
     a_all, b_all = a_all[order], b_all[order]
@@ -298,9 +309,9 @@ def _lies_above(block: np.ndarray, bounds: np.ndarray, energy: float) -> bool:
     return True
 
 
-def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
+def _separable_bounds(diagonal: np.ndarray, x: np.ndarray, lam: float):
     """Lower bounds on the spectra of H's two sector blocks (see
-    _sector_blocks) from a separable operator below H.
+    _sector_blocks) from a separable operator below H, h = diag(diagonal).
 
     (x x 1 +- 1 x x)^2 >= 0 gives lam x x x >= -(|lam|/2)(x^2 x 1 + 1 x x^2),
     so H >= B = h' x 1 + 1 x h' with h' = h - (|lam|/2) x^2.  Every term of
@@ -318,7 +329,7 @@ def _separable_bounds(h_single: np.ndarray, x: np.ndarray, lam: float):
     Returns ``(second, odd)``: the bound on the vacuum block's second
     eigenvalue, and the bound on the odd block's lowest.
     """
-    h_bound = h_single - 0.5 * abs(lam) * (x @ x)
+    h_bound = np.diag(diagonal) - 0.5 * abs(lam) * (x @ x)
     (e0, e1), (o0, o1) = (np.linalg.eigvalsh(h_bound[p::2, p::2])[:2] for p in (0, 1))
     return sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1], e0 + o0
 
@@ -354,69 +365,63 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     matrix-free on its amplitude matrix.
 
     H acts on the n_max x n_max amplitude matrix Psi[n1, n2] as
-    h Psi + Psi h + lambda x Psi x, h and x the one-oscillator matrices of
+    h Psi + Psi h + lambda x Psi x, h = diag(d) and x from
     _single_oscillator, and operators.lanczos finds its lowest Ritz pair
     from that product alone.  H commutes with the parity (-1)^(n1 + n2) and
     the exchange n1 <-> n2, so a run started from an even, symmetric Psi
     stays in the vacuum's sector, and it is capped at that sector's
-    dimension (420 at n_max 40).  The product is taken on the symmetric part
-    S of Psi, as A + A^T with A = h S + (lambda/2) x S x, which rounds to an
-    exactly symmetric matrix: rounding then cannot seed an antisymmetric
-    part that the run would amplify (h Psi + Psi h + lambda x Psi x
-    evaluated term by term lets it grow to 2e-14 at n_max 8, u 0.97), and
+    dimension (420 at n_max 40).  _product takes it on the symmetric part
+    of Psi and rounds to an exactly symmetric matrix, so rounding cannot
+    seed an antisymmetric part that the run would amplify (the three terms
+    evaluated one by one let it grow to 2e-14 at n_max 8, u 0.97), and
     odd-parity amplitudes stay exact zeros.
 
     The run starts from the untruncated ground state cut to n_max levels
-    (_gaussian_amplitudes) plus its transpose.  Its odd-parity amplitudes
-    are exact zeros, so that sum lies in the vacuum's sector.  The exchange
-    projection is needed: rounding leaves the amplitudes symmetric only up
-    to an ulp, and the product reads only the symmetric part, so an
-    antisymmetric part of the start, however small, lies in its null space,
-    and Lanczos would amplify it to a Ritz value near 0 below the whole
-    spectrum.
-    Below coupling ~0.8 at n_max 40 the run stops at its first Ritz check,
-    the truncation leaving the start's residual under the stop tolerance.
+    (_gaussian_amplitudes) plus its transpose, which lies in the vacuum's
+    sector: its odd-parity amplitudes are exact zeros, and the transpose
+    matters, as the amplitudes are symmetric only up to an ulp and the
+    product's null space holds every antisymmetric part, which Lanczos
+    would amplify to a Ritz value near 0 below the whole spectrum.  Below
+    coupling ~0.8 at n_max 40 the run stops at its first Ritz check, the
+    truncation leaving the start's residual under the stop tolerance.
 
     The run gives the Ritz value theta and its residual r, and theta is the
     ground energy once H is certified to have no eigenvalue below theta -
     margin, margin = r + tol and tol = FOCK_CERTIFICATE_RTOL max(1, |theta|).
-    Only the two exchange-symmetric sectors of _sector_blocks need it.  x >= 0
-    entrywise, lambda = -2 k e^2 / R^3 <= 0, and h = (w0/2)(A A^T + A^T A),
-    A the truncated lowering matrix, is diagonal, so no off-diagonal entry
-    of H is positive: each parity block is a Z-matrix, whose lowest
+    Only the two exchange-symmetric sectors of _sector_blocks need it.  h
+    being diagonal, H's entries off its diagonal are exactly
+    lambda x[a, c] x[b, d], and x >= 0 entrywise and lambda = -2 k e^2 / R^3
+    <= 0 make each <= 0: each parity block is a Z-matrix, whose lowest
     eigenvalue has an entrywise nonnegative eigenvector v (Perron-Frobenius;
     Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
     ch. 6).  With P the exchange, v + Pv is a symmetric eigenvector of that
     eigenvalue, so no antisymmetric eigenvalue lies below the lowest
-    symmetric one of its parity.  Rounding leaves h a residue off its
-    diagonal; its part E of H moves this by at most 2 ||E|| (Weyl), far
-    inside tol.  A test, not a run-time check, pins the premise.  The vacuum's sector, where the run
-    lies, is settled by Temple's inequality when theta + tol < rho, rho =
-    the separable bound on its second eigenvalue (_separable_bounds): its
-    lowest eigenvalue then lies at or above theta - r^2 / (rho - theta), and
-    r^2 / (rho - theta) <= margin certifies theta.  The odd sector is
-    settled when its separable bound exceeds theta + tol.  A sector left
-    unsettled has its block built and factored shell by shell (_lies_above):
-    the vacuum's against theta - margin, the odd one against theta.  Below
-    coupling ~0.8 no block is built; from ~0.8 the odd bound
-    2 w0 sqrt(1 - u) falls below theta and the odd block is factored, and
-    from ~0.93 (n_max 24 to 64) both are.  If every factorization passes,
-    theta and its Ritz vector are returned.  Otherwise the lowest eigenpair
-    of the dense coupled_hamiltonian_fock(cfg, n_max), from
-    operators._dense_eigh, is returned: about 0.8 s at n_max 40 (measured
-    on 2 cores) and, scaled as n_max^6, about 13 s at n_max 64, where H and
-    its eigenvectors take 134 MB each.  It runs only when a factorization
-    fails, which happened nowhere on a grid of n_max 4 to 64 and couplings
-    0 to 0.995.  So the result is the ground energy of
-    coupled_hamiltonian_fock(cfg, n_max) whichever sector holds it; the
-    start changes only how many Lanczos steps that takes.
+    symmetric one of its parity; a test pins the premise.  The vacuum's
+    sector, where the run lies, is settled by Temple's inequality when
+    theta + tol < rho, rho = the separable bound on its second eigenvalue
+    (_separable_bounds): its lowest eigenvalue then lies at or above
+    theta - r^2 / (rho - theta), and r^2 / (rho - theta) <= margin
+    certifies theta.  The odd sector is settled when its separable bound
+    exceeds theta + tol.  A sector left unsettled has its block built and
+    factored shell by shell (_lies_above): the vacuum's against
+    theta - margin, the odd one against theta.  Below coupling ~0.8 no
+    block is built; from ~0.8 the odd bound 2 w0 sqrt(1 - u) falls below
+    theta and the odd block is factored, and from ~0.93 (n_max 24 to 64)
+    both are.  If every factorization passes, theta and its Ritz vector are
+    returned.  Otherwise the lowest eigenpair of the dense
+    coupled_hamiltonian_fock(cfg, n_max), from operators._dense_eigh, is
+    returned: about 0.8 s at n_max 40 (2 cores) and, scaled as n_max^6,
+    about 13 s at n_max 64, where H and its eigenvectors take 134 MB each.
+    It ran nowhere on a grid of n_max 4 to 64 and couplings 0 to 0.995.  So
+    the result is H's ground energy whichever sector holds it, which is
+    coupled_hamiltonian_fock(cfg, n_max)'s up to the rounding of its p @ p;
+    the start changes only how many Lanczos steps that takes.
 
     Raises ValueError when n_max < 4 (a level parity class of h' then has
     fewer than two levels, and there is no bound), DimensionLimitError when
     n_max^2 exceeds the dense-matrix limit, and UnstableConfigurationError,
     as normal_modes does, when |lambda| >= m w0^2: the pair then has no
-    ground state, and the lowest level of its truncated Hamiltonian means
-    nothing.
+    ground state, and its truncated Hamiltonian's lowest level means nothing.
 
     Returns ``(energy, psi)``, psi the ground state as the n_max x n_max
     amplitude matrix psi[n1, n2].
@@ -428,18 +433,16 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
         raise DimensionLimitError(
             f"Fock dimension n_max^2 = {n_max * n_max} exceeds limit "
             f"{DEFAULT_DIM_LIMIT}; reduce n_max")
-    h_single, x = _single_oscillator(cfg, n_max)
+    diagonal, x = _single_oscillator(cfg, n_max)
     lam = dipole_coupling_lambda(cfg)
-    second, odd_bound = _separable_bounds(h_single, x, lam)
+    second, odd_bound = _separable_bounds(diagonal, x, lam)
     gaussian = _gaussian_amplitudes(cfg, n_max)
     # its exchange-symmetric part, up to a factor 2; its odd-parity part is 0
     start = gaussian + gaussian.T
 
     def matvec(v):
         psi = v.reshape(n_max, n_max)
-        s = 0.5 * (psi + psi.T)
-        a = h_single @ s + (0.5 * lam) * (x @ s @ x)
-        return (a + a.T).ravel()
+        return _product(diagonal, x, lam, 0.5 * (psi + psi.T)).ravel()
 
     # the vacuum's sector holds the pairs n1 <= n2 of even n1 + n2
     evens, odds = (n_max + 1) // 2, n_max // 2
@@ -454,7 +457,7 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     unsettled = [] if vacuum_certified else [0]
     if odd_bound <= theta + tolerance:
         unsettled.append(1)
-    blocks = _sector_blocks(h_single, x, lam, unsettled) if unsettled else ()
+    blocks = _sector_blocks(diagonal, x, lam, unsettled) if unsettled else ()
     for sector, (_, _, block, bounds) in zip(unsettled, blocks):
         if not _lies_above(block, bounds, theta - margin if sector == 0 else theta):
             values, vectors = operators._dense_eigh(coupled_hamiltonian_fock(cfg, n_max))
@@ -468,13 +471,12 @@ def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
     where no enclosure is certified.
 
     phi is psi's part in the vacuum's sector (exchange-symmetric, even
-    n1 + n2), renormalized and padded with a zero level n_max.  None is
-    returned when that part holds less than half of psi's weight: psi then
-    lies outside the sector, as the dense fallback's vector of an odd ground
-    state does.  The untruncated H = h x 1 + 1 x h + lambda x x, with the
-    exact h = w0 (n + 1/2) and x on n_max + 1 levels, maps phi into those
-    levels exactly, so theta = <phi|H|phi> >= E and r = ||H phi - theta phi||
-    are H's own.  H >= h' x 1 + 1 x h' with h' the oscillator of frequency
+    n1 + n2), renormalized and padded with a zero level n_max; None is
+    returned when that part holds less than half of psi's weight, as for
+    the dense fallback's vector of an odd ground state.  _product with the
+    exact h = w0 (n + 1/2) and x on n_max + 1 levels gives the untruncated
+    H phi, so theta = <phi|H|phi> >= E and r = ||H phi - theta phi|| are
+    H's own.  H >= h' x 1 + 1 x h' with h' the oscillator of frequency
     w' = w0 sqrt(1 - |u|), the softer normal mode (see _separable_bounds),
     and this bound commutes with parity and exchange, so every level of H
     outside the vacuum's sector lies at or above 2 w', and the sector's own
@@ -495,10 +497,8 @@ def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
     if weight < 0.5:
         return None
     phi /= math.sqrt(weight)
-    x, _ = quadratures(n_max + 1, cfg.mass, cfg.freq)
-    diagonal = cfg.freq * (np.arange(n_max + 1) + 0.5)
-    h_phi = (diagonal[:, None] * phi + phi * diagonal
-             + dipole_coupling_lambda(cfg) * (x @ phi @ x))
+    _, x = _single_oscillator(cfg, n_max + 1)
+    h_phi = _product(cfg.freq * (np.arange(n_max + 1) + 0.5), x, dipole_coupling_lambda(cfg), phi)
     theta = float(np.vdot(phi, h_phi))
     soft = min(_mode_frequencies(cfg))
     if theta + FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta)) >= 2.0 * soft:
@@ -508,7 +508,7 @@ def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
 
 
 def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
-    """Ground shift by diagonalizing the truncated Fock^2 Hamiltonian.
+    """Ground shift from the lowest level of the truncated Fock^2 Hamiltonian.
 
     Independent check of exact_ground_shift: the ground energy of the
     truncated two-mode Hamiltonian, solved on its amplitude matrix and

@@ -258,8 +258,8 @@ def odd_parity(n_max):
 
 
 def fock_terms(cfg, n_max):
-    """The one-oscillator h and x and the coupling lambda that
-    fock_ground_state builds its sector blocks and bounds from."""
+    """The one-oscillator h's diagonal and x and the coupling lambda that
+    fock_ground_state builds its product, sector blocks and bounds from."""
     return (*vdw._single_oscillator(cfg, n_max), dipole_coupling_lambda(cfg))
 
 
@@ -293,12 +293,12 @@ def counted_fallback(monkeypatch):
     blocks, lies_above = vdw._sector_blocks, vdw._lies_above
     drawn, factored = [], []
 
-    def counting_blocks(h_single, x, lam, sectors=range(2)):
+    def counting_blocks(diagonal, x, lam, sectors=range(2)):
         def recorded():
             for sector in sectors:
                 drawn.append(sector)
                 yield sector
-        yield from blocks(h_single, x, lam, recorded())
+        yield from blocks(diagonal, x, lam, recorded())
 
     def counting_lies_above(block, bounds, energy):
         factored.append(len(block))
@@ -724,10 +724,10 @@ class TestSeparableBound:
         VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
     ], ids=["u0", "u0.3", "u0.9", "mass1.7-freq0.6"])
     def test_bounds_equal_the_svd_reference_on_the_signless_levels(self, cfg, n_max):
-        h_single, x, lam = fock_terms(cfg, n_max)
-        h_bound = h_single - 0.5 * abs(lam) * (x @ x)
+        diagonal, x, lam = fock_terms(cfg, n_max)
+        h_bound = np.diag(diagonal) - 0.5 * abs(lam) * (x @ x)
         t, t_odd = h_bound[0::2, 0::2], h_bound[1::2, 1::2]
-        second, odd = vdw._separable_bounds(h_single, x, lam)
+        second, odd = vdw._separable_bounds(diagonal, x, lam)
         norm = np.linalg.norm(t, 2)
         # the reference solves |T|, T with its off-diagonal made positive and
         # so of the same spectrum, by an SVD
@@ -825,6 +825,64 @@ class TestPerronFrobeniusPremise:
                 lowest.append(np.linalg.eigvalsh(q.T @ block @ q)[0])
             symmetric, antisymmetric = lowest
             assert antisymmetric >= symmetric - 1e-13
+
+
+OSCILLATOR_CONFIGS = [
+    config_for_coupling(0.0), config_for_coupling(0.3), config_for_coupling(0.9),
+    VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
+    VdwConfig(mass=0.5, freq=2.0, charge=0.9, separation=1.1),
+]
+OSCILLATOR_CONFIG_IDS = ["u0", "u0.3", "u0.9", "mass1.7-freq0.6", "mass0.5-freq2"]
+
+
+@pytest.mark.parametrize("n_max", [4, 13, 40, 64])
+@pytest.mark.parametrize("cfg", OSCILLATOR_CONFIGS, ids=OSCILLATOR_CONFIG_IDS)
+def test_oscillator_diagonal_is_the_quadrature_build(cfg, n_max):
+    # p^2/2m + m w0^2 x^2 / 2 from the truncated quadratures is diagonal up
+    # to rounding, and its diagonal is _single_oscillator's, the top level
+    # lowered to w0 (n_max - 1)/2
+    x_ref, p = operators.quadratures(n_max, cfg.mass, cfg.freq)
+    h = np.real(p @ p) / (2.0 * cfg.mass) + 0.5 * cfg.mass * cfg.freq**2 * (x_ref @ x_ref)
+    diagonal, x = vdw._single_oscillator(cfg, n_max)
+    assert np.max(np.abs(np.diag(h) - diagonal)) <= 4.0 * np.spacing(cfg.freq * n_max)
+    assert np.max(np.abs(h - np.diag(np.diag(h)))) <= 1e-15 * np.max(np.abs(diagonal))
+    assert diagonal[-1] == cfg.freq * (n_max - 1) / 2
+    assert np.array_equal(x, x_ref)
+
+
+class TestCertifiedZMatrix:
+    """The operator that fock_ground_state solves and certifies, h held as
+    its diagonal: no off-diagonal entry is positive, with no rounding slack,
+    and its product is the dense reference's."""
+
+    @pytest.mark.parametrize("n_max", [4, 13, 40, 64])
+    @pytest.mark.parametrize("cfg", [*PREMISE_CONFIGS, OSCILLATOR_CONFIGS[-1]],
+                             ids=[*PREMISE_CONFIG_IDS, OSCILLATOR_CONFIG_IDS[-1]])
+    def test_no_off_diagonal_entry_is_positive(self, cfg, n_max):
+        rows, cols, vals = vdw._product_nonzeros(*fock_terms(cfg, n_max))
+        off = rows != cols
+        assert np.count_nonzero(off) > 0
+        assert np.all(vals[off] <= 0.0)
+
+    @pytest.mark.parametrize("n_max", [5, 13, 24])
+    @pytest.mark.parametrize("cfg", [*PREMISE_CONFIGS, OSCILLATOR_CONFIGS[-1]],
+                             ids=[*PREMISE_CONFIG_IDS, OSCILLATOR_CONFIG_IDS[-1]])
+    def test_product_equals_the_dense_reference(self, monkeypatch, cfg, n_max):
+        products, run = [], vdw.lanczos
+
+        def recording(matvec, start, max_steps=None):
+            products.append(matvec)
+            return run(matvec, start, max_steps)
+
+        monkeypatch.setattr(vdw, "lanczos", recording)
+        fock_ground_state(cfg, n_max)
+        [matvec] = products
+        rng = np.random.default_rng(n_max)
+        psi = rng.standard_normal((n_max, n_max))
+        psi = psi + psi.T
+        psi.ravel()[odd_parity(n_max)] = 0.0
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        assert np.max(np.abs(matvec(psi.ravel()) - h @ psi.ravel())) <= 1e-13 * np.linalg.norm(h, 2)
 
 
 def log_negativity(psi):
