@@ -10,7 +10,11 @@ its parity x exchange symmetry keeps in the vacuum's sector, certifies the
 energy on the even and odd exchange-symmetric sectors (separable bounds,
 Temple's inequality, and past coupling ~0.8 a Cholesky factorization of
 each block they leave unsettled), and takes E_N from its Schmidt
-coefficients; both routes use natural logs.  The dipole coupling is never
+coefficients; both routes use natural logs.  Below coupling 0.8 the
+oracle's convergence flag reads an interval around the untruncated
+state's E_N, built from the same state's residual under the untruncated
+Hamiltonian; past it, or where that interval is wider than the
+tolerance, an n_max - 2 solve.  The dipole coupling is never
 positive, so by Perron-Frobenius no antisymmetric level lies below the
 symmetric ones.  The Lanczos run starts from the Gaussian ground state cut
 to n_max levels, which sets only its number of steps: the certificates,
@@ -21,13 +25,15 @@ Horodecki criterion), quantifying the Bell-test program for verifying
 entanglement between a qubit and the body it is coupled to.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError, UncertaintyViolationError
 from .operators import pauli
-from .vdw import FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, fock_ground_state, normal_modes
+from .vdw import (FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, _untruncated_enclosure,
+                  fock_ground_state, normal_modes)
 # not called here; perfbench's tracer wraps this binding by name
 from .vdw import coupled_hamiltonian_fock  # noqa: F401
 
@@ -136,28 +142,58 @@ def log_negativity_gaussian(state: GaussianTwoModeState) -> float:
     return max(0.0, -np.log(2.0 * nu_min))
 
 
+def _log_negativity(psi: np.ndarray) -> float:
+    """2 ln of the sum of the singular values of the amplitude matrix psi."""
+    return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
+
+
+def _log_negativity_enclosure(cfg: VdwConfig, psi: np.ndarray, nuclear: float):
+    """An interval holding the log-negativity of the untruncated ground
+    state psi_inf, from a unit truncated amplitude matrix psi whose singular
+    values sum to ``nuclear``; None where none is certified.
+
+    _untruncated_enclosure writes psi = kappa psi_inf + t, kappa in
+    [overlap_low, overlap_high] and ||T||_* <= spread, T t's amplitude
+    matrix; see there for the bound and its premises.  So ||kappa Psi_inf||_*
+    lies within spread of ||psi||_* = nuclear, and E_N = 2 ln ||Psi_inf||_*
+    lies in [2 ln((nuclear - spread) / overlap_high), 2 ln((nuclear +
+    spread) / overlap_low)].  None is returned where _untruncated_enclosure
+    returns None (past coupling 0.8, or psi outside the vacuum's sector) and
+    where an end is undefined.
+    """
+    enclosure = _untruncated_enclosure(cfg, psi)
+    if enclosure is None or enclosure.overlap_low <= 0.0 or nuclear <= enclosure.spread:
+        return None
+    return (2.0 * math.log((nuclear - enclosure.spread) / enclosure.overlap_high),
+            2.0 * math.log((nuclear + enclosure.spread) / enclosure.overlap_low))
+
+
 def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     """Log-negativity of the coupled ground state from its Fock amplitudes,
     independent of the covariance route.
 
-    The ground state psi[n1, n2] of the truncated two-mode Hamiltonian and
-    its n_max - 2 probe both come from fock_ground_state; E_N has no
-    enclosure from one state like vdw_fock_oracle's, so the probe stays.
-    The state is pure, so
-    E_N = 2 ln(sum of its Schmidt coefficients), the singular values of psi;
-    this equals ln(2N + 1) with N the summed negative eigenvalues of the
-    partially transposed projector.  The converged flag compares against
-    the probe's E_N.
+    The ground state psi[n1, n2] of the truncated two-mode Hamiltonian comes
+    from fock_ground_state.  The state is pure, so E_N = 2 ln(sum of its
+    Schmidt coefficients), the singular values of psi; this equals ln(2N +
+    1) with N the summed negative eigenvalues of the partially transposed
+    projector.  The converged flag reads 1 where both ends of an interval
+    around the untruncated state's E_N, built from psi alone
+    (_log_negativity_enclosure: Temple's inequality, Davis-Kahan and a
+    Hoelder bound on the nuclear norm of psi's distance to the untruncated
+    state), lie within FOCK_CONVERGENCE_TOL of the value.  Where there is no
+    such interval (past coupling 0.8, or a ground state outside the
+    vacuum's sector) or it is wider, the flag compares against the E_N of
+    the n_max - 2 truncation instead, solved the same way.
     """
     if n_max < 12:
         raise ValueError(f"n_max must be >= 12 for a meaningful oracle, got {n_max}")
-
-    def log_neg(psi):
-        return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
-
     _, psi = fock_ground_state(cfg, n_max)
-    _, probe_psi = fock_ground_state(cfg, n_max - 2)
-    value, probe = log_neg(psi), log_neg(probe_psi)
+    nuclear = np.sum(np.linalg.svd(psi, compute_uv=False))
+    value = 2.0 * float(np.log(nuclear))
+    ends = _log_negativity_enclosure(cfg, psi, float(nuclear))
+    if ends is not None and all(abs(end - value) <= FOCK_CONVERGENCE_TOL for end in ends):
+        return ConvergedValue(value, True)
+    probe = _log_negativity(fock_ground_state(cfg, n_max - 2)[1])
     return ConvergedValue(value, bool(abs(probe - value) <= FOCK_CONVERGENCE_TOL))
 
 

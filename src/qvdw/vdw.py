@@ -16,6 +16,7 @@ omega_plus >= omega_minus.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -465,28 +466,58 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     return theta, vector.reshape(n_max, n_max)
 
 
+class UntruncatedEnclosure(NamedTuple):
+    """What one truncated ground state certifies about the untruncated one,
+    psi_inf: ``low <= E <= high`` for its energy E, and psi = kappa psi_inf +
+    t with t orthogonal to psi_inf, ``overlap_low <= kappa <= overlap_high``
+    and the nuclear norm of t's amplitude matrix at most ``spread``."""
+
+    low: float
+    high: float
+    overlap_low: float
+    overlap_high: float
+    spread: float
+
+
 def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
-    """An interval holding the ground energy E of the untruncated two-mode
-    Hamiltonian, from a unit truncated amplitude matrix psi[n1, n2]; None
-    where no enclosure is certified.
+    """UntruncatedEnclosure of the untruncated two-mode Hamiltonian's ground
+    state from a unit truncated amplitude matrix psi[n1, n2]; None where
+    none is certified.
 
     phi is psi's part in the vacuum's sector (exchange-symmetric, even
-    n1 + n2), renormalized and padded with a zero level n_max; None is
-    returned when that part holds less than half of psi's weight, as for
-    the dense fallback's vector of an odd ground state.  _product with the
-    exact h = w0 (n + 1/2) and x on n_max + 1 levels gives the untruncated
-    H phi, so theta = <phi|H|phi> >= E and r = ||H phi - theta phi|| are
-    H's own.  H >= h' x 1 + 1 x h' with h' the oscillator of frequency
-    w' = w0 sqrt(1 - |u|), the softer normal mode (see _separable_bounds),
-    and this bound commutes with parity and exchange, so every level of H
-    outside the vacuum's sector lies at or above 2 w', and the sector's own
-    second level at or above 3 w'.  When theta + tol < 2 w', tol =
-    FOCK_CERTIFICATE_RTOL max(1, |theta|), E is the sector's lowest level,
-    and Temple's inequality (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 10) gives E >= theta - r^2 / (3 w' - theta).  Past coupling 0.8,
-    2 w' falls below E, and None is returned.
+    n1 + n2), of norm c, renormalized and padded with a zero level n_max;
+    None is returned when c^2 < 1/2, as for the dense fallback's vector of
+    an odd ground state.  _product with the exact h = w0 (n + 1/2) and x on
+    n_max + 1 levels gives the untruncated H phi, so theta = <phi|H|phi> >=
+    E and r = ||H phi - theta phi|| are H's own, the in-box residual of the
+    solve included.  H >= h' x 1 + 1 x h' with h' the oscillator of
+    frequency w' = w0 sqrt(1 - u), u = |lambda|/(m w0^2), the softer normal
+    mode (see _separable_bounds), and this bound commutes with parity and
+    exchange, so every level of H outside the vacuum's sector lies at or
+    above 2 w', and the sector's own second level at or above 3 w'.  When
+    theta + tol < 2 w', tol = FOCK_CERTIFICATE_RTOL max(1, |theta|), E is
+    the sector's lowest level, and with gamma = 3 w' - theta:
 
-    Returns ``(low, high)`` with low <= E <= high, or None.
+    - Temple's inequality (Parlett, The Symmetric Eigenvalue Problem,
+      ch. 10) gives E >= theta - r^2 / gamma, and w = sqrt(r^2 + (r^2 /
+      gamma)^2) >= ||(H - E) phi||.
+    - phi = cos(a) psi_inf + s, phased so that cos(a) >= 0, and sin(a) <=
+      w / gamma by Davis-Kahan inside the sector (Parlett, ch. 11).
+    - s = R (H - E) phi with R = (H - E)^-1 on psi_inf's complement in the
+      sector, ||R|| <= 1/gamma, and H R y = y + E R y, so ||H s|| <= w (1 +
+      theta / gamma).
+    - H = w0 (N + 1) - (u w0 / 2)(a1 + a1^dag)(a2 + a2^dag), and (a +
+      a^dag)^2 <= 4 n + 2 and (2 n1 + 1)(2 n2 + 1) <= (N + 1)^2 give
+      ||(a1 + a1^dag)(a2 + a2^dag) v|| <= 2 ||(N + 1) v||, so ||H v|| >=
+      (1 - u) w0 ||(N + 1) v|| for every v.
+    - By Hoelder, ||S||_* <= ||diag(1 + n1)^-1||_F ||(1 + n1) S||_F <=
+      (pi / sqrt6) ||(N + 1) s||, S the amplitude matrix of s.
+
+    So ||S||_* <= B = (pi / sqrt6) w (1 + theta / gamma) / ((1 - u) w0).
+    psi = c phi + e, e its part outside the sector, so kappa = c cos(a)
+    lies in [c sqrt(1 - (w / gamma)^2), c] and t = c s + e has nuclear norm
+    at most c B + sqrt(n_max) ||e||_F.  Tests pin the two premises.  Past
+    coupling 0.8, 2 w' falls below E, and None is returned.
     """
     n_max = len(psi)
     phi = np.zeros((n_max + 1, n_max + 1))
@@ -496,7 +527,9 @@ def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
     weight = np.vdot(phi, phi)
     if weight < 0.5:
         return None
-    phi /= math.sqrt(weight)
+    outside = float(np.linalg.norm(psi - phi[:n_max, :n_max]))
+    norm = math.sqrt(weight)
+    phi /= norm
     _, x = _single_oscillator(cfg, n_max + 1)
     h_phi = _product(cfg.freq * (np.arange(n_max + 1) + 0.5), x, dipole_coupling_lambda(cfg), phi)
     theta = float(np.vdot(phi, h_phi))
@@ -504,7 +537,13 @@ def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
     if theta + FOCK_CERTIFICATE_RTOL * max(1.0, abs(theta)) >= 2.0 * soft:
         return None
     residual = float(np.linalg.norm(h_phi - theta * phi))
-    return theta - residual * residual / (3.0 * soft - theta), theta
+    gap = 3.0 * soft - theta
+    drop = residual * residual / gap
+    sine = math.hypot(residual, drop) / gap
+    nuclear = (math.pi / math.sqrt(6.0) * sine * (gap + theta)
+               / ((1.0 - abs(coupling_ratio(cfg))) * cfg.freq))
+    return UntruncatedEnclosure(theta - drop, theta, norm * math.sqrt(max(0.0, 1.0 - sine * sine)),
+                                norm, norm * nuclear + math.sqrt(n_max) * outside)
 
 
 def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
@@ -523,7 +562,8 @@ def vdw_fock_oracle(cfg: VdwConfig, n_max: int = 20) -> ConvergedValue:
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8 for a meaningful oracle, got {n_max}")
     energy, psi = fock_ground_state(cfg, n_max)
-    ends = _untruncated_enclosure(cfg, psi) or (fock_ground_state(cfg, n_max - 2)[0],)
+    enclosure = _untruncated_enclosure(cfg, psi)
+    ends = enclosure[:2] if enclosure else (fock_ground_state(cfg, n_max - 2)[0],)
     value = energy - cfg.freq
     return ConvergedValue(value, all(abs((end - cfg.freq) - value) <= FOCK_CONVERGENCE_TOL
                                      for end in ends))

@@ -980,10 +980,47 @@ def probe_flag(cfg, n_max):
 
 
 def enclosure(cfg, n_max):
-    return vdw._untruncated_enclosure(cfg, fock_ground_state(cfg, n_max)[1])
+    """The enclosure's (low, high) of the untruncated ground energy, or None."""
+    ends = vdw._untruncated_enclosure(cfg, fock_ground_state(cfg, n_max)[1])
+    return ends and (ends.low, ends.high)
+
+
+OUTSIDE_CONFIG, OUTSIDE_N_MAX = config_for_coupling(0.3), 12
+
+
+def state_outside_the_vacuum_sector(sign):
+    """(energy, psi) at OUTSIDE_CONFIG and OUTSIDE_N_MAX: the dense
+    fallback's vector of the lowest odd level (sign 1), or an antisymmetric
+    even state (sign -1)."""
+    n_max = OUTSIDE_N_MAX
+    values, vectors = np.linalg.eigh(coupled_hamiltonian_fock(OUTSIDE_CONFIG, n_max))
+    if sign > 0:
+        energy, psi = values[1], vectors[:, 1].reshape(n_max, n_max)
+        assert np.abs(psi.ravel()[~odd_parity(n_max)]).max() <= 1e-12
+    else:
+        energy, psi = values[0], np.zeros((n_max, n_max))
+        psi[0, 2], psi[2, 0] = math.sqrt(0.5), -math.sqrt(0.5)
+    return energy, psi
+
+
+def solving_outside(monkeypatch, module, energy, psi):
+    """Make ``module``'s fock_ground_state return (energy, psi) at
+    OUTSIDE_N_MAX and solve every other n_max; returns the list of the
+    n_max it is called with."""
+    calls, solve = [], vdw.fock_ground_state
+
+    def outside(cfg, n):
+        calls.append(n)
+        return (energy, psi) if n == OUTSIDE_N_MAX else solve(cfg, n)
+
+    monkeypatch.setattr(module, "fock_ground_state", outside)
+    return calls
 
 
 ENCLOSURE_N_MAX = [8, 10, 12, 16, 20, 24, 32, 40, 64]
+PHYSICAL_CONFIGS = [VdwConfig(mass=1.7, freq=0.6, separation=2.0),
+                    VdwConfig(mass=0.4, freq=2.5, charge=1.3, separation=1.5)]
+PHYSICAL_CONFIG_IDS = ["mass1.7-freq0.6", "mass0.4-freq2.5"]
 # the couplings below 0.8 where the enclosure applies
 ENCLOSED_COUPLINGS = np.round(np.arange(0.0, 0.8, 0.01), 2)
 # the couplings of ENCLOSED_COUPLINGS where the enclosure reads 1 and the
@@ -1007,9 +1044,7 @@ class TestUntruncatedEnclosure:
             # up to rounding, a few ulps of the energy
             assert low - 1e-15 <= exact <= high + 1e-15, (u, low - exact, high - exact)
 
-    @pytest.mark.parametrize("cfg", [VdwConfig(mass=1.7, freq=0.6, separation=2.0),
-                                     VdwConfig(mass=0.4, freq=2.5, charge=1.3, separation=1.5)],
-                             ids=["mass1.7-freq0.6", "mass0.4-freq2.5"])
+    @pytest.mark.parametrize("cfg", PHYSICAL_CONFIGS, ids=PHYSICAL_CONFIG_IDS)
     @pytest.mark.parametrize("n_max", [12, 24, 40])
     def test_encloses_the_exact_ground_energy_in_physical_units(self, cfg, n_max):
         exact = exact_ground_shift(cfg) + cfg.freq
@@ -1055,24 +1090,10 @@ class TestUntruncatedEnclosure:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_a_state_outside_the_vacuum_sector_falls_back_to_the_probe(self, monkeypatch, sign):
-        # the dense fallback's vector of the lowest odd level (sign 1), or an
-        # antisymmetric even state (sign -1)
-        cfg, n_max = config_for_coupling(0.3), 12
-        values, vectors = np.linalg.eigh(coupled_hamiltonian_fock(cfg, n_max))
-        if sign > 0:
-            energy, psi = values[1], vectors[:, 1].reshape(n_max, n_max)
-            assert np.abs(psi.ravel()[~odd_parity(n_max)]).max() <= 1e-12
-        else:
-            energy, psi = values[0], np.zeros((n_max, n_max))
-            psi[0, 2], psi[2, 0] = math.sqrt(0.5), -math.sqrt(0.5)
+        cfg, n_max = OUTSIDE_CONFIG, OUTSIDE_N_MAX
+        energy, psi = state_outside_the_vacuum_sector(sign)
         assert vdw._untruncated_enclosure(cfg, psi) is None
-        calls, solve = [], vdw.fock_ground_state
-
-        def outside(cfg, n):
-            calls.append(n)
-            return (energy, psi) if n == n_max else solve(cfg, n)
-
-        monkeypatch.setattr(vdw, "fock_ground_state", outside)
+        calls = solving_outside(monkeypatch, vdw, energy, psi)
         vdw_fock_oracle(cfg, n_max)
         assert calls == [n_max, n_max - 2]
 
@@ -1081,26 +1102,164 @@ class TestUntruncatedEnclosure:
         assert enclosure(cfg, 8) == (cfg.freq, cfg.freq)
 
 
+def schmidt_sum(psi):
+    return float(np.sum(np.linalg.svd(psi, compute_uv=False)))
+
+
+def log_negativity_enclosure(cfg, n_max):
+    psi = fock_ground_state(cfg, n_max)[1]
+    return entanglement._log_negativity_enclosure(cfg, psi, schmidt_sum(psi))
+
+
+def log_negativity_probe_flag(cfg, n_max):
+    """probe_flag's E_N analogue: whether the n_max - 2 state's E_N lies
+    within FOCK_CONVERGENCE_TOL of the n_max one's."""
+    value = log_negativity(fock_ground_state(cfg, n_max)[1])
+    probe = log_negativity(fock_ground_state(cfg, n_max - 2)[1])
+    return bool(abs(probe - value) <= vdw.FOCK_CONVERGENCE_TOL)
+
+
+def gaussian_log_negativity(cfg):
+    return entanglement.log_negativity_gaussian(entanglement.ground_state_covariance(cfg))
+
+
+def recorded_solves(monkeypatch):
+    """The list of the n_max that fock_ground_state is called with, as both
+    oracles look it up."""
+    calls, solve = [], vdw.fock_ground_state
+
+    def recording(cfg, n_max):
+        calls.append(n_max)
+        return solve(cfg, n_max)
+
+    monkeypatch.setattr(vdw, "fock_ground_state", recording)
+    monkeypatch.setattr(entanglement, "fock_ground_state", recording)
+    return calls
+
+
+LOG_NEGATIVITY_N_MAX = [12, 16, 20, 24, 32, 40, 64]
+STRONG_COUPLINGS = [0.85, 0.9, 0.95]
+
+
+class TestLogNegativityEnclosure:
+    """negativity_fock_oracle's flag from an interval around the untruncated
+    state's E_N, built from the n_max solve alone."""
+
+    @pytest.mark.parametrize("n_max", LOG_NEGATIVITY_N_MAX)
+    def test_encloses_the_gaussian_log_negativity(self, n_max):
+        for u in ENCLOSED_COUPLINGS:
+            cfg = config_for_coupling(u)
+            exact = gaussian_log_negativity(cfg)
+            low, high = log_negativity_enclosure(cfg, n_max)
+            assert low - 1e-14 <= exact <= high + 1e-14, (u, low - exact, high - exact)
+
+    @pytest.mark.parametrize("cfg", PHYSICAL_CONFIGS, ids=PHYSICAL_CONFIG_IDS)
+    @pytest.mark.parametrize("n_max", [12, 24, 40, 64])
+    def test_encloses_the_gaussian_log_negativity_in_physical_units(self, cfg, n_max):
+        exact = gaussian_log_negativity(cfg)
+        low, high = log_negativity_enclosure(cfg, n_max)
+        assert low - 1e-14 <= exact <= high + 1e-14, (low - exact, high - exact)
+
+    def test_zero_coupling_encloses_no_entanglement_exactly(self):
+        assert log_negativity_enclosure(config_for_coupling(0.0), 12) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("u", [0.8, *STRONG_COUPLINGS])
+    @pytest.mark.parametrize("n_max", [12, 24, 40])
+    def test_past_coupling_0_8_there_is_none_and_the_probe_is_solved(self, monkeypatch, u,
+                                                                      n_max):
+        cfg = config_for_coupling(u)
+        assert log_negativity_enclosure(cfg, n_max) is None
+        calls = recorded_solves(monkeypatch)
+        negativity_fock_oracle(cfg, n_max)
+        assert calls == [n_max, n_max - 2]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_state_outside_the_vacuum_sector_falls_back_to_the_probe(self, monkeypatch, sign):
+        energy, psi = state_outside_the_vacuum_sector(sign)
+        nuclear = schmidt_sum(psi)
+        assert entanglement._log_negativity_enclosure(OUTSIDE_CONFIG, psi, nuclear) is None
+        calls = solving_outside(monkeypatch, entanglement, energy, psi)
+        negativity_fock_oracle(OUTSIDE_CONFIG, OUTSIDE_N_MAX)
+        assert calls == [OUTSIDE_N_MAX, OUTSIDE_N_MAX - 2]
+
+    def test_an_interval_wider_than_the_tolerance_falls_back_to_the_probe(self, monkeypatch):
+        cfg = config_for_coupling(0.5)
+        low, high = log_negativity_enclosure(cfg, 12)
+        assert high - low > 2.0 * vdw.FOCK_CONVERGENCE_TOL
+        calls = recorded_solves(monkeypatch)
+        negativity_fock_oracle(cfg, 12)
+        assert calls == [12, 10]
+
+    @pytest.mark.parametrize("n_max", LOG_NEGATIVITY_N_MAX)
+    def test_flags_are_the_probe_flags(self, n_max):
+        for u in [*ENCLOSED_COUPLINGS, *STRONG_COUPLINGS]:
+            cfg = config_for_coupling(u)
+            result = negativity_fock_oracle(cfg, n_max)
+            assert result.converged == log_negativity_probe_flag(cfg, n_max), u
+            if result.converged:
+                error = abs(result.value - gaussian_log_negativity(cfg))
+                assert error < vdw.FOCK_CONVERGENCE_TOL, (u, error)
+
+
+BOUND_PREMISE_CONFIGS = [config_for_coupling(0.0), config_for_coupling(0.3),
+                         config_for_coupling(0.79), *PHYSICAL_CONFIGS]
+BOUND_PREMISE_CONFIG_IDS = ["u0", "u0.3", "u0.79", *PHYSICAL_CONFIG_IDS]
+
+
+class TestLogNegativityBoundPremises:
+    """The two inequalities that turn the residual into the E_N enclosure's
+    bound on ||S||_*: ||H v|| >= (1 - u) w0 ||(N + 1) v|| and ||S||_* <=
+    (pi / sqrt6) ||(1 + n1) S||_F."""
+
+    @pytest.mark.parametrize("n_max", [8, 24, 40])
+    @pytest.mark.parametrize("cfg", BOUND_PREMISE_CONFIGS, ids=BOUND_PREMISE_CONFIG_IDS)
+    def test_h_is_bounded_below_by_the_total_number(self, cfg, n_max):
+        rng = np.random.default_rng(n_max)
+        lam = dipole_coupling_lambda(cfg)
+        u = abs(coupling_ratio(cfg))
+        levels = np.arange(n_max + 2)
+        exact = cfg.freq * (levels + 0.5)
+        total = np.add.outer(levels[:-1], levels[:-1]) + 1.0
+        _, x = vdw._single_oscillator(cfg, n_max + 1)
+        _, x_wide = vdw._single_oscillator(cfg, n_max + 2)
+        for decay in (0.5, 0.9, 1.0, 1.1):
+            a = rng.normal(size=(n_max, n_max)) * decay ** total[:n_max, :n_max]
+            # padded with a zero level, even and exchange-symmetric
+            v = np.zeros((n_max + 1, n_max + 1))
+            v[:n_max, :n_max] = a + a.T
+            v[::2, 1::2] = v[1::2, ::2] = 0.0
+            h_v = vdw._product(exact[:-1], x, lam, v)
+            # no term reaches past level n_max: one more level adds nothing
+            wide = vdw._product(exact, x_wide, lam, np.pad(v, ((0, 1), (0, 1))))
+            assert np.array_equal(wide[:-1, :-1], h_v) and not wide[-1].any()
+            assert (np.linalg.norm(h_v)
+                    >= (1.0 - u) * cfg.freq * np.linalg.norm(total * v) * (1.0 - 1e-14)), decay
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 41, 65])
+    def test_nuclear_norm_is_bounded_by_the_weighted_frobenius_norm(self, n):
+        rng = np.random.default_rng(n)
+        weight = 1.0 + np.arange(n)
+        # Hoelder is nearly tight on diag(1 + n)^-2
+        matrices = [np.diag(weight**-2.0), *(rng.normal(size=(n, n)) * rng.uniform(0.2, 1.0)
+                                            ** np.add.outer(weight, weight) for _ in range(5))]
+        for s in matrices:
+            nuclear = np.sum(np.linalg.svd(s, compute_uv=False))
+            assert nuclear <= math.pi / math.sqrt(6.0) * np.linalg.norm(weight[:, None] * s)
+
+
 class TestFockOracleSolves:
-    """vdw_fock_oracle solves n_max, and n_max - 2 only where the enclosure
-    does not apply; negativity_fock_oracle solves both."""
+    """Each oracle solves n_max, and n_max - 2 only where its enclosure does
+    not apply."""
 
     @pytest.mark.parametrize("oracle, u, per_call", [
         (vdw_fock_oracle, 0.3, [40]),
         (vdw_fock_oracle, 0.9, [40, 38]),
-        (negativity_fock_oracle, 0.3, [40, 38]),
+        (negativity_fock_oracle, 0.3, [40]),
         (negativity_fock_oracle, 0.9, [40, 38]),
     ])
     def test_an_oracle_call_solves_n_max_and_its_probe_where_needed(self, monkeypatch, oracle,
                                                                      u, per_call):
-        calls, solve = [], vdw.fock_ground_state
-
-        def recording(cfg, n_max):
-            calls.append(n_max)
-            return solve(cfg, n_max)
-
-        monkeypatch.setattr(vdw, "fock_ground_state", recording)
-        monkeypatch.setattr(entanglement, "fock_ground_state", recording)
+        calls = recorded_solves(monkeypatch)
         oracle(config_for_coupling(u), n_max=40)
         oracle(config_for_coupling(u), n_max=40)
         assert calls == per_call * 2
@@ -1112,16 +1271,22 @@ class TestFockOracleSolves:
         energy, psi = fock_ground_state(cfg, 24)
         _, probe_psi = fock_ground_state(cfg, 22)
         ends = vdw._untruncated_enclosure(cfg, psi)
-        assert (ends is None) == (u >= 0.8)
+        log_ends = entanglement._log_negativity_enclosure(cfg, psi, schmidt_sum(psi))
+        assert (ends is None) == (log_ends is None) == (u >= 0.8)
         assert shift.value == energy - cfg.freq
         if ends is None:
             assert shift.converged == probe_flag(cfg, 24)
         else:
             assert shift.converged == all(abs((end - cfg.freq) - shift.value)
-                                          <= vdw.FOCK_CONVERGENCE_TOL for end in ends)
+                                          <= vdw.FOCK_CONVERGENCE_TOL for end in ends[:2])
         assert log_neg.value == log_negativity(psi)
-        assert log_neg.converged == (abs(log_negativity(probe_psi) - log_negativity(psi))
-                                     <= vdw.FOCK_CONVERGENCE_TOL)
+        if log_ends is None:
+            assert log_neg.converged == (abs(log_negativity(probe_psi) - log_negativity(psi))
+                                         <= vdw.FOCK_CONVERGENCE_TOL)
+        else:
+            # at n_max 24 below coupling 0.7 the interval is narrow enough
+            assert log_neg.converged
+            assert all(abs(end - log_neg.value) <= vdw.FOCK_CONVERGENCE_TOL for end in log_ends)
 
     @pytest.mark.parametrize("u", [0.05, 0.3, 0.6])
     def test_oracles_converge_without_a_dense_eigensolve(self, monkeypatch, u):
