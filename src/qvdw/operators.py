@@ -167,10 +167,12 @@ class RitzPair(NamedTuple):
     gap: float
 
 
-def _ritz_pair(matvec, y, values, j) -> RitzPair:
-    """RitzPair of the unit vector ``y`` from one product H y, its gap read
-    from the ascending Ritz values ``values`` of the run, ``j`` its own."""
-    hy = matvec(y)
+def _ritz_pair(matvec, y, values, j, hy=None) -> RitzPair:
+    """RitzPair of the unit vector ``y`` from one product H y, ``hy`` when
+    the run has already made it, its gap read from the ascending Ritz values
+    ``values`` of the run, ``j`` its own."""
+    if hy is None:
+        hy = matvec(y)
     theta = float(y @ hy)
     # the Ritz values ascend, so the nearest other one is a neighbour
     below = values[j] - values[j - 1] if j else math.inf
@@ -184,18 +186,25 @@ def lanczos(matvec, start, max_steps=None) -> RitzPair:
 
     Lanczos with full reorthogonalization: each new direction is
     orthogonalized twice against every earlier one.  Every
-    LANCZOS_CHECK_EVERY steps, at a breakdown and at the last step, the
-    k x k tridiagonal T of the run is solved for its Ritz pairs by LAPACK's
-    symmetric eigensolver (_tridiagonal_eigenpairs), O(k^3) a check.  The
-    run stops when the residual estimate beta_k |s_k| of the lowest Ritz
-    pair falls to LANCZOS_RTOL times a Gershgorin bound on ||T||.
+    LANCZOS_CHECK_EVERY steps after the first, at a breakdown and at the
+    last step, the k x k tridiagonal T of the run is solved for its Ritz
+    pairs by LAPACK's symmetric eigensolver (_tridiagonal_eigenpairs),
+    O(k^3) a check.  The run stops when the residual estimate
+    beta_k |s_k| of the lowest Ritz pair falls to LANCZOS_RTOL times a
+    Gershgorin bound on ||T||.
     That covers breakdown (beta_k ~ 0: the Krylov space is invariant, as
     when ``start`` is itself an eigenvector), and it happens at the latest
     after len(start) steps, when the Krylov space is the whole space and the
     Ritz pairs are exact; ``max_steps`` stops it earlier, unconverged, with
-    the lowest pair of that step.  Only the Krylov space of ``start`` is
-    searched: an eigenvector orthogonal to it is never found, so a caller
-    that needs more than the Ritz pair must certify it.
+    the lowest pair of that step.  At step 0, T is 1 x 1 and the start is
+    its own Ritz vector: when the run stops there (beta_0 within the
+    tolerance, or a one-step cap), it returns the start with theta =
+    alpha_0, the residual ||H q_0 - alpha_0 q_0|| from the product that
+    step made, and gap inf, so it makes one product of H.  A run that goes
+    on makes one more, for its Ritz vector's residual.  Only the Krylov
+    space of ``start`` is searched: an eigenvector orthogonal to it is
+    never found, so a caller that needs more than the Ritz pair must
+    certify it.
 
     The basis is one (min(len(start), max_steps), len(start)) array, and
     only the rows a run writes take memory: m steps hold about
@@ -223,18 +232,21 @@ def lanczos(matvec, start, max_steps=None) -> RitzPair:
     basis[0] = start / np.linalg.norm(start)
     alpha, beta, scale = np.empty(steps), np.empty(steps), 0.0
     for k in range(steps):
-        w = matvec(basis[k])
-        alpha[k] = basis[k] @ w
+        product = w = matvec(basis[k])
+        alpha[k] = basis[k] @ product
         for _ in range(2):
-            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+            w = w - basis[:k + 1].T @ (basis[:k + 1] @ w)
         beta[k] = np.linalg.norm(w)
         # row k's Gershgorin radius, its two betas summed before alpha is added
         scale = max(scale, abs(alpha[k]) + (beta[k - 1] + beta[k] if k else beta[k]))
         tol = LANCZOS_RTOL * scale
         last = k == steps - 1
+        if k == 0 and (beta[0] <= tol or last):
+            # the start is its own Ritz vector, with this step's product
+            return _ritz_pair(matvec, basis[0].copy(), alpha[:1], 0, product)
         # a Ritz pair costs more than a step, so it is taken every few steps,
         # at a breakdown and at the last step
-        if k % LANCZOS_CHECK_EVERY == 0 or beta[k] <= tol or last:
+        if (k and k % LANCZOS_CHECK_EVERY == 0) or beta[k] <= tol or last:
             values, vectors = _tridiagonal_eigenpairs(alpha[:k + 1], beta[:k])
             if beta[k] * abs(vectors[0, -1]) <= tol or last:
                 break

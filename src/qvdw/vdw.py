@@ -346,19 +346,23 @@ def _gaussian_amplitudes(cfg: VdwConfig, n_max: int) -> np.ndarray:
     Z12 = (z_- - z_+)/2.  exp(Z12 a1^dag a2^dag)|0, 0> = sum_k Z12^k |k, k>,
     and exp(c a^dag^2)|k> = sum_j E[k + 2j, k] |k + 2j> with c = Z11/2 and
     E[k + 2j, k] = c^j sqrt((k + 2j)!/k!) / j!, so psi = E diag(Z12^k) E^T.
-    No raising operator lowers a level, so the amplitudes below n_max are
-    exact; every odd-parity amplitude is an exact zero.  Rounding leaves psi
-    symmetric only up to an ulp.
+    E = F G F^-1 with F = diag(sqrt(n!)) and G[m, k] = c^j / j! for
+    m - k = 2j >= 0, 0 otherwise: G depends on m - k alone, so it is
+    gathered with one index from a vector of length 2 n_max - 1, and
+    psi = F G diag(Z12^k / k!) G^T F.  No raising operator lowers a level,
+    so the amplitudes below n_max are exact; every odd-parity amplitude is
+    a sum of exact zeros.  Rounding leaves psi symmetric only up to an ulp.
     """
     omega_plus, omega_minus = _mode_frequencies(cfg)
     z_plus, z_minus = ((cfg.freq - w) / (cfg.freq + w) for w in (omega_plus, omega_minus))
     level = np.arange(n_max)
-    rise = level[:, None] - level  # 2 j on E's nonzero entries
-    j = np.maximum(rise, 0) // 2
     factorial = np.cumprod(np.maximum(level, 1.0))
-    raise_pairs = np.where((rise >= 0) & (rise % 2 == 0), np.power(0.25 * (z_minus + z_plus), j)
-                           * np.sqrt(factorial[:, None] / factorial) / factorial[j], 0.0)
-    return (raise_pairs * np.power(0.5 * (z_minus - z_plus), level)) @ raise_pairs.T
+    # rise[n_max - 1 + m - k] = G[m, k], and raise_pairs = F G
+    rise = np.zeros(2 * n_max - 1)
+    half = level[:(n_max + 1) // 2]
+    rise[n_max - 1::2] = np.power(0.25 * (z_minus + z_plus), half) / factorial[half]
+    raise_pairs = np.sqrt(factorial)[:, None] * rise[(n_max - 1 + level)[:, None] - level]
+    return (raise_pairs * (np.power(0.5 * (z_minus - z_plus), level) / factorial)) @ raise_pairs.T
 
 
 def fock_ground_state(cfg: VdwConfig, n_max: int):
@@ -382,9 +386,10 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     sector: its odd-parity amplitudes are exact zeros, and the transpose
     matters, as the amplitudes are symmetric only up to an ulp and the
     product's null space holds every antisymmetric part, which Lanczos
-    would amplify to a Ritz value near 0 below the whole spectrum.  Below
-    coupling ~0.8 at n_max 40 the run stops at its first Ritz check, the
-    truncation leaving the start's residual under the stop tolerance.
+    would amplify to a Ritz value near 0 below the whole spectrum.  Up to
+    coupling ~0.77 at n_max 40 (~0.91 at n_max 64) the run ends after one
+    product: the truncation leaves the start's residual under the stop
+    tolerance, and lanczos returns the start as its Ritz vector.
 
     The run gives the Ritz value theta and its residual r, and theta is the
     ground energy once H is certified to have no eigenvalue below theta -

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,44 @@ class TestLanczosLowest:
         assert len(products) == 3 + 1  # the steps, then the residual
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-14)
         assert residual == pytest.approx(np.linalg.norm(mat @ y - theta * y), abs=1e-14)
+        assert residual > 1e-3
+
+    def test_a_converged_start_costs_one_product(self):
+        # the start e_0 leaves H e_0 - alpha_0 e_0 of norm 1e-16, within the
+        # stop tolerance: the run ends at step 0 on that step's product
+        mat = np.diag([1.0, 2.0, 3.0, 4.0])
+        mat[0, 1] = mat[1, 0] = 1e-16
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        start = np.array([1.0, 0.0, 0.0, 0.0])
+        theta, y, residual, gap = lanczos(matvec, start)
+        assert len(products) == 1
+        expected = operators._ritz_pair(mat.__matmul__, start, [start @ (mat @ start)], 0)
+        assert np.array_equal(y, start)
+        assert (theta, residual, gap) == (expected.value, expected.residual, math.inf)
+        assert (theta, residual) == (1.0, 1e-16)
+
+    def test_a_one_step_cap_costs_one_product(self):
+        rng = np.random.default_rng(7)
+        mat = rng.normal(size=(20, 20))
+        mat += mat.T
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        start = rng.normal(size=20)
+        theta, y, residual, gap = lanczos(matvec, start, max_steps=1)
+        assert len(products) == 1
+        q = start / np.linalg.norm(start)
+        expected = operators._ritz_pair(mat.__matmul__, q, [q @ (mat @ q)], 0)
+        assert np.array_equal(y, q)
+        assert (theta, residual, gap) == (expected.value, expected.residual, math.inf)
         assert residual > 1e-3
 
     def test_gap_is_the_distance_to_the_nearest_other_ritz_value(self):

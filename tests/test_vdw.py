@@ -512,7 +512,7 @@ class TestSectorSolve:
 
         start = vacuum_start(len(block))
         theta, y, residual, _ = lanczos(matvec, start)
-        assert len(products) == 2  # one Lanczos step, then the residual
+        assert len(products) == 1  # one Lanczos step, whose product gives the residual
         assert theta == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(np.abs(y) - start)) <= 1e-15
         assert residual <= 1e-15
@@ -622,9 +622,18 @@ class TestAmplitudeSolve:
         assert np.array_equal(seed, seed.T)
         assert np.count_nonzero(seed) > 1  # not the vacuum
         assert seeded_energy == pytest.approx(vacuum_energy, abs=1e-12)
-        # one Lanczos step and the Ritz pair's product, against 18 to 62
-        assert seeded == 2
+        # one Lanczos step, whose product gives the Ritz pair, against 18 to 62
+        assert seeded == 1
         assert seeded < len(products) - seeded
+
+    @pytest.mark.parametrize("u, count", [(0.8, 6), (0.9, 18), (0.95, 38), (0.97, 90)])
+    def test_runs_past_the_first_step_keep_their_product_count(self, monkeypatch, u, count):
+        # 4 m + 1 steps up to the Ritz check that stops the run, then the
+        # Ritz vector's product
+        products = []
+        monkeypatch.setattr(vdw, "lanczos", counting_lanczos(products))
+        fock_ground_state(config_for_coupling(u), 40)
+        assert len(products) == count
 
     @pytest.mark.parametrize("n_max", [40, 64])
     @pytest.mark.parametrize("u", [0.05, 0.3, 0.6, 0.79])
@@ -969,6 +978,46 @@ class TestGaussianSeed:
                 assert (vdw_fock_oracle(cfg, n_max).converged,
                         negativity_fock_oracle(cfg, n_max).converged) == flags, name
         assert solved == []
+
+
+def recurrence_amplitudes(cfg, n_max):
+    """The Gaussian ground state's amplitudes psi[n1, n2], psi[0, 0] = 1,
+    from its annihilation condition a1 psi = (Z11 a1^dag + Z12 a2^dag) psi:
+    sqrt(n1 + 1) psi[n1 + 1, n2] = Z11 sqrt(n1) psi[n1 - 1, n2]
+    + Z12 sqrt(n2) psi[n1, n2 - 1].  At n2 = 0 it fills column 0; the
+    condition on a2 at n1 = 0 is the same recurrence, so row 0 equals it."""
+    modes = normal_modes(cfg)
+    z_plus, z_minus = ((cfg.freq - w) / (cfg.freq + w)
+                       for w in (modes.omega_plus, modes.omega_minus))
+    z11, z12 = 0.5 * (z_minus + z_plus), 0.5 * (z_minus - z_plus)
+    psi = np.zeros((n_max, n_max))
+    psi[0, 0] = 1.0
+    for n1 in range(1, n_max - 1):
+        psi[n1 + 1, 0] = z11 * math.sqrt(n1) * psi[n1 - 1, 0] / math.sqrt(n1 + 1)
+    psi[0, :] = psi[:, 0]
+    for n1 in range(n_max - 1):
+        for n2 in range(1, n_max):
+            below = z11 * math.sqrt(n1) * psi[n1 - 1, n2] if n1 else 0.0
+            psi[n1 + 1, n2] = (below + z12 * math.sqrt(n2) * psi[n1, n2 - 1]) / math.sqrt(n1 + 1)
+    return psi
+
+
+class TestGaussianToeplitzProduct:
+    """_gaussian_amplitudes as the product F G diag(Z12^k / k!) G^T F, G
+    gathered from one vector, against the annihilation-condition recurrence."""
+
+    @pytest.mark.parametrize("n_max", [4, 5, 12, 40, 64])
+    @pytest.mark.parametrize("u", [0.0, 0.05, 0.3, 0.6, 0.9, 0.97, 0.995])
+    def test_equals_the_recurrence(self, u, n_max):
+        cfg = config_for_coupling(u)
+        with np.errstate(all="raise"):
+            psi = vdw._gaussian_amplitudes(cfg, n_max)
+        assert np.all(np.isfinite(psi))
+        assert np.max(np.abs(psi - recurrence_amplitudes(cfg, n_max))) <= (
+            1e-14 * np.max(np.abs(psi)))
+        assert np.all(psi.ravel()[odd_parity(n_max)] == 0.0)
+        if u == 0.0:
+            assert np.array_equal(psi, vacuum_amplitudes(n_max))
 
 
 def probe_flag(cfg, n_max):
