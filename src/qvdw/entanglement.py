@@ -66,10 +66,12 @@ class GaussianTwoModeState:
             raise ValueError(f"covariance must be 4x4, got {cov.shape}")
         if not np.allclose(cov, cov.T, atol=STATE_ATOL):
             raise UncertaintyViolationError("covariance matrix is not symmetric")
-        if np.min(symplectic_eigenvalues(cov)) < 0.5 - SYMPLECTIC_TOL:
+        nu = float(symplectic_eigenvalues(cov)[0])
+        if nu < 0.5 - SYMPLECTIC_TOL:
             raise UncertaintyViolationError(
                 "covariance violates the uncertainty relation "
-                f"(symplectic eigenvalues {symplectic_eigenvalues(cov)})"
+                f"(smallest symplectic eigenvalue {nu:.17g}, "
+                f"{0.5 - nu:.3g} below 1/2)"
             )
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)

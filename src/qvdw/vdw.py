@@ -206,7 +206,7 @@ def coupled_hamiltonian_fock(cfg: VdwConfig, n_max: int) -> np.ndarray:
     p @ p exact zeros, plus lambda x1 x2; real symmetric.  The independent
     dense reference, squaring the quadratures where _single_oscillator
     reads h's diagonal: fock_ground_state's product and sector blocks are
-    checked against it, and it is built there only for the dense fallback.
+    checked against it, and no solver builds it.
     Every term changes n1 + n2 by 0 or +-2, so H has no entry between the
     even and odd (-1)^(n1 + n2) parity sectors.
     """
@@ -414,12 +414,14 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     block is built; from ~0.8 the odd bound 2 w0 sqrt(1 - u) falls below
     theta and the odd block is factored, and from ~0.93 (n_max 24 to 64)
     both are.  If every factorization passes, theta and its Ritz vector are
-    returned.  Otherwise the lowest eigenpair of the dense
-    coupled_hamiltonian_fock(cfg, n_max), from operators._dense_eigh, is
-    returned: about 0.8 s at n_max 40 (2 cores) and, scaled as n_max^6,
-    about 13 s at n_max 64, where H and its eigenvectors take 134 MB each.
-    It ran nowhere on a grid of n_max 4 to 64 and couplings 0 to 0.995.  So
-    the result is H's ground energy whichever sector holds it, which is
+    returned.  A block that fails is diagonalized as built, by
+    operators._dense_eigh, and its lowest eigenpair replaces theta and the
+    Ritz vector, mapped back to the amplitude matrix through the sector's
+    index and coef; the odd block is factored against the energy held
+    then, theta unless the vacuum's block was just solved.  No block
+    failed on a grid of n_max 12 to 64 and couplings 0 to 0.995, and no
+    n_max^2 matrix is built.  So the result lies within margin of H's
+    ground energy whichever sector holds it, which is
     coupled_hamiltonian_fock(cfg, n_max)'s up to the rounding of its p @ p;
     the start changes only how many Lanczos steps that takes.
 
@@ -464,11 +466,12 @@ def fock_ground_state(cfg: VdwConfig, n_max: int):
     if odd_bound <= theta + tolerance:
         unsettled.append(1)
     blocks = _sector_blocks(diagonal, x, lam, unsettled) if unsettled else ()
-    for sector, (_, _, block, bounds) in zip(unsettled, blocks):
-        if not _lies_above(block, bounds, theta - margin if sector == 0 else theta):
-            values, vectors = operators._dense_eigh(coupled_hamiltonian_fock(cfg, n_max))
-            return float(values[0]), vectors[:, 0].reshape(n_max, n_max)
-    return theta, vector.reshape(n_max, n_max)
+    energy, psi = theta, vector
+    for sector, (index, coef, block, bounds) in zip(unsettled, blocks):
+        if not _lies_above(block, bounds, theta - margin if sector == 0 else energy):
+            values, vectors = operators._dense_eigh(block)
+            energy, psi = float(values[0]), coef * vectors[index, 0]
+    return energy, psi.reshape(n_max, n_max)
 
 
 class UntruncatedEnclosure(NamedTuple):
@@ -491,8 +494,8 @@ def _untruncated_enclosure(cfg: VdwConfig, psi: np.ndarray):
 
     phi is psi's part in the vacuum's sector (exchange-symmetric, even
     n1 + n2), of norm c, renormalized and padded with a zero level n_max;
-    None is returned when c^2 < 1/2, as for the dense fallback's vector of
-    an odd ground state.  _product with the exact h = w0 (n + 1/2) and x on
+    None is returned when c^2 < 1/2, as for an odd ground state solved from
+    its block.  _product with the exact h = w0 (n + 1/2) and x on
     n_max + 1 levels gives the untruncated H phi, so theta = <phi|H|phi> >=
     E and r = ||H phi - theta phi|| are H's own, the in-box residual of the
     solve included.  H >= h' x 1 + 1 x h' with h' the oscillator of

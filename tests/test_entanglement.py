@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,14 @@ class TestGroundStateCovariance:
     def test_invalid_covariance_rejected(self):
         with pytest.raises(UncertaintyViolationError):
             GaussianTwoModeState(0.1 * np.eye(4))
+
+    def test_rejection_prints_the_failing_eigenvalue(self):
+        # a deficit of a few SYMPLECTIC_TOL is invisible at numpy's 8 digits
+        cov = (0.5 - 3.0 * entanglement.SYMPLECTIC_TOL) * np.eye(4)
+        with pytest.raises(UncertaintyViolationError) as caught:
+            GaussianTwoModeState(cov)
+        printed = float(re.search(r"eigenvalue (\S+),", str(caught.value)).group(1))
+        assert printed < 0.5 - entanglement.SYMPLECTIC_TOL
 
     def test_non_4x4_covariance_rejected(self):
         with pytest.raises(ValueError, match="4x4"):

@@ -361,14 +361,12 @@ class TestParitySectors:
 
     def test_odd_sector_ground_state_is_found(self, monkeypatch):
         # lowering the odd symmetric state (|0,1> + |1,0>)/sqrt2 by 5 moves the
-        # ground state into the odd block: it fails its certificate, and the
-        # dense H is solved and its ground state returned.  The lowering adds
+        # ground state into the odd block: it fails its certificate, and that
+        # block is solved and its ground state returned.  The lowering adds
         # -5/2 off the diagonal, so H stays a Z-matrix
         cfg, n_max = config_for_coupling(0.3), 10
         blocks, lanczos = vdw._sector_blocks, vdw.lanczos
-        state = np.zeros(n_max * n_max)
-        state[1] = state[n_max] = np.sqrt(0.5)
-        h = coupled_hamiltonian_fock(cfg, n_max) - 5.0 * np.outer(state, state)
+        drawn = []
 
         def lowered(*terms):
             for index, coef, block, bounds in blocks(*terms):
@@ -376,6 +374,7 @@ class TestParitySectors:
                     assert index[1] == index[n_max] == 0
                     assert coef[1] == coef[n_max] == np.sqrt(0.5)
                     block[0, 0] -= 5.0
+                drawn.append((index, coef, block))
                 yield index, coef, block, bounds
 
         krylov = []
@@ -385,7 +384,6 @@ class TestParitySectors:
             return lanczos(matvec, start, max_steps)
 
         monkeypatch.setattr(vdw, "_sector_blocks", lowered)
-        monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", lambda *args: h.copy())
         # the separable bound holds for the real H, not for the lowered one
         unbounded(monkeypatch)
         solved = counted_dense_eigh(monkeypatch)
@@ -393,14 +391,18 @@ class TestParitySectors:
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
-        # one run on the whole amplitude matrix, then one dense solve of H
+        # one run on the whole amplitude matrix, then one solve of the odd block
         assert krylov == [n_max * n_max]
-        assert solved == [n_max * n_max]
-        values, vectors = np.linalg.eigh(h)
+        assert solved == [25]
+        index, coef, block = drawn[1]
+        values, vectors = np.linalg.eigh(block)
         assert energy == values[0]
-        assert np.array_equal(psi.ravel(), vectors[:, 0])
+        assert np.array_equal(psi.ravel(), coef * vectors[index, 0])
+        state = np.zeros(n_max * n_max)
+        state[1] = state[n_max] = np.sqrt(0.5)
+        h = coupled_hamiltonian_fock(cfg, n_max) - 5.0 * np.outer(state, state)
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
-        assert np.max(np.abs(psi.ravel()[~odd_parity(n_max)])) <= 1e-12
+        assert np.all(psi.ravel()[~odd_parity(n_max)] == 0.0)
         assert np.max(np.abs(psi - psi.T)) <= 1e-12
         residual = h @ psi.ravel() - energy * psi.ravel()
         assert np.max(np.abs(residual)) <= 1e-12
@@ -426,13 +428,22 @@ class TestParitySectors:
         assert abs(vectors[:, 0] @ psi.ravel()) == pytest.approx(1.0, abs=1e-12)
 
     def test_oracles_build_no_product_space_matrix(self, monkeypatch):
+        # past coupling 0.8 the sector blocks are built and factored, and a
+        # block that failed would be solved itself, never the n_max^2 H
         def refuse(*args, **kwargs):
             raise AssertionError("dense product-space build on the oracle path")
 
         monkeypatch.setattr(np, "kron", refuse)
         monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", refuse)
+        monkeypatch.setattr(entanglement, "coupled_hamiltonian_fock", refuse)
         vdw_fock_oracle(REF, n_max=12)
         negativity_fock_oracle(REF, n_max=12)
+        for n_max in (12, 24, 40, 64):
+            for cfg in [*map(config_for_coupling, np.linspace(0.8, 0.995, 14)),
+                        VdwConfig(mass=1.7, freq=0.6, charge=0.4, separation=1.3),
+                        VdwConfig(mass=0.5, freq=2.0, charge=0.9, separation=1.1)]:
+                vdw_fock_oracle(cfg, n_max)
+                negativity_fock_oracle(cfg, n_max)
 
 
 def dense_cholesky_passes(block, energy):
@@ -529,13 +540,11 @@ class TestSectorSolve:
     def test_vacuum_certificate_finds_a_state_hidden_from_lanczos(self, monkeypatch):
         # |1,1> is cut off from the rest of the vacuum's block and put below
         # the ground energy: the vacuum's Krylov space never reaches it, so
-        # only the vacuum block's own certificate can find it, and the dense
-        # H is solved
+        # only the vacuum block's own certificate can find it, and that block
+        # is solved
         cfg, n_max, low = config_for_coupling(0.3), 10, 0.5
         blocks = vdw._sector_blocks
-        h = coupled_hamiltonian_fock(cfg, n_max)
-        h[n_max + 1, :] = h[:, n_max + 1] = 0.0
-        h[n_max + 1, n_max + 1] = low
+        drawn = []
 
         def hidden(*terms):
             for number, (index, coef, block, bounds) in enumerate(blocks(*terms)):
@@ -544,23 +553,29 @@ class TestSectorSolve:
                     assert coef[n_max + 1] == 1.0  # the basis state is |1,1> itself
                     block[i, :] = block[:, i] = 0.0
                     block[i, i] = low
+                drawn.append((index, coef, block))
                 yield index, coef, block, bounds
 
         monkeypatch.setattr(vdw, "_sector_blocks", hidden)
-        monkeypatch.setattr(vdw, "coupled_hamiltonian_fock", lambda *args: h.copy())
         # the separable bound holds for the real H, not for the altered one
         unbounded(monkeypatch)
         solved = counted_dense_eigh(monkeypatch)
         energy, psi = fock_ground_state(cfg, n_max)
         monkeypatch.undo()
 
-        assert solved == [n_max * n_max]
-        values, vectors = np.linalg.eigh(h)
+        assert solved == [30]
+        index, coef, block = drawn[0]
+        values, vectors = np.linalg.eigh(block)
         assert energy == values[0]
-        assert np.array_equal(psi.ravel(), vectors[:, 0])
+        assert np.array_equal(psi.ravel(), coef * vectors[index, 0])
+        h = coupled_hamiltonian_fock(cfg, n_max)
+        h[n_max + 1, :] = h[:, n_max + 1] = 0.0
+        h[n_max + 1, n_max + 1] = low
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
         assert energy == pytest.approx(low, abs=1e-12)
         assert abs(psi[1, 1]) == pytest.approx(1.0, abs=1e-12)
+        residual = h @ psi.ravel() - energy * psi.ravel()
+        assert np.max(np.abs(residual)) <= 1e-12
 
     @pytest.mark.parametrize("u", [0.0, 0.3, 0.9])
     def test_oracles_run_no_dense_eigensolve_when_certificates_pass(self, monkeypatch, u):
@@ -1038,9 +1053,9 @@ OUTSIDE_CONFIG, OUTSIDE_N_MAX = config_for_coupling(0.3), 12
 
 
 def state_outside_the_vacuum_sector(sign):
-    """(energy, psi) at OUTSIDE_CONFIG and OUTSIDE_N_MAX: the dense
-    fallback's vector of the lowest odd level (sign 1), or an antisymmetric
-    even state (sign -1)."""
+    """(energy, psi) at OUTSIDE_CONFIG and OUTSIDE_N_MAX: the lowest odd
+    level and its vector, which an odd ground state's block solve returns
+    (sign 1), or an antisymmetric even state (sign -1)."""
     n_max = OUTSIDE_N_MAX
     values, vectors = np.linalg.eigh(coupled_hamiltonian_fock(OUTSIDE_CONFIG, n_max))
     if sign > 0:
