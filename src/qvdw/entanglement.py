@@ -10,7 +10,8 @@ its parity x exchange symmetry keeps in the vacuum's sector, certifies the
 energy on the even and odd exchange-symmetric sectors (separable bounds,
 Temple's inequality, and past coupling ~0.8 a Cholesky factorization of
 each block they leave unsettled), and takes E_N from its Schmidt
-coefficients; both routes use natural logs.  Below coupling 0.8 the
+coefficients, the |eigenvalues| of its two level-parity blocks; both
+routes use natural logs.  Below coupling 0.8 the
 oracle's convergence flag reads an interval around the untruncated
 state's E_N, built from the same state's residual under the untruncated
 Hamiltonian; past it, or where that interval is wider than the
@@ -27,14 +28,15 @@ entanglement between a qubit and the body it is coupled to.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError, UncertaintyViolationError
 from .operators import pauli
-from .vdw import (FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, _untruncated_enclosure,
-                  fock_ground_state, normal_modes)
+from .vdw import (FOCK_CONVERGENCE_TOL, ConvergedValue, VdwConfig, _parity_parts,
+                  _untruncated_enclosure, fock_ground_state, normal_modes)
 # not called here; perfbench's tracer wraps this binding by name
 from .vdw import coupled_hamiltonian_fock  # noqa: F401
 
@@ -55,7 +57,14 @@ class GaussianTwoModeState:
 
     Ordering (x1, p1, x2, p2); vacuum is diag(1/2, 1/2, 1/2, 1/2).
     Physicality (the uncertainty relation) is enforced at construction via
-    the symplectic eigenvalues.
+    the symplectic eigenvalues: the smallest, nu, may lie below 1/2 by
+    SYMPLECTIC_TOL, or, where more, by 4 eps ||cov||, ||cov|| bounded by
+    the largest absolute row sum.  The eigensolve rounds nu by about
+    eps ||cov||, which passes SYMPLECTIC_TOL for a pure state near u = 1
+    (||cov|| ~ 1/(2 omega_minus)): from 1 - u = 1e-16 to 1e-3 the rounding
+    stayed below 1.5 eps ||cov||.  Symmetry is np.allclose(cov, cov.T,
+    atol=STATE_ATOL), numpy's default rtol 1e-5 included, tested entry by
+    entry.
     """
 
     cov: np.ndarray
@@ -64,15 +73,21 @@ class GaussianTwoModeState:
         cov = np.array(self.cov, dtype=float)
         if cov.shape != (4, 4):
             raise ValueError(f"covariance must be 4x4, got {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=STATE_ATOL):
+        rows = cov.tolist()
+        # np.allclose(cov, cov.T, atol=STATE_ATOL), a the entry of cov, b of cov.T
+        if not all(a == b or (math.isfinite(b) and abs(a - b) <= STATE_ATOL + 1e-5 * abs(b))
+                   for row, column in zip(rows, zip(*rows)) for a, b in zip(row, column)):
             raise UncertaintyViolationError("covariance matrix is not symmetric")
         nu = float(symplectic_eigenvalues(cov)[0])
         if nu < 0.5 - SYMPLECTIC_TOL:
-            raise UncertaintyViolationError(
-                "covariance violates the uncertainty relation "
-                f"(smallest symplectic eigenvalue {nu:.17g}, "
-                f"{0.5 - nu:.3g} below 1/2)"
-            )
+            # the largest absolute row sum bounds ||cov||_2
+            norm = max(sum(map(abs, row)) for row in rows)
+            if nu < 0.5 - 4.0 * sys.float_info.epsilon * norm:
+                raise UncertaintyViolationError(
+                    "covariance violates the uncertainty relation "
+                    f"(smallest symplectic eigenvalue {nu:.17g}, "
+                    f"{0.5 - nu:.3g} below 1/2)"
+                )
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
 
@@ -145,9 +160,26 @@ def log_negativity_gaussian(state: GaussianTwoModeState) -> float:
     return max(0.0, -np.log(2.0 * nu_min))
 
 
+def _schmidt_sum(psi: np.ndarray) -> float:
+    """The sum of the singular values of the amplitude matrix psi, its
+    Schmidt coefficients.
+
+    A psi in the vacuum's sector, exactly symmetric and with exact zeros at
+    odd n1 + n2, as fock_ground_state returns it, is block diagonal over
+    the level parities, its even-level and odd-level blocks symmetric: its
+    singular values are the |eigenvalues| of those two blocks, which one
+    stacked np.linalg.eigvalsh gives (_parity_parts; at odd n_max the
+    smaller block is padded with a zero level, one more zero singular
+    value).  Any other psi takes an SVD.
+    """
+    if psi[0::2, 1::2].any() or not np.array_equal(psi, psi.T):
+        return float(np.sum(np.linalg.svd(psi, compute_uv=False)))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(_parity_parts(psi, 0.0)))))
+
+
 def _log_negativity(psi: np.ndarray) -> float:
-    """2 ln of the sum of the singular values of the amplitude matrix psi."""
-    return 2.0 * float(np.log(np.sum(np.linalg.svd(psi, compute_uv=False))))
+    """2 ln of the sum of the Schmidt coefficients of the amplitude matrix psi."""
+    return 2.0 * float(np.log(_schmidt_sum(psi)))
 
 
 def _log_negativity_enclosure(cfg: VdwConfig, psi: np.ndarray, nuclear: float):
@@ -179,7 +211,10 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     from fock_ground_state.  The state is pure, so E_N = 2 ln(sum of its
     Schmidt coefficients), the singular values of psi; this equals ln(2N +
     1) with N the summed negative eigenvalues of the partially transposed
-    projector.  The converged flag reads 1 where both ends of an interval
+    projector.  A solved psi in the vacuum's sector is block diagonal over
+    the level parities, so _schmidt_sum reads them as the |eigenvalues| of
+    its two parity blocks, in one stacked eigvalsh; any other psi takes an
+    SVD.  The converged flag reads 1 where both ends of an interval
     around the untruncated state's E_N, built from psi alone
     (_log_negativity_enclosure: Temple's inequality, Davis-Kahan and a
     Hoelder bound on the nuclear norm of psi's distance to the untruncated
@@ -191,9 +226,9 @@ def negativity_fock_oracle(cfg: VdwConfig, n_max: int = 24) -> ConvergedValue:
     if n_max < 12:
         raise ValueError(f"n_max must be >= 12 for a meaningful oracle, got {n_max}")
     _, psi = fock_ground_state(cfg, n_max)
-    nuclear = np.sum(np.linalg.svd(psi, compute_uv=False))
+    nuclear = _schmidt_sum(psi)
     value = 2.0 * float(np.log(nuclear))
-    ends = _log_negativity_enclosure(cfg, psi, float(nuclear))
+    ends = _log_negativity_enclosure(cfg, psi, nuclear)
     if ends is not None and all(abs(end - value) <= FOCK_CONVERGENCE_TOL for end in ends):
         return ConvergedValue(value, True)
     probe = _log_negativity(fock_ground_state(cfg, n_max - 2)[1])

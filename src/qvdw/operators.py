@@ -167,12 +167,10 @@ class RitzPair(NamedTuple):
     gap: float
 
 
-def _ritz_pair(matvec, y, values, j, hy=None) -> RitzPair:
-    """RitzPair of the unit vector ``y`` from one product H y, ``hy`` when
-    the run has already made it, its gap read from the ascending Ritz values
-    ``values`` of the run, ``j`` its own."""
-    if hy is None:
-        hy = matvec(y)
+def _ritz_pair(matvec, y, values, j) -> RitzPair:
+    """RitzPair of the unit vector ``y`` from one product H y, its gap read
+    from the ascending Ritz values ``values`` of the run, ``j`` its own."""
+    hy = matvec(y)
     theta = float(y @ hy)
     # the Ritz values ascend, so the nearest other one is a neighbour
     below = values[j] - values[j - 1] if j else math.inf
@@ -196,19 +194,22 @@ def lanczos(matvec, start, max_steps=None) -> RitzPair:
     when ``start`` is itself an eigenvector), and it happens at the latest
     after len(start) steps, when the Krylov space is the whole space and the
     Ritz pairs are exact; ``max_steps`` stops it earlier, unconverged, with
-    the lowest pair of that step.  At step 0, T is 1 x 1 and the start is
-    its own Ritz vector: when the run stops there (beta_0 within the
-    tolerance, or a one-step cap), it returns the start with theta =
-    alpha_0, the residual ||H q_0 - alpha_0 q_0|| from the product that
-    step made, and gap inf, so it makes one product of H.  A run that goes
-    on makes one more, for its Ritz vector's residual.  Only the Krylov
-    space of ``start`` is searched: an eigenvector orthogonal to it is
-    never found, so a caller that needs more than the Ritz pair must
+    the lowest pair of that step.  At step 0, T is 1 x 1 and the start q_0
+    is its own Ritz vector, so step 0 is vector arithmetic on the start's
+    one product: theta = alpha_0 = q_0.Hq_0, the residual H q_0 - alpha_0
+    q_0, and beta_0 the norm of that residual orthogonalized once more
+    against q_0.  When the run stops there (beta_0 within the tolerance, or
+    a one-step cap), it returns q_0 with theta, the residual's norm and gap
+    inf, having made one product of H and allocated no basis.  A run that
+    goes on continues from step 1 without repeating that product, and
+    makes one more at the end, for its Ritz vector's residual.  Only the
+    Krylov space of ``start`` is searched: an eigenvector orthogonal to it
+    is never found, so a caller that needs more than the Ritz pair must
     certify it.
 
-    The basis is one (min(len(start), max_steps), len(start)) array, and
-    only the rows a run writes take memory: m steps hold about
-    m * len(start) * 8 bytes.
+    The basis of a run past step 0 is one (min(len(start), max_steps),
+    len(start)) array, and only the rows it writes take memory: m steps
+    hold about m * len(start) * 8 bytes.
 
     Parameters
     ----------
@@ -228,25 +229,33 @@ def lanczos(matvec, start, max_steps=None) -> RitzPair:
     """
     dim = len(start)
     steps = dim if max_steps is None else min(dim, max_steps)
+    q = start / np.linalg.norm(start)
+    product = matvec(q)
+    theta = float(q @ product)
+    # the product orthogonalized twice against q, as at every later step
+    residual = product - theta * q
+    w = residual - q * (q @ residual)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    alpha[0], beta[0] = theta, np.linalg.norm(w)
+    scale = abs(theta) + beta[0]
+    if beta[0] <= LANCZOS_RTOL * scale or steps == 1:
+        # the start is its own Ritz vector, with the one product made
+        return RitzPair(theta, q, float(np.linalg.norm(residual)), math.inf)
     basis = np.empty((steps, dim))
-    basis[0] = start / np.linalg.norm(start)
-    alpha, beta, scale = np.empty(steps), np.empty(steps), 0.0
-    for k in range(steps):
-        product = w = matvec(basis[k])
-        alpha[k] = basis[k] @ product
+    basis[0], basis[1] = q, w / beta[0]
+    for k in range(1, steps):
+        w = matvec(basis[k])
+        alpha[k] = basis[k] @ w
         for _ in range(2):
             w = w - basis[:k + 1].T @ (basis[:k + 1] @ w)
         beta[k] = np.linalg.norm(w)
         # row k's Gershgorin radius, its two betas summed before alpha is added
-        scale = max(scale, abs(alpha[k]) + (beta[k - 1] + beta[k] if k else beta[k]))
+        scale = max(scale, abs(alpha[k]) + (beta[k - 1] + beta[k]))
         tol = LANCZOS_RTOL * scale
         last = k == steps - 1
-        if k == 0 and (beta[0] <= tol or last):
-            # the start is its own Ritz vector, with this step's product
-            return _ritz_pair(matvec, basis[0].copy(), alpha[:1], 0, product)
         # a Ritz pair costs more than a step, so it is taken every few steps,
         # at a breakdown and at the last step
-        if (k and k % LANCZOS_CHECK_EVERY == 0) or beta[k] <= tol or last:
+        if k % LANCZOS_CHECK_EVERY == 0 or beta[k] <= tol or last:
             values, vectors = _tridiagonal_eigenpairs(alpha[:k + 1], beta[:k])
             if beta[k] * abs(vectors[0, -1]) <= tol or last:
                 break
@@ -275,10 +284,13 @@ def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
     basis vector is multiplied by H once and the product kept, so no product
     is repeated; Rayleigh-Ritz on the basis, np.linalg.eigh of the k x k
     projection of H, gives the Ritz pairs, and the one whose vector
-    overlaps the start most is picked.  Its residual r = H y - theta y,
-    divided entrywise by theta - ``diagonal`` (each |theta - D_i| held at
-    least the stop tolerance below, so that no entry divides by zero), and
-    orthogonalized twice against the basis, is the next basis vector.
+    overlaps the start most is picked.  At the first step the 1 x 1
+    projection is its own eigenpair, value p_00 and vector [1], and no
+    eigh is called, so a run of m products solves m - 2 projections.  The
+    picked pair's residual r = H y - theta y, divided entrywise by theta -
+    ``diagonal`` (each |theta - D_i| held at least the stop tolerance below,
+    so that no entry divides by zero), and orthogonalized twice against the
+    basis, is the next basis vector.
     For a diagonally dominant H that is the perturbative step: a coupling
     c between levels a detuning Delta apart leaves an error of about c /
     Delta of the last one.  When that correction lies in the basis (Davidson
@@ -328,7 +340,10 @@ def davidson(matvec, diagonal, start, max_steps) -> RitzPair:
         images[k] = matvec(basis[k])
         # eigh reads the lower triangle, row k of which this product fills
         projection[k, :k + 1] = basis[:k + 1] @ images[k]
-        values, vectors = np.linalg.eigh(projection[:k + 1, :k + 1])
+        if k:
+            values, vectors = np.linalg.eigh(projection[:k + 1, :k + 1])
+        else:  # the 1 x 1 projection is its own eigenpair
+            values, vectors = projection[0, :1], np.ones((1, 1))
         # row 0 holds each Ritz vector's overlap with the start
         j = int(np.argmax(vectors[0] ** 2))
         if passed or k == steps - 1:

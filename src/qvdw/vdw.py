@@ -16,6 +16,7 @@ omega_plus >= omega_minus.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -188,15 +189,45 @@ def polarizability(cfg: VdwConfig) -> float:
     return 2.0 * cfg.charge**2 / _stiffness(cfg)
 
 
+class _LevelArrays(NamedTuple):
+    """The arrays of an n_max-level oscillator that depend on n_max alone:
+    the levels k, h / w0 (see _single_oscillator), x sqrt(2 m w0) = A + A^T,
+    k!, sqrt(k!), and _gaussian_amplitudes' Toeplitz gather index
+    n_max - 1 + m - k at [m, k]."""
+
+    level: np.ndarray
+    diagonal: np.ndarray
+    x: np.ndarray
+    factorial: np.ndarray
+    root_factorial: np.ndarray
+    rise_index: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _level_arrays(n_max: int) -> _LevelArrays:
+    """_LevelArrays at n_max levels, built once per n_max and shared,
+    read-only, by every config, as full_model._coupling_bands is.  Nothing
+    that reads a config, and no solve, is cached."""
+    a = operators.ladder(n_max)
+    level = np.arange(n_max)
+    diagonal = level + 0.5
+    diagonal[-1] = (n_max - 1) / 2
+    factorial = np.cumprod(np.maximum(level, 1.0))
+    arrays = _LevelArrays(level, diagonal, a + a.T, factorial, np.sqrt(factorial),
+                          (n_max - 1 + level)[:, None] - level)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _single_oscillator(cfg: VdwConfig, n_max: int):
     """The diagonal d of one oscillator's truncated h = p^2/2m + m w0^2 x^2/2,
     and its x matrix: on the truncated quadratures h = (w0/2)(A A^T + A^T A),
     A the truncated lowering matrix, so d[k] = w0 (k + 1/2), except that
-    A A^T drops the top level's n + 1: d[n_max - 1] = w0 (n_max - 1)/2."""
-    a = operators.ladder(n_max)
-    diagonal = cfg.freq * (np.arange(n_max) + 0.5)
-    diagonal[-1] = cfg.freq * (n_max - 1) / 2
-    return diagonal, np.sqrt(1.0 / (2.0 * cfg.mass * cfg.freq)) * (a + a.T)
+    A A^T drops the top level's n + 1: d[n_max - 1] = w0 (n_max - 1)/2.
+    Both scale the read-only arrays of _level_arrays."""
+    arrays = _level_arrays(n_max)
+    return cfg.freq * arrays.diagonal, np.sqrt(1.0 / (2.0 * cfg.mass * cfg.freq)) * arrays.x
 
 
 def coupled_hamiltonian_fock(cfg: VdwConfig, n_max: int) -> np.ndarray:
@@ -317,8 +348,12 @@ def _separable_bounds(diagonal: np.ndarray, x: np.ndarray, lam: float):
     (x x 1 +- 1 x x)^2 >= 0 gives lam x x x >= -(|lam|/2)(x^2 x 1 + 1 x x^2),
     so H >= B = h' x 1 + 1 x h' with h' = h - (|lam|/2) x^2.  Every term of
     h' changes the level by 0 or 2, so its even levels 0, 2, ... and its odd
-    levels 1, 3, ... make two tridiagonal matrices, whose values LAPACK's
-    symmetric eigensolver gives (np.linalg.eigvalsh).  With e_0 <= e_1 the
+    levels 1, 3, ... make two tridiagonal matrices, whose values one stacked
+    call of LAPACK's symmetric eigensolver gives (np.linalg.eigvalsh on
+    _parity_parts).  At odd n_max the odd part is one level short, and a
+    decoupled level at max(diagonal) fills it: h' <= h, so no value of
+    either part lies above h's top level, and the part's two lowest values
+    are unchanged.  With e_0 <= e_1 the
     two lowest even values and o_0 <= o_1 the two lowest odd ones (n_max
     >= 4 gives both parts two levels), B's eigenvalues are the sums of two
     values.  B, like H, commutes with parity and exchange, so by Weyl's
@@ -331,8 +366,23 @@ def _separable_bounds(diagonal: np.ndarray, x: np.ndarray, lam: float):
     eigenvalue, and the bound on the odd block's lowest.
     """
     h_bound = np.diag(diagonal) - 0.5 * abs(lam) * (x @ x)
-    (e0, e1), (o0, o1) = (np.linalg.eigvalsh(h_bound[p::2, p::2])[:2] for p in (0, 1))
+    (e0, e1), (o0, o1) = np.linalg.eigvalsh(_parity_parts(h_bound, np.max(diagonal)))[:, :2]
     return sorted((2.0 * e0, e0 + e1, 2.0 * o0, o0 + o1))[1], e0 + o0
+
+
+def _parity_parts(mat: np.ndarray, pad: float) -> np.ndarray:
+    """The even-level part mat[0::2, 0::2] and the odd-level part
+    mat[1::2, 1::2] of the square ``mat``, stacked as one (2, m, m) array,
+    m = ceil(len(mat) / 2), for one stacked eigensolve.  At odd len(mat) the
+    odd part is one level short, and a level of value ``pad``, coupled to
+    nothing, fills it."""
+    n = len(mat)
+    parts = np.zeros((2, (n + 1) // 2, (n + 1) // 2))
+    parts[0] = mat[0::2, 0::2]
+    parts[1, :n // 2, :n // 2] = mat[1::2, 1::2]
+    if n % 2:
+        parts[1, -1, -1] = pad
+    return parts
 
 
 def _gaussian_amplitudes(cfg: VdwConfig, n_max: int) -> np.ndarray:
@@ -349,19 +399,20 @@ def _gaussian_amplitudes(cfg: VdwConfig, n_max: int) -> np.ndarray:
     E = F G F^-1 with F = diag(sqrt(n!)) and G[m, k] = c^j / j! for
     m - k = 2j >= 0, 0 otherwise: G depends on m - k alone, so it is
     gathered with one index from a vector of length 2 n_max - 1, and
-    psi = F G diag(Z12^k / k!) G^T F.  No raising operator lowers a level,
+    psi = F G diag(Z12^k / k!) G^T F.  The index, n! and F come from
+    _level_arrays.  No raising operator lowers a level,
     so the amplitudes below n_max are exact; every odd-parity amplitude is
     a sum of exact zeros.  Rounding leaves psi symmetric only up to an ulp.
     """
     omega_plus, omega_minus = _mode_frequencies(cfg)
     z_plus, z_minus = ((cfg.freq - w) / (cfg.freq + w) for w in (omega_plus, omega_minus))
-    level = np.arange(n_max)
-    factorial = np.cumprod(np.maximum(level, 1.0))
+    arrays = _level_arrays(n_max)
+    level, factorial = arrays.level, arrays.factorial
     # rise[n_max - 1 + m - k] = G[m, k], and raise_pairs = F G
     rise = np.zeros(2 * n_max - 1)
-    half = level[:(n_max + 1) // 2]
-    rise[n_max - 1::2] = np.power(0.25 * (z_minus + z_plus), half) / factorial[half]
-    raise_pairs = np.sqrt(factorial)[:, None] * rise[(n_max - 1 + level)[:, None] - level]
+    half = (n_max + 1) // 2
+    rise[n_max - 1::2] = np.power(0.25 * (z_minus + z_plus), level[:half]) / factorial[:half]
+    raise_pairs = arrays.root_factorial[:, None] * rise[arrays.rise_index]
     return (raise_pairs * (np.power(0.5 * (z_minus - z_plus), level) / factorial)) @ raise_pairs.T
 
 

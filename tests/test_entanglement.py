@@ -23,6 +23,7 @@ from qvdw import (
     symplectic_eigenvalues,
 )
 from qvdw import entanglement
+from qvdw.cli import main
 from qvdw.vdw import coupled_hamiltonian_fock
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -125,6 +126,62 @@ class TestGroundStateCovariance:
         cov = 0.5 * np.eye(4)
         cov[0, 1] = 0.2
         with pytest.raises(UncertaintyViolationError):
+            GaussianTwoModeState(cov)
+
+    def test_symmetry_is_tested_as_allclose_tests_it(self):
+        base = ground_state_covariance(config_for_coupling(0.6)).cov
+        cases = []
+        for scale in (1.0, 1e6):
+            # one entry moved by about STATE_ATOL, then by about 1e-5 of itself
+            for delta in (0.0, 5e-13, 1e-12, 2e-12,
+                          *(r * scale * base[0, 2] for r in (1e-6, 1e-5, 3e-5))):
+                cov = scale * base
+                cov[0, 2] += delta
+                cases.append(cov)
+        for first, second in ((np.inf, np.inf), (np.inf, -np.inf), (np.inf, 1.0),
+                              (np.nan, np.nan), (1.0, np.nan)):
+            cov = 0.5 * np.eye(4)
+            cov[0, 2], cov[2, 0] = first, second
+            cases.append(cov)
+        cov = 0.5 * np.eye(4)
+        cov[1, 1] = np.nan
+        cases.append(cov)
+        for cov in cases:
+            try:
+                with np.errstate(all="ignore"):
+                    GaussianTwoModeState(cov)
+                rejected = False
+            except UncertaintyViolationError as error:
+                rejected = "not symmetric" in str(error)
+            except np.linalg.LinAlgError:  # an infinite entry passes as symmetric
+                rejected = False
+            assert rejected == (not np.allclose(cov, cov.T, atol=entanglement.STATE_ATOL)), cov
+
+    def test_pure_states_near_u_1_are_accepted(self):
+        # the eigensolve rounds the smallest symplectic eigenvalue by about
+        # eps ||cov||, ||cov|| ~ 1/(2 omega_minus), which passes SYMPLECTIC_TOL
+        # from 1 - u ~ 1e-11; the entries themselves round, so E_N strays
+        # from its closed form by a few eps / (1 - u)
+        eps = np.finfo(float).eps
+        for k in range(6, 17):
+            u = 1.0 - 10.0**-k
+            e_n = log_negativity_gaussian(ground_state_covariance(config_for_coupling(u)))
+            assert abs(e_n - 0.25 * np.log((1.0 + u) / (1.0 - u))) <= 4.0 * eps / (1.0 - u), k
+
+    def test_entangle_near_u_1_exits_0_unconverged(self, capsys):
+        assert main(["entangle", "--set", "coupling=0.99999999999999", "--set", "n_max=24"]) == 0
+        out, err = capsys.readouterr()
+        header, row = out.strip().splitlines()
+        values = dict(zip(header.split(","), (float(v) for v in row.split(","))))
+        assert values["converged"] == 0.0 and err == ""
+
+    def test_a_deficit_far_above_the_rounding_is_rejected_at_any_scale(self):
+        # one mode squeezed to ||cov|| ~ 1e6, with the smallest symplectic
+        # eigenvalue 1e-6 below 1/2: 4 eps ||cov|| ~ 1e-9 tolerates none of it
+        nu, squeeze = 0.5 - 1e-6, 2e6
+        cov = np.diag([nu * squeeze, nu / squeeze, 0.5, 0.5])
+        assert symplectic_eigenvalues(cov)[0] == pytest.approx(nu, abs=1e-9)
+        with pytest.raises(UncertaintyViolationError, match="uncertainty relation"):
             GaussianTwoModeState(cov)
 
 

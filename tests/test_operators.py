@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,22 @@ class TestLanczosLowest:
         assert (theta, residual, gap) == (expected.value, expected.residual, math.inf)
         assert residual > 1e-3
 
+    def test_a_run_that_ends_at_step_0_allocates_no_basis(self):
+        # a start that is an eigenvector of a 1600-level H, with 420 steps
+        # allowed: a basis would take 420 * 1600 * 8 bytes, step 0 a few vectors
+        dim = 1600
+        levels = np.arange(float(dim))
+        start = np.zeros(dim)
+        start[3] = 2.0
+        tracemalloc.start()
+        try:
+            pair = lanczos(lambda v: levels * v, start, max_steps=420)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (pair.value, pair.residual, pair.gap) == (3.0, 0.0, math.inf)
+        assert peak < 10 * dim * 8
+
     def test_gap_is_the_distance_to_the_nearest_other_ritz_value(self):
         # a run over the whole space: the Ritz values are the eigenvalues
         mat = np.diag([0.0, 1.0, 1.25, 3.0])
@@ -398,6 +415,35 @@ class TestDavidson:
         values = np.linalg.eigvalsh(mat)
         assert pair.value == pytest.approx(values[1], abs=1e-14)
         assert pair.gap == pytest.approx(values[2] - values[1], abs=1e-14)
+
+    @pytest.mark.parametrize("dim, max_steps", [(1, 5), (2, 60), (9, 9), (60, 60), (200, 7)])
+    def test_a_run_of_m_products_solves_m_minus_2_projections(self, monkeypatch, dim,
+                                                               max_steps):
+        # the first step's 1 x 1 projection is its own eigenpair, as eigh gives it
+        for p in (-2.5, 0.0, 1e-300, 7.0):
+            values, vectors = np.linalg.eigh(np.array([[p]]))
+            assert np.array_equal(values, [p]) and np.array_equal(vectors, [[1.0]])
+        rng = np.random.default_rng(dim)
+        diagonal = np.sort(rng.uniform(-10.0, 10.0, size=dim))
+        mat = 0.05 * rng.normal(size=(dim, dim))
+        mat = np.diag(diagonal) + np.triu(mat, 1) + np.triu(mat, 1).T
+        products, solved, eigh = [], [], np.linalg.eigh
+
+        def matvec(v):
+            products.append(v)
+            return mat @ v
+
+        def counting_eigh(a):
+            solved.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        pair = davidson(matvec, diagonal, np.eye(dim)[dim // 2], max_steps)
+        monkeypatch.undo()
+        # the k x k projections for k = 2 to m - 1, m the products made
+        assert solved == list(range(2, len(products)))
+        residual = mat @ pair.vector - pair.value * pair.vector
+        assert pair.residual == pytest.approx(np.linalg.norm(residual), abs=1e-14)
 
     @pytest.mark.parametrize("max_steps, steps", [(5, 5), (40, 40), (400, 200)])
     def test_a_start_with_no_dominant_eigenvector_runs_to_the_cap(self, max_steps, steps):

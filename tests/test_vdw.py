@@ -309,6 +309,30 @@ def counted_fallback(monkeypatch):
     return drawn, factored
 
 
+def lowering_the_odd_block(monkeypatch, n_max):
+    """Patch vdw's sector blocks to lower the odd symmetric state
+    (|0,1> + |1,0>)/sqrt2 by 5, which moves the ground state into the odd
+    block: it fails its certificate, and that block is solved and its ground
+    state returned.  The lowering adds -5/2 off the diagonal, so H stays a
+    Z-matrix.  The separable bounds, which hold for the real H and not for
+    the lowered one, are patched to -inf.  Returns the list of the (index,
+    coef, block) of every block drawn."""
+    blocks, drawn = vdw._sector_blocks, []
+
+    def lowered(*terms):
+        for index, coef, block, bounds in blocks(*terms):
+            if index[1] >= 0:  # the odd block, whose first state is (|0,1> + |1,0>)/sqrt2
+                assert index[1] == index[n_max] == 0
+                assert coef[1] == coef[n_max] == np.sqrt(0.5)
+                block[0, 0] -= 5.0
+            drawn.append((index, coef, block))
+            yield index, coef, block, bounds
+
+    monkeypatch.setattr(vdw, "_sector_blocks", lowered)
+    unbounded(monkeypatch)
+    return drawn
+
+
 def signless(t):
     """The tridiagonal ``t`` with its off-diagonal made positive."""
     return np.diag(np.diag(t)) + np.abs(t - np.diag(np.diag(t)))
@@ -360,32 +384,15 @@ class TestParitySectors:
         assert np.max(np.abs(residual)) <= 1e-12
 
     def test_odd_sector_ground_state_is_found(self, monkeypatch):
-        # lowering the odd symmetric state (|0,1> + |1,0>)/sqrt2 by 5 moves the
-        # ground state into the odd block: it fails its certificate, and that
-        # block is solved and its ground state returned.  The lowering adds
-        # -5/2 off the diagonal, so H stays a Z-matrix
         cfg, n_max = config_for_coupling(0.3), 10
-        blocks, lanczos = vdw._sector_blocks, vdw.lanczos
-        drawn = []
-
-        def lowered(*terms):
-            for index, coef, block, bounds in blocks(*terms):
-                if index[1] >= 0:  # the odd block, whose first state is (|0,1> + |1,0>)/sqrt2
-                    assert index[1] == index[n_max] == 0
-                    assert coef[1] == coef[n_max] == np.sqrt(0.5)
-                    block[0, 0] -= 5.0
-                drawn.append((index, coef, block))
-                yield index, coef, block, bounds
-
+        lanczos = vdw.lanczos
         krylov = []
 
         def recording_lanczos(matvec, start, max_steps=None):
             krylov.append(len(start))
             return lanczos(matvec, start, max_steps)
 
-        monkeypatch.setattr(vdw, "_sector_blocks", lowered)
-        # the separable bound holds for the real H, not for the lowered one
-        unbounded(monkeypatch)
+        drawn = lowering_the_odd_block(monkeypatch, n_max)
         solved = counted_dense_eigh(monkeypatch)
         monkeypatch.setattr(vdw, "lanczos", recording_lanczos)
         energy, psi = fock_ground_state(cfg, n_max)
@@ -874,6 +881,19 @@ def test_oscillator_diagonal_is_the_quadrature_build(cfg, n_max):
     assert np.array_equal(x, x_ref)
 
 
+def test_level_arrays_are_built_once_per_n_max_and_shared_read_only():
+    vdw._level_arrays.cache_clear()
+    arrays = vdw._level_arrays(40)
+    assert vdw._level_arrays(40) is arrays
+    assert not any(array.flags.writeable for array in arrays)
+    # a config scales them into arrays of its own
+    diagonal, x = vdw._single_oscillator(VdwConfig(mass=1.7, freq=0.6), 40)
+    assert diagonal.flags.writeable and x.flags.writeable
+    assert np.array_equal(diagonal, 0.6 * arrays.diagonal)
+    assert np.array_equal(x, np.sqrt(1.0 / (2.0 * 1.7 * 0.6)) * arrays.x)
+    assert vdw._level_arrays.cache_info().misses == 1
+
+
 class TestCertifiedZMatrix:
     """The operator that fock_ground_state solves and certifies, h held as
     its diagonal: no off-diagonal entry is positive, with no rounding slack,
@@ -1265,6 +1285,62 @@ class TestLogNegativityEnclosure:
                 assert error < vdw.FOCK_CONVERGENCE_TOL, (u, error)
 
 
+def counted_linalg(monkeypatch, name):
+    """Patch np.linalg.<name> to record each call in the list it returns."""
+    solve, calls = getattr(np.linalg, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestSchmidtSum:
+    """The oracle's Schmidt sum: the |eigenvalues| of psi's two parity blocks
+    for a psi in the vacuum's sector, an SVD for any other, and the sum of
+    the singular values either way."""
+
+    @pytest.mark.parametrize("n_max", [12, 13, 24, 40, 41, 64])
+    def test_equals_the_svd_on_solved_ground_states(self, monkeypatch, n_max):
+        for u in [0.0, 0.05, 0.3, 0.6, 0.9, 0.97, 0.995]:
+            _, psi = fock_ground_state(config_for_coupling(u), n_max)
+            with monkeypatch.context() as patched:
+                svd = counted_linalg(patched, "svd")
+                got = entanglement._schmidt_sum(psi)
+            # every solved ground state lies in the vacuum's sector
+            assert svd == [], u
+            assert abs(got - schmidt_sum(psi)) <= 1e-14, u
+
+    def test_states_outside_the_vacuum_sector_take_the_svd(self, monkeypatch):
+        lowering_the_odd_block(monkeypatch, 10)
+        _, odd_ground = fock_ground_state(config_for_coupling(0.3), 10)
+        monkeypatch.undo()
+        assert np.all(odd_ground.ravel()[~odd_parity(10)] == 0.0) and odd_ground[0, 1] != 0.0
+        for psi in (odd_ground, *(state_outside_the_vacuum_sector(sign)[1] for sign in (1, -1))):
+            with monkeypatch.context() as patched:
+                svd = counted_linalg(patched, "svd")
+                got = entanglement._schmidt_sum(psi)
+            assert svd == ["svd"]
+            assert got == schmidt_sum(psi)
+
+
+class TestWeakCouplingCallWork:
+    """A weak-coupling call at n_max 40: one product of H, one stacked
+    eigensolve for the separable bounds, and one for the Schmidt sum."""
+
+    @pytest.mark.parametrize("call, eigvalsh_calls", [
+        (fock_ground_state, 1), (vdw_fock_oracle, 1), (negativity_fock_oracle, 2),
+    ])
+    def test_calls_make_one_product_and_no_svd(self, monkeypatch, call, eigvalsh_calls):
+        products = []
+        monkeypatch.setattr(vdw, "lanczos", counting_lanczos(products))
+        eigvalsh, svd = counted_linalg(monkeypatch, "eigvalsh"), counted_linalg(monkeypatch, "svd")
+        call(config_for_coupling(0.3), 40)
+        assert (len(products), len(eigvalsh), len(svd)) == (1, eigvalsh_calls, 0)
+
+
 BOUND_PREMISE_CONFIGS = [config_for_coupling(0.0), config_for_coupling(0.3),
                          config_for_coupling(0.79), *PHYSICAL_CONFIGS]
 BOUND_PREMISE_CONFIG_IDS = ["u0", "u0.3", "u0.79", *PHYSICAL_CONFIG_IDS]
@@ -1335,7 +1411,9 @@ class TestFockOracleSolves:
         energy, psi = fock_ground_state(cfg, 24)
         _, probe_psi = fock_ground_state(cfg, 22)
         ends = vdw._untruncated_enclosure(cfg, psi)
-        log_ends = entanglement._log_negativity_enclosure(cfg, psi, schmidt_sum(psi))
+        # the oracle's own Schmidt sum, which its value repeats bit for bit;
+        # TestSchmidtSum holds it to the SVD
+        log_ends = entanglement._log_negativity_enclosure(cfg, psi, entanglement._schmidt_sum(psi))
         assert (ends is None) == (log_ends is None) == (u >= 0.8)
         assert shift.value == energy - cfg.freq
         if ends is None:
@@ -1343,6 +1421,7 @@ class TestFockOracleSolves:
         else:
             assert shift.converged == all(abs((end - cfg.freq) - shift.value)
                                           <= vdw.FOCK_CONVERGENCE_TOL for end in ends[:2])
+        log_negativity = entanglement._log_negativity
         assert log_neg.value == log_negativity(psi)
         if log_ends is None:
             assert log_neg.converged == (abs(log_negativity(probe_psi) - log_negativity(psi))
